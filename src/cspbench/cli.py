@@ -10,6 +10,10 @@ is JSON on stdout.  Exit codes:
     horn classify:  0 Horn, 1 non-Horn, 2 error
     horn solve:     0 satisfiable, 1 unsatisfiable, 2 error
 
+Exit 1 is only ever a negative verdict: an input error prints "error: ..."
+and an unexpected exception prints "internal error: <type>: <message>" on
+stderr, and both exit 2.
+
 All pipelines are deterministic, so a verdict is reproducible bit for bit
 from the same input files and flags.
 """
@@ -231,9 +235,12 @@ def _cmd_ppdef(args) -> int:
     a = _load_structure(args.structure)
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if set(doc) != {"arity", "tuples"}:
+    if not isinstance(doc, dict) or set(doc) != {"arity", "tuples"}:
         raise ValueError('relation document needs exactly the fields "arity" and "tuples"')
-    r = galois.Relation.make(doc["arity"], [tuple(t) for t in doc["tuples"]])
+    tuples = doc["tuples"]
+    if not isinstance(tuples, list) or not all(isinstance(t, list) for t in tuples):
+        raise ValueError('"tuples" must be a list of lists')
+    r = galois.Relation.make(doc["arity"], [tuple(t) for t in tuples])
     verdict, cert = galois.is_pp_definable(a, r, budget=args.budget)
     machine = {"definable": verdict}
     if verdict:
@@ -417,6 +424,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError, BudgetExceededError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must never read as a negative verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

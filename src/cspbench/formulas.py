@@ -355,6 +355,62 @@ def _eval_rec(phi, a, env):
     raise FormulaError(f"not a formula node: {phi!r}")
 
 
+def _checked_env(a: FiniteStructure, free: set, assignment) -> dict:
+    env = dict(assignment or {})
+    missing = free - set(env)
+    if missing:
+        raise FormulaError(f"unbound free variables: {sorted(missing)}")
+    for v, value in env.items():
+        if not (isinstance(value, int) and 0 <= value < a.n):
+            raise FormulaError(f"assignment value {v}={value!r} outside the domain")
+    return env
+
+
+def _pp_search(a: FiniteStructure, phi, budget: int):
+    """Canonical database of a pp formula without false, built once, and a
+    search over it: (elem, search), where search(env) is the lexicographically
+    least homomorphism from the database to a sending each free variable's
+    element to its value under env, or None."""
+    db, elem = canonical_structure(phi, a.sig)
+    free = sorted(free_variables(phi, a.sig))
+
+    def search(env):
+        pinned = {}
+        for v in free:
+            if pinned.setdefault(elem[v], env[v]) != env[v]:
+                return None  # two merged free variables assigned differently
+        return find_homomorphism(db, a, pinned=pinned, budget=budget)
+
+    return elem, search
+
+
+def evaluator(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
+    """Truth of phi in a as a function of an assignment of its free variables.
+
+    The formula is checked once and, when it is pp, its canonical database
+    is built once; each call then runs one pinned homomorphism search.  ep
+    formulas are evaluated recursively.
+    """
+    _validate_symbols(phi, a.sig)
+    free = free_variables(phi, a.sig)
+    if not is_pp(phi):
+        def decide(env):
+            return _eval_rec(phi, a, env)
+    elif _contains_falsum(phi):
+        def decide(env):
+            return False
+    else:
+        search = _pp_search(a, phi, budget)[1]
+
+        def decide(env):
+            return search(env) is not None
+
+    def holds(assignment=None) -> bool:
+        return decide(_checked_env(a, free, assignment))
+
+    return holds
+
+
 def evaluate(a: FiniteStructure, phi, assignment=None, budget: int = DEFAULT_BUDGET) -> bool:
     """Tarskian truth of phi in a under an assignment of its free variables.
 
@@ -362,42 +418,26 @@ def evaluate(a: FiniteStructure, phi, assignment=None, budget: int = DEFAULT_BUD
     homomorphism search from the canonical database, with free variables
     pinned through the assignment; ep formulas are evaluated recursively.
     """
-    _validate_symbols(phi, a.sig)
-    env = dict(assignment or {})
-    free = free_variables(phi, a.sig)
-    missing = free - set(env)
-    if missing:
-        raise FormulaError(f"unbound free variables: {sorted(missing)}")
-    for v, value in env.items():
-        if not (isinstance(value, int) and 0 <= value < a.n):
-            raise FormulaError(f"assignment value {v}={value!r} outside the domain")
-
-    if not is_pp(phi):
-        return _eval_rec(phi, a, env)
-    if _contains_falsum(phi):
-        return False
-    db, elem = canonical_structure(phi, a.sig)
-    pinned = {}
-    for v in free:
-        e = elem[v]
-        if pinned.setdefault(e, env[v]) != env[v]:
-            return False  # two merged free variables assigned differently
-    return find_homomorphism(db, a, pinned=pinned, budget=budget) is not None
+    return evaluator(a, phi, budget)(assignment)
 
 
 def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
     """A satisfying assignment for a true sentence, or None.
 
     pp sentences report values for all their variables, read off the
-    homomorphism from the canonical database; ep sentences report the
-    outermost existential block only.
+    homomorphism from the canonical database that decided truth; ep
+    sentences report the outermost existential block only.
     """
+    if is_pp(phi) and not _contains_falsum(phi):
+        _validate_symbols(phi, a.sig)
+        _checked_env(a, free_variables(phi, a.sig), None)
+        elem, search = _pp_search(a, phi, budget)
+        h = search({})
+        if h is None:
+            return None
+        return {v: h.map[e] for v, e in elem.items() if v not in a.sig.constants}
     if not evaluate(a, phi, budget=budget):
         return None
-    if is_pp(phi) and not _contains_falsum(phi):
-        db, elem = canonical_structure(phi, a.sig)
-        h = find_homomorphism(db, a, budget=budget)
-        return {v: h.map[e] for v, e in elem.items() if v not in a.sig.constants}
     if isinstance(phi, Exists):
         for values in itertools.product(range(a.n), repeat=len(phi.vars)):
             env = dict(zip(phi.vars, values))

@@ -22,10 +22,12 @@ from .structures import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     FiniteStructure,
+    encode_tuple,
     find_homomorphism,
+    is_int,
     power,
 )
-from .formulas import And, Atom, Eq, Exists, FALSE, _numbered_names, conj, evaluate, free_variables
+from .formulas import And, Atom, Eq, Exists, FALSE, _numbered_names, conj, evaluator, free_variables
 from .clones import OperationTable, operation_preserves
 
 # Indicator powers: t tuples mean a power with |A|**t elements.  These caps
@@ -45,6 +47,8 @@ class Relation:
     tuples: frozenset
 
     def __post_init__(self):
+        if not is_int(self.arity) or self.arity < 0:
+            raise ValueError(f"relation arity must be a non-negative integer, got {self.arity!r}")
         object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
         for t in self.tuples:
             if len(t) != self.arity:
@@ -56,7 +60,7 @@ class Relation:
 
     def check_domain(self, a: FiniteStructure):
         for t in self.tuples:
-            if not all(isinstance(v, int) and 0 <= v < a.n for v in t):
+            if not all(is_int(v) and 0 <= v < a.n for v in t):
                 raise ValueError(f"tuple {t} outside domain of size {a.n}")
 
 
@@ -91,35 +95,37 @@ class PpDefinabilityCertificate:
 
 def relation_of_formula(a: FiniteStructure, phi, arity: int, var_order=None) -> frozenset:
     """Extension of a formula over a; free variables are taken in var_order,
-    defaulting to length-then-lexicographic order (so x2 precedes x10)."""
+    defaulting to length-then-lexicographic order (so x2 precedes x10).
+
+    A pp formula's canonical database is built once, and each candidate
+    tuple costs one pinned homomorphism search from it."""
     if var_order is None:
         var_order = sorted(free_variables(phi, a.sig), key=lambda v: (len(v), v))
     if len(var_order) > arity:
         raise ValueError(f"formula has {len(var_order)} free variables, expected <= {arity}")
-    out = set()
-    for values in itertools.product(range(a.n), repeat=arity):
-        if evaluate(a, phi, dict(zip(var_order, values))):
-            out.add(values)
-    return frozenset(out)
+    holds = evaluator(a, phi)
+    return frozenset(values for values in itertools.product(range(a.n), repeat=arity)
+                     if holds(dict(zip(var_order, values))))
 
 
-def _check_budget(a: FiniteStructure, t: int):
+def _indicator_power(a: FiniteStructure, t: int, budget: int) -> FiniteStructure:
     if a.n ** t > MAX_POWER_DOMAIN:
         raise BudgetExceededError(
             f"indicator power {a.n}**{t} exceeds the configured cap of {MAX_POWER_DOMAIN}")
+    return power(a, t, budget=budget)
 
 
-def _closure_search(a: FiniteStructure, r: Relation, budget: int):
-    """Yield (image_tuple, homomorphism) for every tuple in the closure."""
-    rows = sorted(r.tuples)
-    t = len(rows)
-    _check_budget(a, t)
-    pw = power(a, t, budget=budget)
-    columns = [
-        # the i-th column of the tuple list, as an element of power(a, t)
-        sum(row[i] * a.n ** (t - 1 - j) for j, row in enumerate(rows))
-        for i in range(r.arity)
-    ]
+def _columns(a: FiniteStructure, rows, arity: int) -> list:
+    """The i-th column of the tuple list rows, for each i < arity, as an
+    element of power(a, len(rows))."""
+    return [encode_tuple(tuple(row[i] for row in rows), a.n) for i in range(arity)]
+
+
+def _closure_search(a: FiniteStructure, r: Relation, pw: FiniteStructure, budget: int):
+    """Yield (image_tuple, homomorphism) for every tuple in the closure;
+    pw is the indicator power power(a, |r|).  All the pinned searches share
+    one compiled search plan for pw -> a."""
+    columns = _columns(a, sorted(r.tuples), r.arity)
     for image in itertools.product(range(a.n), repeat=r.arity):
         pinned = {}
         ok = True
@@ -145,7 +151,8 @@ def pp_closure(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET) ->
         warnings.warn("closure of the empty relation is empty by convention",
                       EmptyRelationClosure, stacklevel=2)
         return Relation(r.arity, frozenset())
-    return Relation(r.arity, frozenset(image for image, _ in _closure_search(a, r, budget)))
+    pw = _indicator_power(a, len(r.tuples), budget)
+    return Relation(r.arity, frozenset(image for image, _ in _closure_search(a, r, pw, budget)))
 
 
 def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET):
@@ -154,16 +161,19 @@ def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGE
     if not r.tuples:
         return True, PpDefinabilityCertificate(True, formula=FALSE)
     rows = tuple(sorted(r.tuples))
-    for image, h in _closure_search(a, r, budget):
+    pw = _indicator_power(a, len(rows), budget)
+    for image, h in _closure_search(a, r, pw, budget):
         if image not in r.tuples:
             f = OperationTable(a.n, len(rows), h.map)
             return False, PpDefinabilityCertificate(
                 False, violating_operation=f, input_rows=rows, violating_tuple=image)
-    return True, PpDefinabilityCertificate(True, formula=synthesize_pp_definition(a, r, budget))
+    return True, PpDefinabilityCertificate(
+        True, formula=synthesize_pp_definition(a, r, budget, indicator_power=pw))
 
 
 def synthesize_pp_definition(a: FiniteStructure, r: Relation,
-                             budget: int = DEFAULT_BUDGET, simplify: bool = False):
+                             budget: int = DEFAULT_BUDGET, simplify: bool = False,
+                             indicator_power: FiniteStructure | None = None):
     """A pp formula whose extension over a is exactly r.
 
     The formula is the canonical query of power(a, t) with the column
@@ -171,15 +181,14 @@ def synthesize_pp_definition(a: FiniteStructure, r: Relation,
     quantified, and fresh free variables y_i are pinned to the column
     elements by equalities.  The postcondition (extension == r) is verified
     by re-evaluation before returning.  Raises ValueError when r is not
-    pp-definable.
+    pp-definable.  A caller that has built power(a, t) already passes it as
+    indicator_power.
     """
     r.check_domain(a)
     if not r.tuples:
         return FALSE
     rows = sorted(r.tuples)
-    t = len(rows)
-    _check_budget(a, t)
-    pw = power(a, t, budget=budget)
+    pw = indicator_power or _indicator_power(a, len(rows), budget)
 
     outer = _numbered_names(r.arity, a.sig.constants)
     inner_avoid = set(a.sig.constants) | set(outer)
@@ -192,11 +201,7 @@ def synthesize_pp_definition(a: FiniteStructure, r: Relation,
             atoms.append(Atom(rname, tuple(inner[e] for e in tup)))
     for cname in pw.sig.constants:
         atoms.append(Eq(inner[pw.const[cname]], cname))
-    columns = [
-        sum(row[i] * a.n ** (t - 1 - j) for j, row in enumerate(rows))
-        for i in range(r.arity)
-    ]
-    for y, col in zip(outer, columns):
+    for y, col in zip(outer, _columns(a, rows, r.arity)):
         atoms.append(Eq(y, inner[col]))
     phi = Exists(inner, conj(atoms))
 

@@ -11,11 +11,30 @@ so that ``power(a, k)`` coincides with the k-fold iterated binary product
 and every certificate derived from a power is reproducible bit for bit.
 
 Homomorphism search is backtracking over source elements in ascending
-order, trying target values in ascending order, with forward checking on
-relation tuples.  The first map found is therefore the lexicographically
-least homomorphism, and enumeration yields maps in lexicographic order.
-Every search counts candidate value assignments against a budget
-(default 5_000_000) and raises BudgetExceededError beyond it.
+order, trying target values in ascending order.  The first map found is
+therefore the lexicographically least homomorphism, and enumeration yields
+maps in lexicographic order.  Assigning source element x checks every
+source tuple containing x against the target: the projection of the tuple
+onto its already assigned positions must lie in the projection of the
+target relation onto the same positions, so a fully assigned tuple must be
+a target tuple and a partly assigned one must extend to one.
+
+A search runs in two parts.  The plan is compiled once per (source,
+target) pair: for each source element, the distinct checks its assignment
+triggers.  A check on x alone becomes a set of values x may take; any
+other check is one set lookup of the assigned projection.  The plan is
+cached on the source, keyed by the identity of the target, and the target
+keeps the projections of its relations, so repeated searches with
+different pins (pp-closures, pp-type containment, re-evaluation of pp
+formulas) share the work.  Pins are applied per call.  The loop then walks
+the search tree with an explicit stack, so the depth of a search is not
+bounded by the interpreter's recursion limit.
+
+Every search counts candidate value assignments, pinned and rejected ones
+included, against a budget (default 5_000_000) and raises
+BudgetExceededError beyond it.  The count, and so the budget at which a
+search first fails, is the same as that of plain backtracking which tries
+every value and tests each tuple when the value is assigned.
 
 Structure file format (JSON, strict -- unknown fields are rejected)::
 
@@ -36,12 +55,19 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 DEFAULT_BUDGET = 5_000_000
 
 # Exhaustive relabelling is used for isomorphism tests; beyond this many
 # elements the factorial blowup is no longer desk scale.
 _MAX_ISO_DOMAIN = 8
+
+
+def is_int(v) -> bool:
+    """An int proper: JSON true/false load as bools, which Python counts as
+    ints, and are rejected wherever a number is expected."""
+    return type(v) is int
 
 
 class BudgetExceededError(RuntimeError):
@@ -70,7 +96,7 @@ class Signature:
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique across relations and constants")
         for r, ar in self.relations:
-            if not isinstance(ar, int) or ar < 1:
+            if not is_int(ar) or ar < 1:
                 raise ValueError(f"relation {r!r} must have arity >= 1, got {ar!r}")
 
     @staticmethod
@@ -95,13 +121,14 @@ class FiniteStructure:
     """A finite relational structure over a Signature.
 
     Treated as immutable after construction; all operations in this package
-    return new structures.  Equality and hashing ignore the optional name.
+    return new structures.  Equality and hashing ignore the optional name
+    and the caches (canonical form, search plan, relation projections).
     """
 
-    __slots__ = ("sig", "n", "rel", "const", "name", "_canon")
+    __slots__ = ("sig", "n", "rel", "const", "name", "_canon", "_plan", "_projections")
 
     def __init__(self, sig: Signature, n: int, relations=None, constants=None, name=None):
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"domain size must be a positive integer, got {n!r}")
         relations = dict(relations or {})
         constants = dict(constants or {})
@@ -111,7 +138,7 @@ class FiniteStructure:
             for t in tuples:
                 if len(t) != ar:
                     raise ValueError(f"tuple {t} has wrong length for {rname} (arity {ar})")
-                if not all(isinstance(v, int) and 0 <= v < n for v in t):
+                if not all(type(v) is int and 0 <= v < n for v in t):
                     raise ValueError(f"tuple {t} of {rname} out of domain 0..{n - 1}")
             rel[rname] = tuples
         if relations:
@@ -121,7 +148,7 @@ class FiniteStructure:
             if cname not in constants:
                 raise ValueError(f"missing interpretation for constant {cname!r}")
             v = constants.pop(cname)
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not is_int(v) or not 0 <= v < n:
                 raise ValueError(f"constant {cname!r} value {v!r} out of domain")
             const[cname] = v
         if constants:
@@ -132,9 +159,26 @@ class FiniteStructure:
         self.const = const
         self.name = name
         self._canon = None
+        self._plan = None
+        self._projections = None
 
     def tuples(self, rname: str) -> frozenset:
         return self.rel[rname]
+
+    def _projection(self, rname: str, positions: tuple):
+        """(tuples of rname projected onto positions, values v whose constant
+        tuple (v, ..., v) is in that projection); computed once and kept."""
+        cache = self._projections
+        if cache is None:
+            cache = self._projections = {}
+        entry = cache.get((rname, positions))
+        if entry is None:
+            tuples = self.rel[rname]
+            if positions != tuple(range(self.sig.arity(rname))):
+                tuples = frozenset(tuple(t[p] for p in positions) for t in tuples)
+            diagonal = frozenset(t[0] for t in tuples if t.count(t[0]) == len(t))
+            entry = cache[(rname, positions)] = (tuples, diagonal)
+        return entry
 
     def total_tuples(self) -> int:
         return sum(len(ts) for ts in self.rel.values())
@@ -311,12 +355,64 @@ def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET)
     return FiniteStructure(a.sig, a.n ** k, rels, consts)
 
 
+def _compile_plan(a, b):
+    """Per source element x, as three lists: the values x may take, in
+    ascending order; after each of them, the count of values that plain
+    backtracking, which tries every value, has tried; and the (getter,
+    support) checks, which pass when getter(h) is in support.
+
+    A source tuple t is checked once per distinct element x in it, when x is
+    assigned, on the positions p with t[p] <= x.  Checks that every target
+    assignment passes are left out.  Returns None when some relation is
+    nonempty in a but empty in b, so that no homomorphism exists.
+    """
+    allowed = [None] * a.n
+    checks = [{} for _ in range(a.n)]
+    for rname, ar in a.sig.relations:
+        tuples = a.rel[rname]
+        if tuples and not b.rel[rname]:
+            return None
+        for t in tuples:
+            top = max(t)
+            for x in set(t):
+                # t with its not yet assigned entries masked names the check
+                masked = t if x == top else tuple([e if e <= x else -1 for e in t])
+                known = checks[x]
+                if (rname, masked) in known:
+                    continue
+                positions = tuple([p for p in range(ar) if masked[p] >= 0])
+                elems = tuple([t[p] for p in positions])
+                support, diagonal = b._projection(rname, positions)
+                check = None
+                if elems.count(x) == len(elems):
+                    if len(diagonal) < b.n:
+                        allowed[x] = diagonal if allowed[x] is None else allowed[x] & diagonal
+                elif len(support) < b.n ** len(elems):
+                    check = (itemgetter(*elems), support)
+                known[rname, masked] = check
+    values = [tuple(range(b.n)) if ok is None else tuple(sorted(ok)) for ok in allowed]
+    counts = [tuple(v + 1 for v in vs) for vs in values]
+    return values, counts, [tuple(c for c in known.values() if c is not None) for known in checks]
+
+
+def _plan(a, b):
+    """The compiled plan for a -> b, cached on a for the last target used."""
+    cached = a._plan
+    if cached is None or cached[0] is not b:
+        cached = a._plan = (b, _compile_plan(a, b))
+    return cached[1]
+
+
 def _hom_maps(a, b, pinned, budget, first_only):
     """Backtracking search for homomorphism maps a -> b, ascending order.
 
     pinned maps source elements to forced target values (constants are
     pinned automatically).  Returns a list of map tuples in lexicographic
     order; with first_only, at most one.
+
+    Values that a source element's own checks reject are skipped without
+    being tried, but still counted, so that the budget means what it
+    means for plain backtracking.
     """
     if a.sig != b.sig:
         raise SignatureMismatchError("homomorphism search requires equal signatures")
@@ -329,55 +425,59 @@ def _hom_maps(a, b, pinned, budget, first_only):
             raise ValueError(f"pin {x}->{v} out of range")
         if pin.setdefault(x, v) != v:
             return []
-    # Tuples become fully checkable once their max element is assigned;
-    # before that, partially assigned tuples must extend to some b-tuple.
-    full = [[] for _ in range(a.n)]
-    partial = [[] for _ in range(a.n)]
-    for rname, _ in a.sig.relations:
-        bt = b.rel[rname]
-        if a.rel[rname] and not bt:
-            return []
-        btl = sorted(bt)
-        for t in a.rel[rname]:
-            m = max(t)
-            full[m].append((bt, t))
-            for x in set(t):
-                if x < m:
-                    positions = tuple(p for p in range(len(t)) if t[p] <= x)
-                    partial[x].append((btl, t, positions))
+    plan = _plan(a, b)
+    if plan is None:
+        return []
+    values, counts, checks = plan
+    width = [b.n] * a.n  # values plain backtracking tries, per level
+    if pin:
+        values, counts = list(values), list(counts)
+        for x, v in pin.items():
+            values[x] = (v,) if v in values[x] else ()
+            counts[x] = (1,)
+            width[x] = 1
 
-    h = [-1] * a.n
+    n = a.n
+    h = [0] * n
+    nxt = [0] * n  # index of the next candidate to try, per level
+    tried = [0] * n  # values tried so far, per level
     out = []
     steps = 0
-
-    def consistent(x):
-        for bt, t in full[x]:
-            if tuple(h[e] for e in t) not in bt:
-                return False
-        for btl, t, positions in partial[x]:
-            if not any(all(cand[p] == h[t[p]] for p in positions) for cand in btl):
-                return False
-        return True
-
-    def extend(x):
-        nonlocal steps
-        if x == a.n:
-            out.append(tuple(h))
-            return first_only
-        values = (pin[x],) if x in pin else range(b.n)
-        for v in values:
-            steps += 1
+    over = f"homomorphism search exceeded budget of {budget} candidate assignments"
+    x = 0
+    while True:
+        vs, cs, chk = values[x], counts[x], checks[x]
+        i, done = nxt[x], tried[x]
+        found = False
+        while i < len(vs):
+            steps += cs[i] - done
+            done = cs[i]
             if steps > budget:
-                raise BudgetExceededError(
-                    f"homomorphism search exceeded budget of {budget} candidate assignments")
-            h[x] = v
-            if consistent(x) and extend(x + 1):
-                return True
-        h[x] = -1
-        return False
-
-    extend(0)
-    return out
+                raise BudgetExceededError(over)
+            h[x] = vs[i]
+            i += 1
+            for getter, support in chk:
+                if getter(h) not in support:
+                    break
+            else:
+                found = True
+                break
+        if found:
+            nxt[x], tried[x] = i, done
+            if x + 1 < n:
+                x += 1
+                nxt[x] = tried[x] = 0
+                continue
+            out.append(tuple(h))
+            if first_only:
+                return out
+            continue
+        steps += width[x] - done
+        if steps > budget:
+            raise BudgetExceededError(over)
+        if x == 0:
+            return out
+        x -= 1
 
 
 def find_homomorphism(a, b, pinned=None, budget: int = DEFAULT_BUDGET):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import helpers
+from cspbench import cli
 from cspbench.cli import AnalysisReport, main
 
 
@@ -158,3 +159,54 @@ def test_parse_error_exit_code(files, capsys, tmp_path):
     badsent.write_text("forall x . E(x,x)")
     code, _, err = run(capsys, "solve", files["k2.json"], str(badsent))
     assert code == 2 and "forall" in err
+
+
+def test_solve_deep_chain_is_satisfied(files, capsys, tmp_path):
+    # one search level per variable: deeper than the interpreter's recursion limit
+    n = 1200
+    chain = tmp_path / "chain.txt"
+    chain.write_text(f"exists {' '.join(f'x{i}' for i in range(n))} . "
+                     + " & ".join(f"E(x{i},x{i + 1})" for i in range(n - 1)))
+    code, out, err = run(capsys, "--format", "machine", "solve", files["k2.json"], str(chain))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["satisfied"] is True
+    assert doc["witness"] == {f"x{i}": i % 2 for i in range(n)}
+
+
+@pytest.mark.parametrize("exc", [AssertionError("postcondition violated"),
+                                 RecursionError("maximum recursion depth exceeded")],
+                         ids=["AssertionError", "RecursionError"])
+def test_unexpected_exception_exits_2(files, capsys, monkeypatch, exc):
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_solve", crash)
+    code, out, err = run(capsys, "solve", files["k2.json"], files["edge.txt"])
+    assert code == 2 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_json_booleans_rejected(files, capsys, tmp_path):
+    def write(name, doc):
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def structure(**changes):
+        doc = {"signature": {"relations": {"U": 1}, "constants": ["c"]}, "domain": 2,
+               "relations": {"U": [[1]]}, "constants": {"c": 0}}
+        doc.update(changes)
+        return doc
+
+    for i, bad in enumerate([structure(domain=True, relations={"U": [[0]]}),
+                             structure(relations={"U": [[True]]}),
+                             structure(constants={"c": True})]):
+        code, _, err = run(capsys, "solve", write(f"s{i}.json", bad), files["edge.txt"])
+        assert code == 2 and err.startswith("error: ") and "internal" not in err
+
+    for i, bad in enumerate([{"arity": 1, "tuples": [[True]]},
+                             {"arity": True, "tuples": [[1]]},
+                             {"arity": 1, "tuples": [1]}]):
+        code, _, err = run(capsys, "ppdef", files["u1.json"], write(f"r{i}.json", bad))
+        assert code == 2 and err.startswith("error: ") and "internal" not in err

@@ -25,6 +25,7 @@ from cspbench.formulas import (
     local_refutation_value,
     parse_sentence,
     render,
+    witness_assignment,
 )
 
 
@@ -302,3 +303,44 @@ def test_free_variables_ignores_constants():
     sig = Signature.make({"E": 2}, constants=["c"])
     phi = parse_sentence("exists x . E(x, c) & y = c")
     assert free_variables(phi, sig) == {"y"}
+
+
+def test_witness_runs_one_search(monkeypatch):
+    import cspbench.formulas as formulas
+
+    calls = []
+    real = formulas.find_homomorphism
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "find_homomorphism", counting)
+    phi = parse_sentence("exists x y z . E(x,y) & E(y,z)")
+    assert witness_assignment(helpers.k2(), phi) == {"x": 0, "y": 1, "z": 0}
+    assert len(calls) == 1
+    assert witness_assignment(helpers.k2(), parse_sentence("exists x . E(x,x)")) is None
+    assert len(calls) == 2
+
+
+def test_evaluator_builds_one_canonical_database(monkeypatch):
+    import cspbench.formulas as formulas
+    from cspbench.galois import relation_of_formula
+
+    calls = []
+    real = formulas.canonical_structure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "canonical_structure", counting)
+    k3 = helpers.k3()
+    phi = parse_sentence("exists z . E(x,z) & E(z,y)")
+    ext = relation_of_formula(k3, phi, 2)
+    assert ext == {(x, y) for x in range(3) for y in range(3)}
+    assert len(calls) == 1
+    holds = formulas.evaluator(k3, parse_sentence("E(x,y)"))
+    assert [holds({"x": 0, "y": v}) for v in range(3)] == [False, True, True]
+    with pytest.raises(FormulaError):
+        holds({"x": 0})

@@ -224,3 +224,27 @@ def test_completeness_against_coclone_oracle_sample():
             verdict, _ = is_pp_definable(a, r)
             mask = sum(1 << (t[0] * 2 + t[1]) for t in r.tuples)
             assert verdict == (mask in definable_masks), (edges, tuples)
+
+
+def test_is_pp_definable_builds_one_indicator_power(monkeypatch):
+    import cspbench.galois as galois
+
+    sizes = []
+    real = galois.power
+
+    def counting(a, k, *args, **kwargs):
+        sizes.append(k)
+        return real(a, k, *args, **kwargs)
+
+    monkeypatch.setattr(galois, "power", counting)
+    a = helpers.k2()
+    verdict, cert = is_pp_definable(a, Relation.make(2, [(0, 1), (1, 0)]))
+    assert verdict and cert.verify(a, Relation.make(2, [(0, 1), (1, 0)]))
+    assert sizes == [2]
+
+
+def test_relation_rejects_booleans():
+    with pytest.raises(ValueError):
+        Relation.make(True, [(1,)])
+    with pytest.raises(ValueError):
+        Relation.make(1, [(True,)]).check_domain(helpers.u1())

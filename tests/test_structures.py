@@ -18,7 +18,13 @@ from cspbench import (
     power,
     product,
 )
-from cspbench.structures import Homomorphism, canonical_form, decode_index, encode_tuple
+from cspbench.structures import (
+    Homomorphism,
+    _hom_maps,
+    canonical_form,
+    decode_index,
+    encode_tuple,
+)
 
 
 def test_signature_validation():
@@ -223,6 +229,75 @@ def test_budget_exceeded_search():
         enumerate_homomorphisms(a, b, budget=1000)
 
 
+# Candidate-assignment counts of plain backtracking (every value tried,
+# every tuple tested when its last element is assigned): the least budget
+# under which each search completes, and the number of maps it finds.
+BUDGET_THRESHOLDS = [
+    ("K3^3 -> K3, enumerate", lambda: (power(helpers.k3(), 3), helpers.k3()),
+     None, False, 264_342, 18),
+    ("K3^3 -> K3, first, pinned 0 -> 1", lambda: (power(helpers.k3(), 3), helpers.k3()),
+     {0: 1}, True, 22_028, 1),
+    ("K3^2 -> K3, enumerate", lambda: (power(helpers.k3(), 2), helpers.k3()),
+     None, False, 696, 12),
+    ("C5 -> K2, first", lambda: (helpers.cycle(5), helpers.k2()), None, True, 18, 0),
+]
+
+
+@pytest.mark.parametrize("name,make,pinned,first_only,threshold,count", BUDGET_THRESHOLDS,
+                         ids=[case[0] for case in BUDGET_THRESHOLDS])
+def test_budget_threshold_is_exact(name, make, pinned, first_only, threshold, count):
+    a, b = make()
+    with pytest.raises(BudgetExceededError):
+        _hom_maps(a, b, pinned, threshold - 1, first_only)
+    maps = _hom_maps(a, b, pinned, threshold, first_only)
+    assert len(maps) == count and maps == sorted(maps)
+    assert all(Homomorphism(a, b, m).verify() for m in maps)
+
+
+def _random_with_constants(rng, sig, n):
+    rels = {}
+    for rname, ar in sig.relations:
+        density = rng.uniform(0.1, 0.9)
+        rels[rname] = [t for t in itertools.product(range(n), repeat=ar) if rng.random() < density]
+    return FiniteStructure(sig, n, rels, {c: rng.randrange(n) for c in sig.constants})
+
+
+def test_hom_search_order_matches_brute_force_with_constants_and_pins():
+    rng = random.Random(23)
+    for _ in range(150):
+        sig = Signature.make({f"R{i}": rng.randint(1, 3) for i in range(rng.randint(1, 2))},
+                             [f"c{i}" for i in range(rng.choice([0, 0, 1, 2]))])
+        a = _random_with_constants(rng, sig, rng.randint(1, 5))
+        b = _random_with_constants(rng, sig, rng.randint(1, 3))
+        brute = oracles.brute_homs(a, b)
+        # several pinned searches on the same pair share one compiled plan
+        for _ in range(3):
+            pins = {rng.randrange(a.n): rng.randrange(b.n) for _ in range(rng.randint(0, 2))}
+            want = [h for h in brute if all(h[x] == v for x, v in pins.items())]
+            assert [h.map for h in enumerate_homomorphisms(a, b, pinned=pins)] == want
+            found = find_homomorphism(a, b, pinned=pins)
+            assert (found.map if found else None) == (want[0] if want else None)
+
+
+def test_deep_search_does_not_recurse():
+    n = 3000
+    h = find_homomorphism(helpers.path(n), helpers.k2())
+    assert h is not None and h.map == tuple(i % 2 for i in range(n))
+    assert find_homomorphism(helpers.cycle(n + 1), helpers.k2()) is None
+
+
+def test_plan_is_shared_across_pinned_searches():
+    k2, p4 = helpers.k2(), helpers.path(4)
+    first = find_homomorphism(p4, k2, pinned={0: 1})
+    plan = p4._plan
+    second = find_homomorphism(p4, k2, pinned={3: 1})
+    assert p4._plan is plan
+    assert (first.map, second.map) == ((1, 0, 1, 0), (0, 1, 0, 1))
+    # an equal but distinct target gets its own plan
+    find_homomorphism(p4, helpers.k2())
+    assert p4._plan is not plan
+
+
 def test_direct_limit_single():
     a = helpers.k2()
     assert is_isomorphic(direct_limit([a], []), a)
@@ -314,3 +389,21 @@ def test_isomorphism_detects_relabelling():
     assert is_isomorphic(a, b)
     assert not is_isomorphic(a, helpers.graph(3, [(0, 1), (1, 2)], symmetric=True))
     assert canonical_form(a) == canonical_form(b)
+
+
+def test_json_rejects_booleans_for_integers():
+    def doc(**changes):
+        d = {"signature": {"relations": {"E": 2}, "constants": ["c"]}, "domain": 2,
+             "relations": {"E": [[0, 1]]}, "constants": {"c": 0}}
+        d.update(changes)
+        return d
+
+    FiniteStructure.from_json_dict(doc())
+    for bad in (doc(domain=True, relations={"E": [[0, 0]]}),
+                doc(relations={"E": [[0, True]]}),
+                doc(relations={"E": [[False, 1]]}),
+                doc(constants={"c": False}),
+                doc(signature={"relations": {"E": True}, "constants": ["c"]},
+                    relations={"E": [[0]]})):
+        with pytest.raises(ValueError):
+            FiniteStructure.from_json_dict(bad)
