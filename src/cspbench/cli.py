@@ -336,7 +336,7 @@ def _cmd_horn(args) -> int:
         _emit(args, lambda: f"{'Horn' if verdict.is_horn else 'non-Horn'}: {verdict.complexity}",
               machine)
         return 0 if verdict.is_horn else 1
-    sat, point = linear_horn.horn_solve(f, budget=args.budget)
+    sat, point = linear_horn.horn_solve(f)
     _emit(args,
           lambda: "satisfiable" + (f"  point: {_point_doc(point)}" if point else "")
           if sat else "unsatisfiable",
@@ -405,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("horn", help="classify or solve a linear-equality CNF")
     p.add_argument("action", choices=("classify", "solve"))
     p.add_argument("cnf")
-    p.add_argument("--budget", type=int, default=linear_horn.DEFAULT_BRANCH_BUDGET)
+    p.add_argument("--budget", type=int, default=linear_horn.DEFAULT_BRANCH_BUDGET,
+                   help="branch-node budget per satisfiability check of 'horn classify'; "
+                        "'horn solve' is polynomial and does not use it")
     p.set_defaults(fn=_cmd_horn)
 
     p = sub.add_parser("rewrite-ep", help="eliminate disjunctions via a P4 relation")

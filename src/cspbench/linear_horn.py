@@ -15,6 +15,15 @@ the moment curve is a nonzero polynomial of degree at most f (the number
 of free parameters), at most f values of t can violate it, so the scan
 terminates after at most (#disequalities) * f + 1 steps.
 
+The complete solver cnf_sat branches on one literal per clause and keeps
+the theory state of the current path incrementally, as a DPLL(T)-style
+solver does: each branch node extends its parent's row-reduced system
+and list of equalities to avoid by its one literal, testing only what
+that literal can change, and only a leaf builds a witness point.  The
+search tree, its node count (the budget) and the rows at every leaf are
+those of deciding each node's whole path from scratch with conj_sat, so
+the witnesses are the same.
+
 The mixing embedding sends a pair of rational points to the point
 e(x, y) = (1 - sqrt2)*x + sqrt2*y computed coordinate-wise in the field
 Q(sqrt2) of numbers p + q*sqrt2.  Then e(1, 1) = 1, e is injective on
@@ -242,6 +251,15 @@ class _EqSystem:
         self.rows = []  # each row: (coeff vector over self.vars, rhs)
         self.inconsistent = False
 
+    def copy(self) -> "_EqSystem":
+        """A copy that add() can extend without changing this system: the
+        row list is new, the row vectors are shared."""
+        other = _EqSystem.__new__(_EqSystem)
+        other.vars, other.index = self.vars, self.index
+        other.rows = list(self.rows)
+        other.inconsistent = self.inconsistent
+        return other
+
     def _vector(self, lit: LinearLiteral):
         vec = [Fraction(0)] * len(self.vars)
         for v, c in lit.coeffs:
@@ -251,10 +269,12 @@ class _EqSystem:
     def reduce(self, vec, rhs):
         vec = list(vec)
         for rvec, rrhs in self.rows:
-            pivot = next(i for i, c in enumerate(rvec) if c != 0)
-            if vec[pivot] != 0:
-                factor = vec[pivot]
-                vec = [c - factor * rc for c, rc in zip(vec, rvec)]
+            pivot = next(i for i, c in enumerate(rvec) if c)
+            factor = vec[pivot]
+            if factor:
+                for j in range(pivot, len(vec)):
+                    if rvec[j]:
+                        vec[j] -= factor * rvec[j]
                 rhs = rhs - factor * rrhs
         return vec, rhs
 
@@ -268,14 +288,15 @@ class _EqSystem:
             return True
         pivot = next(i for i, c in enumerate(vec) if c != 0)
         lead = vec[pivot]
-        vec = [c / lead for c in vec]
+        vec = [c / lead if c else c for c in vec]
         rhs = rhs / lead
-        # back-substitute into existing rows to keep reduced form
+        # back-substitute into existing rows to keep reduced form; rows are
+        # replaced, never changed in place, so copies may share them
         new_rows = []
         for rvec, rrhs in self.rows:
             if rvec[pivot] != 0:
                 f = rvec[pivot]
-                rvec = [c - f * nc for c, nc in zip(rvec, vec)]
+                rvec = [c - f * nc if nc else c for c, nc in zip(rvec, vec)]
                 rrhs = rrhs - f * rhs
             new_rows.append((rvec, rrhs))
         new_rows.append((vec, rhs))
@@ -312,6 +333,32 @@ class _EqSystem:
         raise AssertionError("point_avoiding called with an entailed equality")
 
 
+def _assume(state, lit: LinearLiteral, positive: bool):
+    """One theory step: the state (system, avoid) extended by lit read as
+    an equality (positive) or as a disequality, or None when the extended
+    conjunction is unsatisfiable.
+
+    The system is row-reduced and consistent; avoid lists, in the order
+    they were assumed, the underlying equalities of the non-trivial
+    disequalities, none of which the system entails.  The given state is
+    never changed: an equality is added to a copy of the system, which
+    shares the row vectors, because _EqSystem.add builds new vectors
+    instead of changing a row in place.
+    """
+    system, avoid = state
+    eq = lit.as_equality()
+    if eq.is_trivial:  # 0 = d holds iff d = 0, and 0 != d iff d != 0
+        return state if (eq.const == 0) == positive else None
+    if positive:
+        system = system.copy()
+        if not system.add(eq) or any(system.entails(a) for a in avoid):
+            return None
+        return system, avoid
+    if system.entails(eq):
+        return None
+    return system, avoid + [eq]
+
+
 def conj_sat(eqs, neqs, extra_vars=()):
     """Satisfiability of a conjunction of equality and disequality literals
     over Q; returns a witness point (dict var -> Fraction) or None.
@@ -325,55 +372,52 @@ def conj_sat(eqs, neqs, extra_vars=()):
     variables = set(extra_vars)
     for lit in itertools.chain(eqs, neqs):
         variables |= lit.variables()
-    system = _EqSystem(variables)
-    for lit in eqs:
-        eq = lit.as_equality()
-        if eq.is_trivial:
-            if eq.const != 0:  # 0 = d with d nonzero
-                return None
-            continue
-        if not system.add(eq):
+    state = (_EqSystem(variables), [])
+    for lit, positive in [(lit, True) for lit in eqs] + [(lit, False) for lit in neqs]:
+        state = _assume(state, lit, positive)
+        if state is None:
             return None
-    avoid = []
-    for lit in neqs:
-        eq = lit.as_equality()
-        if eq.is_trivial:
-            if eq.const == 0:  # 0 != 0
-                return None
-            continue
-        if system.entails(eq):
-            return None
-        avoid.append(eq)
+    system, avoid = state
     return system.point_avoiding(avoid)
 
 
 def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
-    """Complete satisfiability over Q by branching on clause literals with
-    conj_sat as the theory solver; returns a witness point or None."""
+    """Complete satisfiability over Q by branching on clause literals;
+    returns a witness point or None.
+
+    Clauses are taken shortest first and literals in clause order.  A
+    branch node holds the theory state of its path (see _assume): a child
+    extends its parent's row-reduced system and avoid list by its one
+    literal, and is pruned when that makes the path unsatisfiable.  Only a
+    leaf, where every clause has a chosen literal, builds a witness point.
+    Every node, pruned children included, costs one step of the budget;
+    BudgetExceededError is raised at the first node beyond it.
+    """
     clauses = sorted(f.clauses, key=len)
     variables = set(f.variables()) | set(extra_vars)
     steps = 0
 
-    def branch(i, eqs, neqs):
+    def step():
         nonlocal steps
         steps += 1
         if steps > budget:
             raise BudgetExceededError(f"cnf_sat exceeded branching budget {budget}")
-        point = conj_sat(eqs, neqs, extra_vars=variables)
-        if point is None:
-            return None
+
+    def branch(i, state):
         if i == len(clauses):
-            return point
+            system, avoid = state
+            return system.point_avoiding(avoid)
         for lit in clauses[i]:
-            if lit.is_eq:
-                chosen = branch(i + 1, eqs + [lit], neqs)
-            else:
-                chosen = branch(i + 1, eqs, neqs + [lit])
-            if chosen is not None:
-                return chosen
+            step()
+            child = _assume(state, lit, lit.is_eq)
+            if child is not None:
+                chosen = branch(i + 1, child)
+                if chosen is not None:
+                    return chosen
         return None
 
-    return branch(0, [], [])
+    step()  # the root
+    return branch(0, (_EqSystem(variables), []))
 
 
 def make_irreducible(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> LinearCnf:
@@ -468,7 +512,7 @@ def classify_horn(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> HornVerd
     return HornVerdict(True, "CSP in P", irr)
 
 
-def horn_solve(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET):
+def horn_solve(f: LinearCnf):
     """Propagation solver for Horn CNF over Q; returns (sat, point).
 
     Maintains a Gaussian basis S of fired equalities.  A clause with

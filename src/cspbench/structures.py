@@ -201,9 +201,6 @@ class FiniteStructure:
         label = self.name or "structure"
         return f"<{label}: n={self.n}, {self.total_tuples()} tuples>"
 
-    def with_name(self, name: str) -> "FiniteStructure":
-        return FiniteStructure(self.sig, self.n, self.rel, self.const, name)
-
     def relational_reduct(self) -> "FiniteStructure":
         return FiniteStructure(self.sig.relational_part(), self.n, self.rel, {}, self.name)
 
@@ -236,8 +233,21 @@ class FiniteStructure:
         sig_doc = doc["signature"]
         if not isinstance(sig_doc, dict) or set(sig_doc) != {"relations", "constants"}:
             raise ValueError('"signature" must be an object with exactly "relations" and "constants"')
-        sig = Signature.make(sig_doc["relations"], sig_doc["constants"])
-        return FiniteStructure(sig, doc["domain"], doc["relations"], doc["constants"], name)
+        if not isinstance(sig_doc["relations"], dict):
+            raise ValueError('"signature"."relations" must be an object of relation arities')
+        sig_consts = sig_doc["constants"]
+        if not isinstance(sig_consts, list) or not all(isinstance(c, str) for c in sig_consts):
+            raise ValueError('"signature"."constants" must be a list of constant names')
+        relations = doc["relations"]
+        if not isinstance(relations, dict):
+            raise ValueError('"relations" must be an object of tuple lists')
+        for rname, tuples in relations.items():
+            if not isinstance(tuples, list) or not all(isinstance(t, list) for t in tuples):
+                raise ValueError(f'"relations"."{rname}" must be a list of tuples (lists)')
+        if not isinstance(doc["constants"], dict):
+            raise ValueError('"constants" must be an object of constant values')
+        sig = Signature.make(sig_doc["relations"], sig_consts)
+        return FiniteStructure(sig, doc["domain"], relations, doc["constants"], name)
 
     @staticmethod
     def from_json(text: str, name=None) -> "FiniteStructure":

@@ -211,3 +211,36 @@ def relation_mask(tuples):
     m = len(next(iter(tuples))) if tuples else None
     assert m is not None
     return _mask(m, tuples)
+
+
+# -- complete satisfiability of linear CNFs --
+
+
+def branching_cnf_sat(f, extra_vars=()):
+    """Reference for linear_horn.cnf_sat: the same search tree (clauses
+    shortest first, literals in clause order), with every node decided
+    from scratch by conj_sat on the literals of its whole path.  Returns
+    (witness point or None, number of nodes visited); a search with budget
+    b raises exactly when b is less than that number."""
+    from cspbench.linear_horn import conj_sat
+
+    clauses = sorted(f.clauses, key=len)
+    variables = set(f.variables()) | set(extra_vars)
+    steps = 0
+
+    def branch(i, eqs, neqs):
+        nonlocal steps
+        steps += 1
+        point = conj_sat(eqs, neqs, extra_vars=variables)
+        if point is None or i == len(clauses):
+            return point
+        for lit in clauses[i]:
+            if lit.is_eq:
+                chosen = branch(i + 1, eqs + [lit], neqs)
+            else:
+                chosen = branch(i + 1, eqs, neqs + [lit])
+            if chosen is not None:
+                return chosen
+        return None
+
+    return branch(0, [], []), steps

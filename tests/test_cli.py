@@ -210,3 +210,24 @@ def test_json_booleans_rejected(files, capsys, tmp_path):
                              {"arity": 1, "tuples": [1]}]):
         code, _, err = run(capsys, "ppdef", files["u1.json"], write(f"r{i}.json", bad))
         assert code == 2 and err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"relations": {"U": [1]}}, '"relations"."U"'),
+    ({"relations": {"U": 1}}, '"relations"."U"'),
+    ({"relations": [["U", [1]]]}, '"relations"'),
+    ({"signature": {"relations": [["U", 1]], "constants": ["c"]}}, '"signature"."relations"'),
+    ({"signature": {"relations": {"U": 1}, "constants": "c"}}, '"signature"."constants"'),
+    ({"constants": [["c", 0]]}, '"constants"'),
+], ids=["tuple-not-list", "relation-not-list", "relations-not-object",
+        "signature-relations-not-object", "signature-constants-not-list",
+        "constants-not-object"])
+def test_malformed_structure_file_rejected(files, capsys, tmp_path, changes, field):
+    doc = {"signature": {"relations": {"U": 1}, "constants": ["c"]}, "domain": 2,
+           "relations": {"U": [[1]]}, "constants": {"c": 0}}
+    doc.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), files["edge.txt"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err, err

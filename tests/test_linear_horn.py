@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 import helpers
+import oracles
 from cspbench import (
     LinearCnf,
     QuadExtNumber,
@@ -17,6 +18,7 @@ from cspbench import (
     parse_cnf,
 )
 from cspbench.linear_horn import SQRT2, CnfError, LinearLiteral as L
+from cspbench.structures import BudgetExceededError
 
 
 def test_quadext_field_laws_random():
@@ -85,6 +87,45 @@ def test_cnf_sat_worked_examples():
     f3 = LinearCnf([(L.eq({"x": 1}, 1), L.eq({"y": 1}, 1)),
                     (L.neq({"x": 1}, 1),), (L.neq({"y": 1}, 1),)])
     assert cnf_sat(f3) is None
+
+
+def _least_budget_is(f, n):
+    """cnf_sat succeeds with budget n and raises with n - 1; returns its result."""
+    with pytest.raises(BudgetExceededError):
+        cnf_sat(f, budget=n - 1)
+    return cnf_sat(f, budget=n)
+
+
+def test_cnf_sat_budget_thresholds():
+    f = parse_cnf("1*x + -1*y = 0 | 1*u + -1*v = 0\n~1*x + -1*y = 0\n~1*u + -1*v = 0")
+    assert _least_budget_is(f, 5) is None
+    bits = "\n".join(f"1*{v} = 0 | 1*{v} = 1" for v in "xyz")
+    g = parse_cnf(bits + "\n~1*x + 1*y + 1*z = 1\n~1*x + 1*y + 1*z = 2")
+    assert _least_budget_is(g, 6) == {"x": 0, "y": 0, "z": 0}
+    h = parse_cnf("""
+        ~2*x0 + -2*x1 = -1 | ~2*x0 + -2*x1 = 2 | -2*x1 = 0
+        ~-2*x0 + 1*x1 = -1 | ~1*x0 + 2*x1 = 1 | ~-1*x0 + -2*x1 = -1
+        ~1*x0 + -1*x1 = 2 | ~-1*x0 + 1*x1 = -1
+        1*x1 = 0
+        2*x0 + 1*x1 = 1 | 2*x0 = 2 | 2*x1 = 1
+        -2*x0 + 1*x1 = 0 | -2*x0 + -2*x1 = 0
+        ~-1*x0 + 2*x1 = -1 | ~-2*x0 + -2*x1 = 1 | 2*x0 = -1
+    """)
+    assert _least_budget_is(h, 112) is None
+
+
+def test_cnf_sat_matches_branching_reference_random():
+    rng = random.Random(127)
+    unsatisfiable = 0
+    for _ in range(500):
+        f = helpers.random_cnf(rng, max_vars=6, max_clauses=8)
+        extra = ["w"] if rng.random() < 0.2 else []
+        expected, nodes = oracles.branching_cnf_sat(f, extra_vars=extra)
+        with pytest.raises(BudgetExceededError):
+            cnf_sat(f, extra_vars=extra, budget=nodes - 1)
+        assert cnf_sat(f, extra_vars=extra, budget=nodes) == expected
+        unsatisfiable += expected is None
+    assert unsatisfiable >= 25  # 32 with this seed
 
 
 def test_make_irreducible_worked_examples():
