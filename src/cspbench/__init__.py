@@ -53,7 +53,6 @@ from .galois import (
     Relation,
     count_maximal_pp_types,
     is_pp_definable,
-    omega_categoricity_report,
     pp_closure,
     pp_type_leq,
     synthesize_pp_definition,

@@ -26,7 +26,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from . import clones, duality, formulas, galois, linear_horn
+from . import clones, duality, formulas, galois, linear_horn, structures
 from .structures import BudgetExceededError, DEFAULT_BUDGET, FiniteStructure
 
 
@@ -118,13 +118,50 @@ def _section(fn):
         return {"error": f"budget exceeded: {exc}"}
 
 
+def _once(compute):
+    """compute(key), run once per key: later calls return the same result,
+    or raise the same BudgetExceededError, without computing again."""
+    results = {}
+
+    def get(key):
+        if key not in results:
+            try:
+                results[key] = (compute(key), None)
+            except BudgetExceededError as exc:
+                results[key] = (None, exc)
+        value, exc = results[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
+# A finite template is its own omega-categorical equivalent.
+_OMEGA_CATEGORICAL = "yes (finite)"
+
+
 def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
              duality_n: int, budget: int) -> AnalysisReport:
     report = AnalysisReport(template_name=path, file_hash=_file_hash(path))
 
+    # Each polymorphism set is enumerated once and shared by the sections
+    # that read it; a section still fails on its own when an arity it asks
+    # for overran the budget.  End(A) is the arity-1 set: power(a, 1) is a.
+    endomorphisms = _once(lambda s: structures.enumerate_homomorphisms(s, s, budget=budget))
+
+    def enumerate_arity(k):
+        if k > 1:
+            return clones.enumerate_polymorphisms(a, k, budget=budget)
+        # End(A), behind the size checks that building power(a, 1) makes
+        structures.power(a, 1, budget=budget)
+        return [clones.OperationTable(a.n, 1, h.map) for h in endomorphisms(a)]
+
+    polymorphisms = _once(enumerate_arity)
+
     def core_section():
-        verdict, cert = clones.is_core(a, budget=budget)
-        doc = {"verdict": verdict}
+        cert = clones.first_non_embedding(endomorphisms(a))
+        doc = {"verdict": cert is None}
         if cert is not None:
             doc["certificate"] = {"non_embedding_endomorphism": list(cert.map)}
         return doc
@@ -140,13 +177,12 @@ def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
     report.epc = _section(epc_section)
 
     def counts_section():
-        return {"counts": {str(k): len(clones.enumerate_polymorphisms(a, k, budget=budget))
-                           for k in range(1, max_arity + 1)}}
+        return {"counts": {str(k): len(polymorphisms(k)) for k in range(1, max_arity + 1)}}
 
     report.polymorphism_counts = _section(counts_section)
 
     def unary_section():
-        v = clones.all_polymorphisms_essentially_unary(a, max_arity, budget=budget)
+        v = clones.essential_unarity_verdict(polymorphisms, max_arity)
         doc = {"verdict": v.all_essentially_unary, "bound": v.max_arity,
                "note": "bounded evidence, not a proof"}
         if v.counterexample is not None:
@@ -178,9 +214,10 @@ def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
     report.np_hardness = _section(hardness_section)
 
     def types_section():
-        rep = galois.omega_categoricity_report(a, types_n, budget=budget)
-        return {"counts": {str(n + 1): c for n, c in enumerate(rep.counts)},
-                "verdict": rep.verdict}
+        reports = [galois.count_maximal_pp_types(a, n, budget=budget)
+                   for n in range(1, types_n + 1)]
+        return {"counts": {str(r.arity): r.count for r in reports},
+                "verdict": _OMEGA_CATEGORICAL}
 
     report.pp_type_counts = _section(types_section)
 
@@ -259,12 +296,12 @@ def _cmd_ppdef(args) -> int:
 
 def _cmd_types(args) -> int:
     a = _load_structure(args.structure)
-    rep = galois.omega_categoricity_report(a, args.n, budget=args.budget)
     reports = [galois.count_maximal_pp_types(a, n, budget=args.budget)
                for n in range(1, args.n + 1)]
+    counts = [r.count for r in reports]
     machine = {
-        "counts": rep.counts,
-        "verdict": rep.verdict,
+        "counts": counts,
+        "verdict": _OMEGA_CATEGORICAL,
         "reports": [
             {"arity": r.arity,
              "classes": [[list(t) for t in cls] for cls in r.classes],
@@ -274,8 +311,8 @@ def _cmd_types(args) -> int:
         ],
     }
     _emit(args,
-          lambda: "\n".join([f"maximal pp-{n + 1}-types: {c}" for n, c in enumerate(rep.counts)]
-                            + [f"omega-categorical equivalent: {rep.verdict}"]),
+          lambda: "\n".join([f"maximal pp-{n + 1}-types: {c}" for n, c in enumerate(counts)]
+                            + [f"omega-categorical equivalent: {_OMEGA_CATEGORICAL}"]),
           machine)
     return 0
 

@@ -61,12 +61,6 @@ class OperationTable:
         return OperationTable(doc["domain"], doc["arity"], tuple(doc["values"]))
 
     @staticmethod
-    def from_homomorphism(h: Homomorphism) -> "OperationTable":
-        """Read a homomorphism power(a, k) -> a as a k-ary operation table."""
-        a = h.target
-        return OperationTable(a.n, _log_base(len(h.map), a.n), h.map)
-
-    @staticmethod
     def projection(n: int, k: int, coord: int) -> "OperationTable":
         values = tuple(t[coord] for t in itertools.product(range(n), repeat=k))
         return OperationTable(n, k, values)
@@ -75,15 +69,6 @@ class OperationTable:
     def from_function(n: int, k: int, fn) -> "OperationTable":
         values = tuple(fn(*t) for t in itertools.product(range(n), repeat=k))
         return OperationTable(n, k, values)
-
-
-def _log_base(size: int, n: int) -> int:
-    k = 0
-    while n ** k < size:
-        k += 1
-    if n ** k != size:
-        raise ValueError(f"table length {size} is not a power of {n}")
-    return k
 
 
 @dataclass(frozen=True)
@@ -122,19 +107,6 @@ class EssentialityWitness:
         return x_ok and y_ok
 
 
-def operation_preserves(f: OperationTable, a: FiniteStructure) -> bool:
-    """Exhaustive check that f is a polymorphism of a."""
-    if f.n != a.n:
-        return False
-    for rname, ar in a.sig.relations:
-        rows = sorted(a.rel[rname])
-        for choice in itertools.product(rows, repeat=f.k):
-            image = tuple(f.apply(tuple(choice[j][p] for j in range(f.k))) for p in range(ar))
-            if image not in a.rel[rname]:
-                return False
-    return all(f.apply((v,) * f.k) == v for v in a.const.values())
-
-
 def preserves_relation(f: OperationTable, tuples, arity: int) -> bool:
     """Does f preserve the given set of tuples, applied column-wise?"""
     rows = sorted(tuples)
@@ -144,6 +116,14 @@ def preserves_relation(f: OperationTable, tuples, arity: int) -> bool:
         if image not in tset:
             return False
     return True
+
+
+def operation_preserves(f: OperationTable, a: FiniteStructure) -> bool:
+    """Exhaustive check that f is a polymorphism of a."""
+    if f.n != a.n:
+        return False
+    return (all(preserves_relation(f, a.rel[rname], ar) for rname, ar in a.sig.relations)
+            and all(f.apply((v,) * f.k) == v for v in a.const.values()))
 
 
 def enumerate_polymorphisms(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET):
@@ -215,27 +195,33 @@ class EssentialUnarityVerdict:
 
     all_essentially_unary: bool
     max_arity: int
-    checked_counts: dict
     counterexample: OperationTable | None = None
     witness: EssentialityWitness | None = None
 
 
-def all_polymorphisms_essentially_unary(a: FiniteStructure, max_arity: int,
-                                        budget: int = DEFAULT_BUDGET) -> EssentialUnarityVerdict:
-    """Check every polymorphism of arity 2..max_arity for essential unarity."""
+def essential_unarity_verdict(polymorphisms, max_arity: int) -> EssentialUnarityVerdict:
+    """The verdict of all_polymorphisms_essentially_unary read off
+    polymorphisms(k), the k-ary polymorphisms in canonical order.  Arities
+    are asked for in turn from 1 and only up to the first counterexample,
+    so a budget overrun at a higher arity does not hide it."""
     if max_arity < 2:
         raise ValueError("max_arity must be at least 2")
-    counts = {}
     for k in range(1, max_arity + 1):
-        polys = enumerate_polymorphisms(a, k, budget=budget)
-        counts[k] = len(polys)
+        polys = polymorphisms(k)
         if k == 1:
             continue  # unary operations are essentially unary by definition
         for f in polys:
             ok, info = is_essentially_unary(f)
             if not ok:
-                return EssentialUnarityVerdict(False, max_arity, counts, f, info)
-    return EssentialUnarityVerdict(True, max_arity, counts)
+                return EssentialUnarityVerdict(False, max_arity, f, info)
+    return EssentialUnarityVerdict(True, max_arity)
+
+
+def all_polymorphisms_essentially_unary(a: FiniteStructure, max_arity: int,
+                                        budget: int = DEFAULT_BUDGET) -> EssentialUnarityVerdict:
+    """Check every polymorphism of arity 2..max_arity for essential unarity."""
+    return essential_unarity_verdict(
+        lambda k: enumerate_polymorphisms(a, k, budget=budget), max_arity)
 
 
 def _is_embedding(h: Homomorphism) -> bool:
@@ -250,14 +236,17 @@ def _is_embedding(h: Homomorphism) -> bool:
     return True
 
 
+def first_non_embedding(endomorphisms):
+    """The first of the given endomorphisms that is not an embedding, or None."""
+    return next((h for h in endomorphisms if not _is_embedding(h)), None)
+
+
 def is_core(a: FiniteStructure, budget: int = DEFAULT_BUDGET):
     """True iff every endomorphism is an embedding (injective and reflecting
     every relation); returns (verdict, certificate) where the certificate is
-    a non-embedding endomorphism when the verdict is false."""
-    for h in enumerate_homomorphisms(a, a, budget=budget):
-        if not _is_embedding(h):
-            return False, h
-    return True, None
+    the lex-least non-embedding endomorphism when the verdict is false."""
+    h = first_non_embedding(enumerate_homomorphisms(a, a, budget=budget))
+    return h is None, h
 
 
 def is_epc_finite(a: FiniteStructure, budget: int = DEFAULT_BUDGET) -> bool:

@@ -51,13 +51,7 @@ class Obstruction:
         t = template.relational_reduct()
         if find_homomorphism(self.structure, t, budget=budget) is not None:
             return False
-        if not self.critical:
-            return True
-        for rname, tup in _all_tuples(self.structure):
-            weakened = _delete_tuple(self.structure, rname, tup)
-            if find_homomorphism(weakened, t, budget=budget) is None:
-                return False
-        return True
+        return not self.critical or _weakenings_map(self.structure, t, budget)
 
 
 def _all_tuples(s: FiniteStructure):
@@ -70,6 +64,13 @@ def _delete_tuple(s: FiniteStructure, rname: str, tup) -> FiniteStructure:
     rels = {r: set(ts) for r, ts in s.rel.items()}
     rels[rname].discard(tuple(tup))
     return FiniteStructure(s.sig, s.n, rels, s.const)
+
+
+def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int) -> bool:
+    """Criticality of an obstruction s: does every structure obtained by
+    deleting one tuple of s map to the template?"""
+    return all(find_homomorphism(_delete_tuple(s, rname, tup), template, budget=budget) is not None
+               for rname, tup in _all_tuples(s))
 
 
 def _add_tuple(s: FiniteStructure, rname: str, tup, n: int) -> FiniteStructure:
@@ -181,14 +182,8 @@ def critical_obstructions(a: FiniteStructure,
                     continue
                 if maps(ext):
                     next_frontier[key] = ext
-                elif _is_connected(ext):
-                    weakenings_map = all(
-                        find_homomorphism(_delete_tuple(ext, rn, tp), template,
-                                          budget=budget) is not None
-                        for rn, tp in _all_tuples(ext)
-                    )
-                    if weakenings_map:
-                        found[key] = Obstruction(ext, True, ext.total_tuples())
+                elif _is_connected(ext) and _weakenings_map(ext, template, budget):
+                    found[key] = Obstruction(ext, True, ext.total_tuples())
         frontier = next_frontier
 
     out = sorted(found.values(), key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))

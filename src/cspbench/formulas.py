@@ -90,63 +90,64 @@ def conj(parts):
     return And(parts)
 
 
-def is_pp(phi) -> bool:
-    """True iff the formula contains no disjunction."""
-    if isinstance(phi, (Atom, Eq, Falsum)):
-        return True
-    if isinstance(phi, And):
-        return all(is_pp(p) for p in phi.parts)
-    if isinstance(phi, Or):
-        return False
+_LEAVES = (Atom, Eq, Falsum)
+
+
+def _children(phi) -> tuple:
+    """The direct subformulas of a formula node."""
+    if isinstance(phi, _LEAVES):
+        return ()
+    if isinstance(phi, (And, Or)):
+        return phi.parts
     if isinstance(phi, Exists):
-        return is_pp(phi.body)
+        return (phi.body,)
     raise FormulaError(f"not a formula node: {phi!r}")
 
 
+def _subformulas(phi):
+    """phi and all its subformulas, in left-to-right preorder."""
+    yield phi
+    for child in _children(phi):
+        if isinstance(child, _LEAVES):
+            yield child
+        else:
+            yield from _subformulas(child)
+
+
+def _terms(node) -> tuple:
+    """The names in the term positions of an atom or an equality."""
+    if isinstance(node, Atom):
+        return node.args
+    if isinstance(node, Eq):
+        return (node.left, node.right)
+    return ()
+
+
+def is_pp(phi) -> bool:
+    """True iff the formula contains no disjunction."""
+    return not any(isinstance(node, Or) for node in _subformulas(phi))
+
+
 def _contains_falsum(phi) -> bool:
-    if isinstance(phi, Falsum):
-        return True
-    if isinstance(phi, (And, Or)):
-        return any(_contains_falsum(p) for p in phi.parts)
-    if isinstance(phi, Exists):
-        return _contains_falsum(phi.body)
-    return False
+    return any(isinstance(node, Falsum) for node in _subformulas(phi))
 
 
 def names_in(phi) -> set:
     """All names occurring in term positions or quantifier prefixes."""
-    if isinstance(phi, Atom):
-        return set(phi.args)
-    if isinstance(phi, Eq):
-        return {phi.left, phi.right}
-    if isinstance(phi, (And, Or)):
-        out = set()
-        for p in phi.parts:
-            out |= names_in(p)
-        return out
-    if isinstance(phi, Exists):
-        return set(phi.vars) | names_in(phi.body)
-    if isinstance(phi, Falsum):
-        return set()
-    raise FormulaError(f"not a formula node: {phi!r}")
+    out = set()
+    for node in _subformulas(phi):
+        out.update(node.vars if isinstance(node, Exists) else _terms(node))
+    return out
 
 
 def free_names(phi) -> set:
     """Names not bound by any quantifier (constants not yet separated out)."""
-    if isinstance(phi, Atom):
-        return set(phi.args)
-    if isinstance(phi, Eq):
-        return {phi.left, phi.right}
-    if isinstance(phi, (And, Or)):
-        out = set()
-        for p in phi.parts:
-            out |= free_names(p)
-        return out
     if isinstance(phi, Exists):
-        return free_names(phi.body) - set(phi.vars)
-    if isinstance(phi, Falsum):
-        return set()
-    raise FormulaError(f"not a formula node: {phi!r}")
+        return free_names(phi.body).difference(phi.vars)
+    out = set(_terms(phi))
+    for child in _children(phi):
+        out.update(_terms(child) if isinstance(child, _LEAVES) else free_names(child))
+    return out
 
 
 def free_variables(phi, sig: Signature) -> set:
@@ -217,23 +218,18 @@ def rename_bound_apart(phi, fresh=None):
 
 
 def _validate_symbols(phi, sig: Signature):
-    if isinstance(phi, Atom):
-        try:
-            ar = sig.arity(phi.rel)
-        except KeyError:
-            raise FormulaError(f"unknown relation symbol {phi.rel!r}") from None
-        if len(phi.args) != ar:
-            raise FormulaError(f"arity mismatch: {phi.rel} expects {ar} arguments, got {len(phi.args)}")
-    elif isinstance(phi, (And, Or)):
-        for p in phi.parts:
-            _validate_symbols(p, sig)
-    elif isinstance(phi, Exists):
-        for v in phi.vars:
-            if v in sig.constants:
-                raise FormulaError(f"cannot quantify over constant symbol {v!r}")
-        _validate_symbols(phi.body, sig)
-    elif not isinstance(phi, (Eq, Falsum)):
-        raise FormulaError(f"not a formula node: {phi!r}")
+    for node in _subformulas(phi):
+        if isinstance(node, Atom):
+            try:
+                ar = sig.arity(node.rel)
+            except KeyError:
+                raise FormulaError(f"unknown relation symbol {node.rel!r}") from None
+            if len(node.args) != ar:
+                raise FormulaError(f"arity mismatch: {node.rel} expects {ar} arguments, got {len(node.args)}")
+        elif isinstance(node, Exists):
+            for v in node.vars:
+                if v in sig.constants:
+                    raise FormulaError(f"cannot quantify over constant symbol {v!r}")
 
 
 # -- canonical queries and canonical databases --
@@ -298,20 +294,11 @@ def canonical_structure(phi, sig: Signature):
             parent[max(rx, ry)] = min(rx, ry)
 
     atoms = []
-
-    def collect(node):
+    for node in _subformulas(phi):
         if isinstance(node, Atom):
             atoms.append(node)
         elif isinstance(node, Eq):
             union(node.left, node.right)
-        elif isinstance(node, And):
-            for p in node.parts:
-                collect(p)
-        elif isinstance(node, Exists):
-            collect(node.body)
-        # Falsum excluded above; Or rejected by is_pp.
-
-    collect(phi)
 
     reps = sorted({find(x) for x in nodes})
     elem = {x: reps.index(find(x)) for x in nodes}
@@ -426,24 +413,26 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
 
     pp sentences report values for all their variables, read off the
     homomorphism from the canonical database that decided truth; ep
-    sentences report the outermost existential block only.
+    sentences report the first assignment, in lexicographic order, of the
+    outermost existential block under which the body holds, found by the
+    one scan of that block that decides truth.
     """
-    if is_pp(phi) and not _contains_falsum(phi):
-        _validate_symbols(phi, a.sig)
-        _checked_env(a, free_variables(phi, a.sig), None)
+    _validate_symbols(phi, a.sig)
+    _checked_env(a, free_variables(phi, a.sig), None)
+    if is_pp(phi):
+        if _contains_falsum(phi):
+            return None
         elem, search = _pp_search(a, phi, budget)
         h = search({})
         if h is None:
             return None
         return {v: h.map[e] for v, e in elem.items() if v not in a.sig.constants}
-    if not evaluate(a, phi, budget=budget):
-        return None
-    if isinstance(phi, Exists):
-        for values in itertools.product(range(a.n), repeat=len(phi.vars)):
-            env = dict(zip(phi.vars, values))
-            if _eval_rec(phi.body, a, env):
-                return env
-    return {}
+    block, body = (phi.vars, phi.body) if isinstance(phi, Exists) else ((), phi)
+    for values in itertools.product(range(a.n), repeat=len(block)):
+        env = dict(zip(block, values))
+        if _eval_rec(body, a, env):
+            return env
+    return None
 
 
 # -- local refutability --

@@ -27,7 +27,7 @@ from .structures import (
     is_int,
     power,
 )
-from .formulas import And, Atom, Eq, Exists, FALSE, _numbered_names, conj, evaluator, free_variables
+from .formulas import Atom, Eq, Exists, FALSE, _numbered_names, conj, evaluator, free_variables
 from .clones import OperationTable, operation_preserves
 
 # Indicator powers: t tuples mean a power with |A|**t elements.  These caps
@@ -172,7 +172,7 @@ def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGE
 
 
 def synthesize_pp_definition(a: FiniteStructure, r: Relation,
-                             budget: int = DEFAULT_BUDGET, simplify: bool = False,
+                             budget: int = DEFAULT_BUDGET,
                              indicator_power: FiniteStructure | None = None):
     """A pp formula whose extension over a is exactly r.
 
@@ -205,33 +205,11 @@ def synthesize_pp_definition(a: FiniteStructure, r: Relation,
         atoms.append(Eq(y, inner[col]))
     phi = Exists(inner, conj(atoms))
 
-    if simplify:
-        phi = _simplify(a, phi, r, budget)
     extension = relation_of_formula(a, phi, r.arity)
     if extension != r.tuples:
         raise ValueError("relation is not pp-definable; synthesize_pp_definition "
                          "requires is_pp_definable(a, r) to hold")
     return phi
-
-
-def _simplify(a: FiniteStructure, phi, r: Relation, budget: int):
-    """Drop duplicate atoms and quantified variables that occur nowhere;
-    never changes the extension (verified by the caller's re-evaluation)."""
-    assert isinstance(phi, Exists)
-    body = phi.body.parts if isinstance(phi.body, And) else (phi.body,)
-    seen, atoms = set(), []
-    for atom in body:
-        if atom not in seen:
-            seen.add(atom)
-            atoms.append(atom)
-    used = set()
-    for atom in atoms:
-        used |= {x for x in (atom.args if isinstance(atom, Atom) else (atom.left, atom.right))}
-    kept = tuple(v for v in phi.vars if v in used)
-    if not atoms:
-        atoms = [Eq(phi.vars[0], phi.vars[0])]
-        kept = (phi.vars[0],)
-    return Exists(kept, conj(atoms)) if kept else conj(atoms)
 
 
 def pp_type_leq(a: FiniteStructure, s: tuple, t: tuple, budget: int = DEFAULT_BUDGET) -> bool:
@@ -297,22 +275,3 @@ def count_maximal_pp_types(a: FiniteStructure, n: int, budget: int = DEFAULT_BUD
         if not dominated:
             maximal.append(idx)
     return PpTypeReport(n, classes, maximal)
-
-
-@dataclass
-class OmegaCategoricityReport:
-    """Maximal pp-type counts for n = 1..n_max.
-
-    A finite template always has an omega-categorical equivalent, so the
-    verdict field is constant; the counts are the data of interest.
-    """
-
-    n_max: int
-    counts: list
-    verdict: str = "yes (finite)"
-
-
-def omega_categoricity_report(a: FiniteStructure, n_max: int,
-                              budget: int = DEFAULT_BUDGET) -> OmegaCategoricityReport:
-    counts = [count_maximal_pp_types(a, n, budget=budget).count for n in range(1, n_max + 1)]
-    return OmegaCategoricityReport(n_max, counts)

@@ -248,7 +248,7 @@ class _EqSystem:
     def __init__(self, variables):
         self.vars = sorted(variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
-        self.rows = []  # each row: (coeff vector over self.vars, rhs)
+        self.rows = []  # each row: (coeff vector over self.vars, rhs, pivot index)
         self.inconsistent = False
 
     def copy(self) -> "_EqSystem":
@@ -268,8 +268,7 @@ class _EqSystem:
 
     def reduce(self, vec, rhs):
         vec = list(vec)
-        for rvec, rrhs in self.rows:
-            pivot = next(i for i, c in enumerate(rvec) if c)
+        for rvec, rrhs, pivot in self.rows:
             factor = vec[pivot]
             if factor:
                 for j in range(pivot, len(vec)):
@@ -291,15 +290,17 @@ class _EqSystem:
         vec = [c / lead if c else c for c in vec]
         rhs = rhs / lead
         # back-substitute into existing rows to keep reduced form; rows are
-        # replaced, never changed in place, so copies may share them
+        # replaced, never changed in place, so copies may share them.  A
+        # changed row keeps its pivot: vec is zero before its own pivot,
+        # which lies past the pivot of every row nonzero there
         new_rows = []
-        for rvec, rrhs in self.rows:
+        for rvec, rrhs, rpivot in self.rows:
             if rvec[pivot] != 0:
                 f = rvec[pivot]
                 rvec = [c - f * nc if nc else c for c, nc in zip(rvec, vec)]
                 rrhs = rrhs - f * rhs
-            new_rows.append((rvec, rrhs))
-        new_rows.append((vec, rhs))
+            new_rows.append((rvec, rrhs, rpivot))
+        new_rows.append((vec, rhs, pivot))
         self.rows = new_rows
         return True
 
@@ -316,9 +317,7 @@ class _EqSystem:
         must not be entailed; then it excludes at most len(free) parameter
         values, so the scan is guaranteed to stop."""
         assert not self.inconsistent
-        pivots = {}
-        for rvec, rrhs in self.rows:
-            pivots[next(i for i, c in enumerate(rvec) if c != 0)] = (rvec, rrhs)
+        pivots = {pivot: (rvec, rrhs) for rvec, rrhs, pivot in self.rows}
         free = [i for i in range(len(self.vars)) if i not in pivots]
         last = len(avoid_eqs) * max(1, len(free)) + 1
         for t in range(last + 1):
@@ -391,7 +390,9 @@ def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
     literal, and is pruned when that makes the path unsatisfiable.  Only a
     leaf, where every clause has a chosen literal, builds a witness point.
     Every node, pruned children included, costs one step of the budget;
-    BudgetExceededError is raised at the first node beyond it.
+    BudgetExceededError is raised at the first node beyond it.  The tree
+    is walked with an explicit stack, so the clause count is not bounded
+    by the interpreter's recursion limit.
     """
     clauses = sorted(f.clauses, key=len)
     variables = set(f.variables()) | set(extra_vars)
@@ -403,21 +404,28 @@ def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
         if steps > budget:
             raise BudgetExceededError(f"cnf_sat exceeded branching budget {budget}")
 
-    def branch(i, state):
-        if i == len(clauses):
-            system, avoid = state
-            return system.point_avoiding(avoid)
-        for lit in clauses[i]:
-            step()
-            child = _assume(state, lit, lit.is_eq)
-            if child is not None:
-                chosen = branch(i + 1, child)
-                if chosen is not None:
-                    return chosen
-        return None
-
     step()  # the root
-    return branch(0, (_EqSystem(variables), []))
+    state = (_EqSystem(variables), [])
+    if not clauses:
+        return state[0].point_avoiding(state[1])
+    # stack[i]: the state of the path through clauses[:i] and an iterator
+    # over the literals of clauses[i] not tried yet
+    stack = [(state, iter(clauses[0]))]
+    while stack:
+        state, untried = stack[-1]
+        lit = next(untried, None)
+        if lit is None:
+            stack.pop()
+            continue
+        step()
+        child = _assume(state, lit, lit.is_eq)
+        if child is None:
+            continue
+        if len(stack) == len(clauses):
+            system, avoid = child
+            return system.point_avoiding(avoid)
+        stack.append((child, iter(clauses[len(stack)])))
+    return None
 
 
 def make_irreducible(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> LinearCnf:

@@ -162,9 +162,6 @@ class FiniteStructure:
         self._plan = None
         self._projections = None
 
-    def tuples(self, rname: str) -> frozenset:
-        return self.rel[rname]
-
     def _projection(self, rname: str, positions: tuple):
         """(tuples of rname projected onto positions, values v whose constant
         tuple (v, ..., v) is in that projection); computed once and kept."""

@@ -13,7 +13,6 @@ from cspbench import (
     count_maximal_pp_types,
     enumerate_polymorphisms,
     is_pp_definable,
-    omega_categoricity_report,
     pp_closure,
     pp_type_leq,
     synthesize_pp_definition,
@@ -105,7 +104,7 @@ def test_synthesize_rejects_undefinable():
         synthesize_pp_definition(a, r)
 
 
-def test_synthesize_simplifier_keeps_extension():
+def test_synthesize_extension_equals_relation():
     rng = random.Random(71)
     done = 0
     while done < 10:
@@ -114,9 +113,8 @@ def test_synthesize_simplifier_keeps_extension():
         r = pp_closure(a, Relation.make(arity, helpers.random_nonempty_relation(rng, a.n, arity)))
         if not r.tuples:
             continue
-        plain = synthesize_pp_definition(a, r, simplify=False)
-        simplified = synthesize_pp_definition(a, r, simplify=True)
-        assert relation_of_formula(a, plain, arity) == relation_of_formula(a, simplified, arity)
+        phi = synthesize_pp_definition(a, r)
+        assert relation_of_formula(a, phi, arity) == r.tuples
         done += 1
 
 
@@ -203,12 +201,15 @@ def test_orbit_mates_share_class_random():
                 assert cls_of[t] == cls_of[tuple(g[x] for x in t)]
 
 
-def test_omega_categoricity_report():
-    rep = omega_categoricity_report(helpers.u1(), 2)
-    assert rep.counts[0] == 1
-    assert rep.counts[1] == count_maximal_pp_types(helpers.u1(), 2).count
-    assert rep.verdict == "yes (finite)"
-    assert all(c >= 1 for c in rep.counts)
+def test_maximal_pp_type_counts_u1():
+    reports = [count_maximal_pp_types(helpers.u1(), n) for n in (1, 2)]
+    # U = {1}: (1) and (1, 1) carry the largest pp-types, and no two
+    # distinct tuples have the same one
+    assert [r.arity for r in reports] == [1, 2]
+    assert [r.classes for r in reports] == [[[(0,)], [(1,)]],
+                                            [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]]
+    assert [r.maximal for r in reports] == [[1], [3]]
+    assert [r.count for r in reports] == [1, 1]
 
 
 def test_completeness_against_coclone_oracle_sample():

@@ -114,6 +114,14 @@ def test_cnf_sat_budget_thresholds():
     assert _least_budget_is(h, 112) is None
 
 
+def test_cnf_sat_deeper_than_recursion_limit():
+    # one branch level per clause, and more clauses than the interpreter's
+    # recursion limit: the first literal of every clause holds at the leaf
+    n = 1100
+    f = parse_cnf("\n".join(f"1*x{i} = 0 | 1*x{i} = 1" for i in range(n)))
+    assert cnf_sat(f, budget=n + 1) == {f"x{i}": 0 for i in range(n)}
+
+
 def test_cnf_sat_matches_branching_reference_random():
     rng = random.Random(127)
     unsatisfiable = 0
