@@ -8,7 +8,10 @@ properly contains another obstruction, and its tuples all live in one
 connected component, so enumeration grows candidate structures tuple by
 tuple through the homomorphic ones only: a state is an isomorphism class
 of structures mapping to the template, and every one-tuple extension that
-stops mapping is tested for criticality.
+stops mapping is tested for criticality.  Each isomorphism class is
+decided once per level: the level remembers the classes that map (the
+next frontier), the critical ones and the ones that do neither, so a
+repeat skips both its homomorphism search and its criticality check.
 
 A homomorphism from the one-tolerant k-th power to the template is a
 k-ary 1-tolerant polymorphism.  Finding one of arity n+1 certifies that
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 from .structures import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     FiniteStructure,
     canonical_form,
     find_homomorphism,
@@ -175,15 +179,18 @@ def critical_obstructions(a: FiniteStructure,
     while frontier and tuples_used < max_tuples:
         tuples_used += 1
         next_frontier = {}
+        dead = set()  # classes of this level that neither map nor are critical
         for s in frontier.values():
             for ext in _extensions(s, max_vertices):
                 key = canonical_form(ext)
-                if key in found or key in next_frontier:
+                if key in found or key in next_frontier or key in dead:
                     continue
                 if maps(ext):
                     next_frontier[key] = ext
                 elif _is_connected(ext) and _weakenings_map(ext, template, budget):
                     found[key] = Obstruction(ext, True, ext.total_tuples())
+                else:
+                    dead.add(key)
         frontier = next_frontier
 
     out = sorted(found.values(), key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))
@@ -234,13 +241,23 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
     obstruction set, from which the universal sentence is synthesized.  On
     failure the verdict is explicitly arity-bounded and proves nothing; the
     largest critical obstruction found within the requested bounds is
-    reported as evidence.
+    reported as evidence.  A budget overrun at an arity k > 3 ends the
+    search there: the evidence is bounded by arity k-1 and the verdict
+    names the overrun.  An overrun at arity 3 leaves no evidence and
+    raises.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2 (1-tolerant polymorphisms are at least ternary)")
     max_rel_arity = max((ar for _, ar in a.sig.relations), default=1)
+    bound = f"up to arity {n_max + 1}"
     for k in range(3, n_max + 2):
-        f = has_one_tolerant_polymorphism(a, k, budget=budget)
+        try:
+            f = has_one_tolerant_polymorphism(a, k, budget=budget)
+        except BudgetExceededError:
+            if k == 3:
+                raise
+            bound = f"up to arity {k - 1}; arity {k} exceeded the budget"
+            break
         if f is None:
             continue
         n = k - 1
@@ -263,7 +280,7 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
     largest = max(obs, key=lambda o: o.hyperedges, default=None)
     return FoDefinabilityReport(
         fo_definable=None,
-        verdict=(f"no 1-tolerant polymorphism up to arity {n_max + 1} "
+        verdict=(f"no 1-tolerant polymorphism {bound} "
                  "(bounded evidence; certifies nothing beyond the bound)"),
         obstructions=tuple(obs),
         largest_obstruction=largest,

@@ -36,6 +36,16 @@ BudgetExceededError beyond it.  The count, and so the budget at which a
 search first fails, is the same as that of plain backtracking which tries
 every value and tests each tuple when the value is assigned.
 
+canonical_form gives a key that is equal for two structures exactly when
+they are isomorphic: the lex-least (relation bitmasks, constant elements)
+tuple over a set of relabellings that isomorphic structures share.  Up to
+3 elements that set is every permutation.  Beyond, colour refinement
+splits the domain by the relations, positions and colours each element
+occurs with, iterated to stability; each member of the first cell left
+with two or more elements is individualized in turn and the colours
+refined again, and the discrete colourings at the leaves of that tree are
+the relabellings.  More than 8! leaves raise BudgetExceededError.
+
 Structure file format (JSON, strict -- unknown fields are rejected)::
 
     {
@@ -59,9 +69,13 @@ from operator import itemgetter
 
 DEFAULT_BUDGET = 5_000_000
 
-# Exhaustive relabelling is used for isomorphism tests; beyond this many
-# elements the factorial blowup is no longer desk scale.
-_MAX_ISO_DOMAIN = 8
+# canonical_form tries every relabelling of structures with at most this
+# many elements (at most 3! = 6 of them), which is faster there than
+# refinement; larger structures are canonized by individualization and
+# refinement, which visits at most 8! leaves, as many as exhaustive
+# relabelling tries at 8 elements.
+_EXHAUSTIVE_DOMAIN = 3
+_MAX_LEAVES = 40_320
 
 
 def is_int(v) -> bool:
@@ -556,21 +570,83 @@ def direct_limit(chain, homs) -> FiniteStructure:
     return FiniteStructure(sig, len(reps), rels, consts)
 
 
-def canonical_form(a: FiniteStructure):
-    """Canonical key under exhaustive relabelling; equal iff isomorphic.
+def _refine(occurrences, colour, k):
+    """Colour refinement to stability.  colour is a dense ranking 0..k-1 of
+    the elements; an element's next colour ranks (its colour, the sorted
+    list of (position, relation, equality pattern, colours of the tuple)
+    over the tuples it occurs in).  Returns the stable (colour, k)."""
+    n = len(colour)
+    while k < n:
+        signatures = [
+            (colour[v], tuple(sorted([(p, r, pattern, tuple([colour[u] for u in t]))
+                                      for p, r, pattern, t in occ])))
+            for v, occ in enumerate(occurrences)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        if len(ranks) == k:
+            break
+        colour = [ranks[s] for s in signatures]
+        k = len(ranks)
+    return colour, k
 
-    Each relation is condensed to a bitmask over row-major tuple indices,
-    minimized over all permutations of the domain.
+
+def _refinement_leaves(a: FiniteStructure):
+    """The labellings at the leaves of the individualization-refinement
+    tree of a: refine the colouring by constants to stability, then
+    individualize each member of the first cell of two or more elements
+    in turn (it takes the cell's least colour, the rest of the cell the
+    next) and refine again, until every cell is a singleton.  Every step
+    depends on a only up to isomorphism, so isomorphic structures have
+    the same set of relabelled structures at their leaves."""
+    n = a.n
+    occurrences = [[] for _ in range(n)]
+    for r, (rname, _) in enumerate(a.sig.relations):
+        for t in a.rel[rname]:
+            pattern = tuple([t.index(u) for u in t])
+            for p, v in enumerate(t):
+                occurrences[v].append((p, r, pattern, t))
+    names = [tuple([i for i, c in enumerate(a.sig.constants) if a.const[c] == v])
+             for v in range(n)]
+    ranks = {s: i for i, s in enumerate(sorted(set(names)))}
+    stack = [([ranks[s] for s in names], len(ranks))]
+    leaves = 0
+    while stack:
+        colour, k = _refine(occurrences, *stack.pop())
+        if k == n:
+            leaves += 1
+            if leaves > _MAX_LEAVES:
+                raise BudgetExceededError(
+                    f"canonical form exceeds {_MAX_LEAVES} leaves of individualization-refinement")
+            yield colour
+            continue
+        cell = min(c for c in range(k) if colour.count(c) > 1)
+        for v in reversed([v for v in range(n) if colour[v] == cell]):
+            child = [c + (c >= cell) for c in colour]
+            child[v] = cell
+            stack.append((child, k + 1))
+
+
+def canonical_form(a: FiniteStructure):
+    """Canonical key; equal iff isomorphic.
+
+    (signature, n, the lex-least tuple of relation bitmasks over row-major
+    tuple indices and constant elements over the relabellings): every
+    permutation up to _EXHAUSTIVE_DOMAIN elements, beyond that the leaves
+    of individualization-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comp. 2014) without automorphism pruning;
+    more than _MAX_LEAVES leaves raise BudgetExceededError.
     """
     if a._canon is not None:
         return a._canon
-    if a.n > _MAX_ISO_DOMAIN:
-        raise BudgetExceededError(f"canonical form by relabelling is limited to n <= {_MAX_ISO_DOMAIN}")
     n = a.n
     rel_tuples = [tuple(a.rel[r]) for r, _ in a.sig.relations]
     const_elems = tuple(a.const[c] for c in a.sig.constants)
+    if n <= _EXHAUSTIVE_DOMAIN:
+        labellings = itertools.permutations(range(n))
+    else:
+        labellings = _refinement_leaves(a)
     best = None
-    for perm in itertools.permutations(range(n)):
+    for perm in labellings:
         key = []
         for tuples in rel_tuples:
             mask = 0

@@ -244,3 +244,72 @@ def branching_cnf_sat(f, extra_vars=()):
         return None
 
     return branch(0, [], []), steps
+
+
+# -- canonical forms and obstruction sweeps --
+
+
+def exhaustive_canonical_key(a):
+    """Reference for structures.canonical_form: the lex-least (relation
+    bitmasks over row-major tuple indices, constant elements) tuple over
+    all n! relabellings of the domain, as (signature, n, that tuple)."""
+    n = a.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        key = []
+        for rname, _ in a.sig.relations:
+            mask = 0
+            for t in a.rel[rname]:
+                idx = 0
+                for v in t:
+                    idx = idx * n + perm[v]
+                mask |= 1 << idx
+            key.append(mask)
+        key.append(tuple(perm[a.const[c]] for c in a.sig.constants))
+        key = tuple(key)
+        if best is None or key < best:
+            best = key
+    return (a.sig, a.n, best)
+
+
+def reference_critical_obstructions(a, max_vertices, max_tuples, budget=5_000_000):
+    """Reference for duality.critical_obstructions: the sweep without the
+    per-level memo of classes that neither map nor are critical, with
+    isomorphism classes told apart by exhaustive_canonical_key.  The
+    extension, connectivity and criticality helpers and the homomorphism
+    search are the library's; the sweep itself is what is compared."""
+    from cspbench.duality import (
+        Obstruction, _extensions, _is_connected, _seed_structures, _weakenings_map)
+    from cspbench.structures import find_homomorphism
+
+    template = a.relational_reduct()
+
+    def maps(s):
+        return find_homomorphism(s, template, budget=budget) is not None
+
+    found = {}
+    frontier = {}
+    for s in _seed_structures(template.sig):
+        if s.n > max_vertices:
+            continue
+        key = exhaustive_canonical_key(s)
+        if maps(s):
+            frontier[key] = s
+        else:
+            found.setdefault(key, Obstruction(s, True, 1))
+    tuples_used = 1
+    while frontier and tuples_used < max_tuples:
+        tuples_used += 1
+        next_frontier = {}
+        for s in frontier.values():
+            for ext in _extensions(s, max_vertices):
+                key = exhaustive_canonical_key(ext)
+                if key in found or key in next_frontier:
+                    continue
+                if maps(ext):
+                    next_frontier[key] = ext
+                elif _is_connected(ext) and _weakenings_map(ext, template, budget):
+                    found[key] = Obstruction(ext, True, ext.total_tuples())
+        frontier = next_frontier
+    return sorted(found.values(),
+                  key=lambda o: (o.hyperedges, o.structure.n, exhaustive_canonical_key(o.structure)))

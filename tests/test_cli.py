@@ -128,6 +128,24 @@ def test_duality_export(files, capsys, tmp_path):
     assert obs.n == 1
 
 
+def test_duality_one_tolerant_overrun_reports_bounded_evidence(files, capsys):
+    # at budget 100 the arity-3 search on K2 finishes and the arity-4
+    # one-tolerant power overruns: the report stops at arity 3
+    bounds = ("--max-vertices", "3", "--max-tuples", "3")
+    code, out, _ = run(capsys, "--format", "machine", "duality", files["k2.json"],
+                       *bounds, "--budget", "100")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["fo_definable"] is None
+    assert doc["verdict"].startswith(
+        "no 1-tolerant polymorphism up to arity 3; arity 4 exceeded the budget")
+    # the loop, the transitive triangle and the directed triangle
+    assert [o["domain"] for o in doc["obstructions"]] == [1, 3, 3]
+    # an overrun at arity 3 leaves no evidence: still an error
+    code, _, err = run(capsys, "duality", files["k2.json"], *bounds, "--budget", "50")
+    assert code == 2 and "budget" in err
+
+
 def test_horn_commands(files, capsys):
     code, out, _ = run(capsys, "horn", "classify", files["horn.cnf"])
     assert code == 0 and "Horn" in out

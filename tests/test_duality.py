@@ -4,6 +4,7 @@ import random
 import pytest
 
 import helpers
+import oracles
 from cspbench import (
     FiniteStructure,
     Signature,
@@ -13,7 +14,8 @@ from cspbench import (
     has_one_tolerant_polymorphism,
     obstruction_set_decides,
 )
-from cspbench.structures import canonical_form
+from cspbench import duality
+from cspbench.structures import BudgetExceededError, canonical_form
 from cspbench.duality import universal_sentence_text
 
 
@@ -128,3 +130,64 @@ def test_one_tolerant_bound_vs_obstruction_size():
             n = k - 1
             obs = critical_obstructions(a, max_vertices=4, max_tuples=n + 2)
             assert all(o.hyperedges <= n for o in obs)
+
+
+def _by_oracle_key(obstructions):
+    return {oracles.exhaustive_canonical_key(o.structure): o.structure for o in obstructions}
+
+
+def test_sweep_matches_reference():
+    rng = random.Random(1977)
+    cases = [(helpers.random_structure(rng, min_n=2, max_n=2), 3, 4) for _ in range(10)]
+    cases += [(helpers.k2(), 5, 5), (helpers.k3(), 5, 5), (helpers.cycle(5), 5, 5)]
+    for a, max_vertices, max_tuples in cases:
+        got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
+        want = oracles.reference_critical_obstructions(a, max_vertices, max_tuples)
+        assert len(got) == len(want)
+        # same classes, each with the identical representative structure
+        assert _by_oracle_key(got) == _by_oracle_key(want)
+        assert [(o.hyperedges, o.structure.n) for o in got] == \
+            [(o.hyperedges, o.structure.n) for o in want]
+
+
+def test_sweep_decides_each_class_once(monkeypatch):
+    """Every isomorphism class of extensions is searched for a map to the
+    template, and checked for criticality, at most once."""
+    searched, checked = [], []
+    weakening = []
+    search = duality.find_homomorphism
+    criticality = duality._weakenings_map
+
+    def counting_search(s, t, **kw):
+        if not weakening:
+            searched.append(canonical_form(s))
+        return search(s, t, **kw)
+
+    def counting_criticality(s, t, budget):
+        checked.append(canonical_form(s))
+        weakening.append(s)
+        try:
+            return criticality(s, t, budget)
+        finally:
+            weakening.pop()
+
+    monkeypatch.setattr(duality, "find_homomorphism", counting_search)
+    monkeypatch.setattr(duality, "_weakenings_map", counting_criticality)
+    obs = critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
+    assert len(obs) == 7
+    assert len(searched) > 100 and checked
+    assert len(set(searched)) == len(searched)
+    assert len(set(checked)) == len(checked)
+
+
+def test_fo_report_overrun_beyond_arity_3():
+    k2 = helpers.k2()
+    # at budget 100 the arity-3 search finishes and the arity-4 power does not
+    rep = fo_definability_report(k2, n_max=3, max_vertices=3, max_tuples=3, budget=100)
+    assert rep.fo_definable is None
+    assert rep.verdict.startswith("no 1-tolerant polymorphism up to arity 3; "
+                                  "arity 4 exceeded the budget")
+    assert _by_oracle_key(rep.obstructions) == _by_oracle_key(
+        critical_obstructions(k2, max_vertices=3, max_tuples=3))
+    with pytest.raises(BudgetExceededError):
+        fo_definability_report(k2, n_max=3, max_vertices=3, max_tuples=3, budget=50)

@@ -41,6 +41,10 @@ CASES = [
     "duality uv.json",
     "duality k2.json --max-vertices 3 --max-tuples 4",
     "duality k3.json --max-vertices 3 --max-tuples 4",
+    # obstructions that tie on (tuples, vertices) are ordered by their
+    # canonical keys, which individualization-refinement decides at 4 and
+    # more vertices
+    "duality k2.json --max-vertices 5 --max-tuples 5",
     "duality nae.json --n-max 2 --max-vertices 3 --max-tuples 2",
     "ppdef k2.json rel_edge.json",
     "ppdef k2.json rel_arc.json",

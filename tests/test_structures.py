@@ -407,3 +407,66 @@ def test_json_rejects_booleans_for_integers():
                     relations={"E": [[0]]})):
         with pytest.raises(ValueError):
             FiniteStructure.from_json_dict(bad)
+
+
+def _random_structure_with_constants(rng):
+    n = rng.randint(1, 6)
+    rels, data = {}, {}
+    for i in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 3)
+        rels[f"R{i}"] = arity
+        density = rng.uniform(0.05, 0.5) / arity
+        data[f"R{i}"] = {t for t in itertools.product(range(n), repeat=arity)
+                         if rng.random() < density}
+    consts = {}
+    if rng.random() < 0.5:
+        consts = {f"c{j}": rng.randrange(n) for j in range(rng.randint(1, 2))}
+    return FiniteStructure(Signature.make(rels, consts), n, data, consts)
+
+
+def _relabelled(a, rng):
+    perm = list(range(a.n))
+    rng.shuffle(perm)
+    return FiniteStructure(a.sig, a.n,
+                           {r: {tuple(perm[v] for v in t) for t in ts} for r, ts in a.rel.items()},
+                           {c: perm[v] for c, v in a.const.items()})
+
+
+def test_canonical_form_matches_exhaustive_oracle():
+    rng = random.Random(2014)
+    pool = []
+    for _ in range(120):
+        a = _random_structure_with_constants(rng)
+        pool += [a, _relabelled(a, rng), _relabelled(a, rng)]
+    # 2-regular graphs on 6 vertices that colour refinement alone cannot
+    # tell apart: C6 against two triangles, undirected and directed
+    for symmetric in (True, False):
+        c6 = helpers.cycle(6, symmetric=symmetric)
+        triangles = helpers.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                                  symmetric=symmetric)
+        pool += [c6, _relabelled(c6, rng), triangles, _relabelled(triangles, rng)]
+    keys = [canonical_form(a) for a in pool]
+    reference = [oracles.exhaustive_canonical_key(a) for a in pool]
+    for a, key, ref in zip(pool, keys, reference):
+        if a.n <= 3:
+            assert key == ref  # exhaustive relabelling, as before
+    classes = {}
+    for key, ref in zip(keys, reference):
+        classes.setdefault(key, set()).add(ref)
+    assert all(len(refs) == 1 for refs in classes.values())
+    assert len(classes) == len(set(reference))
+    assert len(classes) < len(pool)  # the pool does hold isomorphic pairs
+
+
+def test_canonical_form_beyond_eight_elements():
+    directed_path = helpers.graph(12, [(i, i + 1) for i in range(11)])
+    key = canonical_form(directed_path)
+    rng = random.Random(12)
+    assert canonical_form(_relabelled(directed_path, rng)) == key
+    assert is_isomorphic(directed_path, _relabelled(directed_path, rng))
+
+
+def test_canonical_form_leaf_cap():
+    # every relabelling of an empty structure is a leaf: 12! > 8!
+    with pytest.raises(BudgetExceededError):
+        canonical_form(FiniteStructure(helpers.GRAPH, 12, {"E": []}))
