@@ -10,7 +10,6 @@ from .structures import (
     Homomorphism,
     Signature,
     SignatureMismatchError,
-    direct_limit,
     enumerate_homomorphisms,
     find_homomorphism,
     is_isomorphic,
@@ -44,7 +43,6 @@ from .clones import (
     is_core,
     is_epc_finite,
     is_essentially_unary,
-    operation_predicates,
     operation_preserves,
 )
 from .galois import (

@@ -433,8 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="fo-definability and critical obstructions")
     p.add_argument("structure")
     p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--max-vertices", type=int, default=None, dest="max_vertices")
-    p.add_argument("--max-tuples", type=int, default=None, dest="max_tuples")
+    p.add_argument("--max-vertices", type=int, default=None, dest="max_vertices",
+                   help="vertex bound of the evidence sweep; an fo-definable verdict "
+                        "enumerates its complete obstruction set regardless")
+    p.add_argument("--max-tuples", type=int, default=None, dest="max_tuples",
+                   help="tuple bound of the evidence sweep; an fo-definable verdict "
+                        "enumerates its complete obstruction set regardless")
     p.add_argument("--export", default=None, help="directory for the obstruction set")
     _budget_flag(p)
     p.set_defaults(fn=_cmd_duality)

@@ -176,18 +176,6 @@ def is_essentially_unary(f: OperationTable):
     return False, witness
 
 
-def operation_predicates(f: OperationTable) -> dict:
-    """Flags: idempotent, conservative, projection."""
-    idempotent = all(f.apply((d,) * f.k) == d for d in range(f.n))
-    conservative = all(
-        f.apply(t) in set(t) for t in itertools.product(range(f.n), repeat=f.k)
-    )
-    projection = any(
-        f == OperationTable.projection(f.n, f.k, i) for i in range(f.k)
-    )
-    return {"idempotent": idempotent, "conservative": conservative, "projection": projection}
-
-
 @dataclass
 class EssentialUnarityVerdict:
     """Arity-bounded verdict: finite enumeration cannot certify the

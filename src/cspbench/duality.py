@@ -5,13 +5,20 @@ An obstruction for a template is a finite structure with no homomorphism
 to it; it is critical when deleting any single relation tuple (keeping the
 domain) yields a structure that does map.  A critical obstruction never
 properly contains another obstruction, and its tuples all live in one
-connected component, so enumeration grows candidate structures tuple by
-tuple through the homomorphic ones only: a state is an isomorphism class
-of structures mapping to the template, and every one-tuple extension that
-stops mapping is tested for criticality.  Each isomorphism class is
-decided once per level: the level remembers the classes that map (the
-next frontier), the critical ones and the ones that do neither, so a
-repeat skips both its homomorphism search and its criticality check.
+connected component, so enumeration grows connected structures only,
+through the homomorphic ones: it starts from one vertex and no tuples,
+and each step adds one tuple that contains an existing vertex (its other
+entries may be new vertices).  A state is an isomorphism class of
+connected structures mapping to the template, and every extension that
+stops mapping is tested for criticality.  The growth is complete: in a
+spanning tree of a connected structure's tuples (two tuples adjacent when
+they share a vertex), deleting a leaf tuple and the vertices only it uses
+leaves a connected structure that the leaf touches, and that structure
+maps to the template whenever the whole one maps or is critical.  Each
+isomorphism class is decided once per level: the level remembers the
+classes that map (the next frontier), the critical ones and the ones that
+do neither, so a repeat skips both its homomorphism search and its
+criticality check.
 
 A homomorphism from the one-tolerant k-th power to the template is a
 k-ary 1-tolerant polymorphism.  Finding one of arity n+1 certifies that
@@ -92,56 +99,19 @@ def has_one_tolerant_polymorphism(a: FiniteStructure, k: int,
     return OperationTable(a.n, k, h.map) if h is not None else None
 
 
-def _seed_structures(sig):
-    """Single-tuple structures up to isomorphism: one per pattern of
-    repeated positions (restricted-growth tuples)."""
-    out = []
-    for rname, ar in sig.relations:
-        for pattern in itertools.product(range(ar), repeat=ar):
-            # entries must appear as 0, 1, 2, ... in order of first occurrence
-            seen = []
-            ok = True
-            for v in pattern:
-                if v == len(seen):
-                    seen.append(v)
-                elif v > len(seen):
-                    ok = False
-                    break
-            if ok:
-                out.append(FiniteStructure(sig, len(seen), {rname: {pattern}}, {}))
-    return out
-
-
 def _extensions(s: FiniteStructure, max_vertices: int):
-    """All structures obtained by adding one new tuple, possibly introducing
-    new vertices (which must all occur in the added tuple)."""
+    """All structures obtained by adding one new tuple that contains an
+    existing vertex; its other entries may be new vertices, each used."""
     for rname, ar in s.sig.relations:
-        room = min(ar, max_vertices - s.n)
+        room = min(ar - 1, max_vertices - s.n)
         for fresh in range(room + 1):
             n = s.n + fresh
             for tup in itertools.product(range(n), repeat=ar):
-                if fresh and set(range(s.n, n)) - set(tup):
-                    continue  # an introduced vertex must be used
+                if min(tup) >= s.n or set(range(s.n, n)) - set(tup):
+                    continue  # touch the structure and use every new vertex
                 if tup in s.rel[rname]:
                     continue
                 yield _add_tuple(s, rname, tup, n)
-
-
-def _is_connected(s: FiniteStructure) -> bool:
-    if s.n == 1:
-        return True
-    adj = {v: set() for v in range(s.n)}
-    for _, tup in _all_tuples(s):
-        for x in tup:
-            adj[x].update(tup)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == s.n
 
 
 def critical_obstructions(a: FiniteStructure,
@@ -155,7 +125,6 @@ def critical_obstructions(a: FiniteStructure,
     relational reduct of the template.
     """
     template = a.relational_reduct()
-    sig = template.sig
     if max_vertices < 1 or max_tuples < 1:
         raise ValueError("enumeration bounds must be positive")
 
@@ -163,35 +132,22 @@ def critical_obstructions(a: FiniteStructure,
         return find_homomorphism(s, template, budget=budget) is not None
 
     found = {}
-    frontier = {}
-    for s in _seed_structures(sig):
-        if s.n > max_vertices:
-            continue
-        key = canonical_form(s)
-        if maps(s):
-            frontier[key] = s
-        else:
-            # a single-tuple obstruction is critical iff its tupleless
-            # weakening maps, which it always does for a nonempty template
-            found.setdefault(key, Obstruction(s, True, 1))
-
-    tuples_used = 1
-    while frontier and tuples_used < max_tuples:
-        tuples_used += 1
+    frontier = [FiniteStructure(template.sig, 1)]
+    for _ in range(max_tuples):
         next_frontier = {}
         dead = set()  # classes of this level that neither map nor are critical
-        for s in frontier.values():
+        for s in frontier:
             for ext in _extensions(s, max_vertices):
                 key = canonical_form(ext)
                 if key in found or key in next_frontier or key in dead:
                     continue
                 if maps(ext):
                     next_frontier[key] = ext
-                elif _is_connected(ext) and _weakenings_map(ext, template, budget):
+                elif _weakenings_map(ext, template, budget):
                     found[key] = Obstruction(ext, True, ext.total_tuples())
                 else:
                     dead.add(key)
-        frontier = next_frontier
+        frontier = next_frontier.values()
 
     out = sorted(found.values(), key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))
     return out
@@ -236,15 +192,17 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
 
     On success the CSP is first-order definable; every critical obstruction
     then has at most n = arity-1 tuples, so enumerating critical
-    obstructions with that many tuples (and n * max-arity vertices, the
-    most a connected n-tuple structure can use) yields a complete
-    obstruction set, from which the universal sentence is synthesized.  On
-    failure the verdict is explicitly arity-bounded and proves nothing; the
-    largest critical obstruction found within the requested bounds is
-    reported as evidence.  A budget overrun at an arity k > 3 ends the
-    search there: the evidence is bounded by arity k-1 and the verdict
-    names the overrun.  An overrun at arity 3 leaves no evidence and
-    raises.
+    obstructions with that many tuples (and n * max-arity vertices, at
+    least as many as a connected n-tuple structure can use) yields a
+    complete obstruction set, from which the universal sentence is
+    synthesized.  max_vertices and max_tuples never cut that sweep, which
+    would drop obstructions from the set; they bound only the evidence
+    sweep.  On failure the verdict is explicitly arity-bounded and proves
+    nothing; the largest critical obstruction found within max_vertices
+    and max_tuples is reported as evidence.  A budget overrun at an arity
+    k > 3 ends the search there: the evidence is bounded by arity k-1 and
+    the verdict names the overrun.  An overrun at arity 3 leaves no
+    evidence and raises.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2 (1-tolerant polymorphisms are at least ternary)")
@@ -261,8 +219,8 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
         if f is None:
             continue
         n = k - 1
-        vbound = min(max_vertices or n * max_rel_arity, n * max_rel_arity)
-        obs = critical_obstructions(a, max_vertices=vbound, max_tuples=n, budget=budget)
+        obs = critical_obstructions(a, max_vertices=n * max_rel_arity, max_tuples=n,
+                                    budget=budget)
         return FoDefinabilityReport(
             fo_definable=True,
             verdict=f"fo-definable (finite-template certificate: 1-tolerant polymorphism of arity {k})",

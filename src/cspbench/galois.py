@@ -93,14 +93,13 @@ class PpDefinabilityCertificate:
         return image == self.violating_tuple and operation_preserves(f, a)
 
 
-def relation_of_formula(a: FiniteStructure, phi, arity: int, var_order=None) -> frozenset:
-    """Extension of a formula over a; free variables are taken in var_order,
-    defaulting to length-then-lexicographic order (so x2 precedes x10).
+def relation_of_formula(a: FiniteStructure, phi, arity: int) -> frozenset:
+    """Extension of a formula over a; free variables are taken in
+    length-then-lexicographic order (so x2 precedes x10).
 
     A pp formula's canonical database is built once, and each candidate
     tuple costs one pinned homomorphism search from it."""
-    if var_order is None:
-        var_order = sorted(free_variables(phi, a.sig), key=lambda v: (len(v), v))
+    var_order = sorted(free_variables(phi, a.sig), key=lambda v: (len(v), v))
     if len(var_order) > arity:
         raise ValueError(f"formula has {len(var_order)} free variables, expected <= {arity}")
     holds = evaluator(a, phi)

@@ -512,64 +512,6 @@ def enumerate_homomorphisms(a, b, pinned=None, budget: int = DEFAULT_BUDGET):
     return [Homomorphism(a, b, m) for m in _hom_maps(a, b, pinned, budget, first_only=False)]
 
 
-def direct_limit(chain, homs) -> FiniteStructure:
-    """Direct limit of a finite chain a_0 -> a_1 -> ... -> a_last.
-
-    The quotient construction identifies x in a_i with y in a_j whenever
-    their images agree in some later chain member.  For a finite chain the
-    result is isomorphic to the last structure; the quotient is still
-    computed explicitly so that the construction is checkable.
-    """
-    chain = list(chain)
-    homs = list(homs)
-    if not chain:
-        raise ValueError("direct limit of an empty chain")
-    if len(homs) != len(chain) - 1:
-        raise ValueError("need exactly one homomorphism per consecutive pair")
-    for i, h in enumerate(homs):
-        if h.source != chain[i] or h.target != chain[i + 1]:
-            raise ValueError(f"chain does not compose at position {i}")
-        if not h.verify():
-            raise ValueError(f"map at position {i} is not a homomorphism")
-
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    for i, s in enumerate(chain):
-        for x in range(s.n):
-            parent[(i, x)] = (i, x)
-    for i, h in enumerate(homs):
-        for x in range(chain[i].n):
-            union((i, x), (i + 1, h.map[x]))
-
-    reps = sorted({find(node) for node in parent})
-    index = {rep: i for i, rep in enumerate(reps)}
-
-    def cls(i, x):
-        return index[find((i, x))]
-
-    sig = chain[0].sig
-    rels = {rname: set() for rname, _ in sig.relations}
-    for i, s in enumerate(chain):
-        for rname, _ in sig.relations:
-            for t in s.rel[rname]:
-                rels[rname].add(tuple(cls(i, x) for x in t))
-    consts = {c: cls(0, chain[0].const[c]) for c in chain[0].const}
-    return FiniteStructure(sig, len(reps), rels, consts)
-
-
 def _refine(occurrences, colour, k):
     """Colour refinement to stability.  colour is a dense ranking 0..k-1 of
     the elements; an element's next colour ranks (its colour, the sorted

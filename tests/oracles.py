@@ -11,7 +11,9 @@ indicator construction the library uses.
 
 import itertools
 
+from cspbench.duality import _add_tuple, _all_tuples
 from cspbench.formulas import And, Atom, Eq, Exists, Falsum, Or
+from cspbench.structures import FiniteStructure
 
 
 def all_maps(n_source, n_target):
@@ -272,14 +274,67 @@ def exhaustive_canonical_key(a):
     return (a.sig, a.n, best)
 
 
+def _seed_structures(sig):
+    """Single-tuple structures up to isomorphism: one per pattern of
+    repeated positions (restricted-growth tuples)."""
+    out = []
+    for rname, ar in sig.relations:
+        for pattern in itertools.product(range(ar), repeat=ar):
+            # entries must appear as 0, 1, 2, ... in order of first occurrence
+            seen = []
+            ok = True
+            for v in pattern:
+                if v == len(seen):
+                    seen.append(v)
+                elif v > len(seen):
+                    ok = False
+                    break
+            if ok:
+                out.append(FiniteStructure(sig, len(seen), {rname: {pattern}}, {}))
+    return out
+
+
+def _extensions(s: FiniteStructure, max_vertices: int):
+    """All structures obtained by adding one new tuple, possibly introducing
+    new vertices (which must all occur in the added tuple)."""
+    for rname, ar in s.sig.relations:
+        room = min(ar, max_vertices - s.n)
+        for fresh in range(room + 1):
+            n = s.n + fresh
+            for tup in itertools.product(range(n), repeat=ar):
+                if fresh and set(range(s.n, n)) - set(tup):
+                    continue  # an introduced vertex must be used
+                if tup in s.rel[rname]:
+                    continue
+                yield _add_tuple(s, rname, tup, n)
+
+
+def _is_connected(s: FiniteStructure) -> bool:
+    if s.n == 1:
+        return True
+    adj = {v: set() for v in range(s.n)}
+    for _, tup in _all_tuples(s):
+        for x in tup:
+            adj[x].update(tup)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == s.n
+
+
 def reference_critical_obstructions(a, max_vertices, max_tuples, budget=5_000_000):
-    """Reference for duality.critical_obstructions: the sweep without the
-    per-level memo of classes that neither map nor are critical, with
-    isomorphism classes told apart by exhaustive_canonical_key.  The
-    extension, connectivity and criticality helpers and the homomorphism
-    search are the library's; the sweep itself is what is compared."""
-    from cspbench.duality import (
-        Obstruction, _extensions, _is_connected, _seed_structures, _weakenings_map)
+    """Reference for duality.critical_obstructions: the sweep that seeds
+    with every single-tuple structure, grows disconnected structures too
+    and keeps only connected critical ones, without the per-level memo of
+    classes that neither map nor are critical, with isomorphism classes
+    told apart by exhaustive_canonical_key.  The seed, extension and
+    connectivity helpers above are this module's own; the criticality
+    check and the homomorphism search are the library's."""
+    from cspbench.duality import Obstruction, _weakenings_map
     from cspbench.structures import find_homomorphism
 
     template = a.relational_reduct()

@@ -15,7 +15,6 @@ from cspbench import (
     is_core,
     is_epc_finite,
     is_essentially_unary,
-    operation_predicates,
     operation_preserves,
 )
 from cspbench.clones import EssentialityWitness
@@ -135,16 +134,6 @@ def test_is_essentially_unary_matches_direct_check():
                            for t in itertools.product(range(2), repeat=k))
             else:
                 assert info.verify(f)
-
-
-def test_operation_predicates():
-    assert operation_predicates(MAJ3) == {
-        "idempotent": True, "conservative": True, "projection": False}
-    const0 = op(2, 2, lambda a, b: 0)
-    assert not operation_predicates(const0)["idempotent"]
-    flags = operation_predicates(XOR3)
-    assert flags["idempotent"] and flags["conservative"] and not flags["projection"]
-    assert operation_predicates(PROJ1)["projection"]
 
 
 def test_all_polymorphisms_essentially_unary_p4():

@@ -12,6 +12,7 @@ from cspbench import (
     find_homomorphism,
     fo_definability_report,
     has_one_tolerant_polymorphism,
+    is_isomorphic,
     obstruction_set_decides,
 )
 from cspbench import duality
@@ -150,9 +151,27 @@ def test_sweep_matches_reference():
             [(o.hyperedges, o.structure.n) for o in want]
 
 
-def test_sweep_decides_each_class_once(monkeypatch):
-    """Every isomorphism class of extensions is searched for a map to the
-    template, and checked for criticality, at most once."""
+def test_sweep_differential_on_more_templates():
+    """The connected sweep finds the reference's classes in the reference's
+    order, each represented by an isomorphic structure."""
+    rng = random.Random(2009)
+    cases = []
+    while len(cases) < 12:
+        a = helpers.random_structure(rng, min_n=2, max_n=2, max_rels=3)
+        if len(a.sig.relations) >= 2:
+            cases.append((a, 3, 4))
+    cases += [(helpers.nae(), 3, 3), (helpers.p4_structure(), 4, 2)]
+    for a, max_vertices, max_tuples in cases:
+        got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
+        want = oracles.reference_critical_obstructions(a, max_vertices, max_tuples)
+        assert [oracles.exhaustive_canonical_key(o.structure) for o in got] == \
+            [oracles.exhaustive_canonical_key(o.structure) for o in want]
+        assert all(is_isomorphic(g.structure, w.structure) for g, w in zip(got, want))
+
+
+def _spy_on_sweep(monkeypatch):
+    """Record the structures the sweep searches outside criticality checks
+    and the ones it checks for criticality."""
     searched, checked = [], []
     weakening = []
     search = duality.find_homomorphism
@@ -160,11 +179,11 @@ def test_sweep_decides_each_class_once(monkeypatch):
 
     def counting_search(s, t, **kw):
         if not weakening:
-            searched.append(canonical_form(s))
+            searched.append(s)
         return search(s, t, **kw)
 
     def counting_criticality(s, t, budget):
-        checked.append(canonical_form(s))
+        checked.append(s)
         weakening.append(s)
         try:
             return criticality(s, t, budget)
@@ -173,11 +192,40 @@ def test_sweep_decides_each_class_once(monkeypatch):
 
     monkeypatch.setattr(duality, "find_homomorphism", counting_search)
     monkeypatch.setattr(duality, "_weakenings_map", counting_criticality)
+    return searched, checked
+
+
+def test_sweep_decides_each_class_once(monkeypatch):
+    """Every isomorphism class of extensions is searched for a map to the
+    template, and checked for criticality, at most once."""
+    searched, checked = _spy_on_sweep(monkeypatch)
     obs = critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
     assert len(obs) == 7
+    searched = [canonical_form(s) for s in searched]
+    checked = [canonical_form(s) for s in checked]
     assert len(searched) > 100 and checked
     assert len(set(searched)) == len(searched)
     assert len(set(checked)) == len(checked)
+
+
+def test_sweep_searches_connected_structures_only(monkeypatch):
+    searched, checked = _spy_on_sweep(monkeypatch)
+    critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
+    critical_obstructions(helpers.nae(), max_vertices=3, max_tuples=3)
+    assert len(searched) > 100 and checked
+    assert all(oracles._is_connected(s) for s in searched + checked)
+
+
+def test_fo_report_t3_sweeps_past_max_vertices():
+    """The fo-definable branch enumerates every obstruction within its
+    tuple bound, whatever the evidence bounds say."""
+    t3 = helpers.graph(3, [(0, 1), (0, 2), (1, 2)])
+    rep = fo_definability_report(t3, n_max=3, max_vertices=3)
+    assert rep.fo_definable
+    path = helpers.graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert find_homomorphism(path, t3) is None
+    assert canonical_form(path) in {canonical_form(o.structure) for o in rep.obstructions}
+    assert not obstruction_set_decides(rep.obstructions, path)
 
 
 def test_fo_report_overrun_beyond_arity_3():

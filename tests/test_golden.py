@@ -17,8 +17,23 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
+
+from cspbench import (
+    FiniteStructure,
+    Homomorphism,
+    Obstruction,
+    OperationTable,
+    check_mix_preservation,
+    operation_preserves,
+    parse_cnf,
+)
+from cspbench.clones import _is_embedding
+from cspbench.formulas import parse_sentence
+from cspbench.galois import PpDefinabilityCertificate, Relation
+from cspbench.structures import one_tolerant_power
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXPECTED = os.path.join(GOLDEN, "expected.json")
@@ -95,6 +110,80 @@ def test_golden_cases_are_recorded():
 @pytest.mark.parametrize("case", CASES)
 def test_golden_output(case):
     assert run_case(case) == _expected()[case]
+
+
+def _read(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _check_structure_certificates(a, doc: dict) -> set:
+    """Re-verify the certificates of one analyze or duality report on the
+    template a; returns the kinds checked."""
+    kinds = set()
+    obstructions = list(doc.get("obstructions", []))
+    fo = doc.get("fo_definability", {})
+    obstructions += fo.get("obstructions", [])
+    if "largest_obstruction" in fo:
+        obstructions.append(fo["largest_obstruction"])
+    for o in obstructions:
+        s = FiniteStructure.from_json_dict(o)
+        assert Obstruction(s, True, s.total_tuples()).verify(a)
+        kinds.add("obstruction")
+    polymorphisms = [doc.get("essentially_unary", {}).get("certificate", {}).get("operation"),
+                     fo.get("polymorphism")]
+    for table in filter(None, polymorphisms):
+        assert operation_preserves(OperationTable.from_json_dict(table), a)
+        kinds.add("polymorphism")
+    if "polymorphism" in fo:
+        f = OperationTable.from_json_dict(fo["polymorphism"])
+        assert Homomorphism(one_tolerant_power(a, f.k), a, f.values).verify()
+    endo = doc.get("core", {}).get("certificate", {}).get("non_embedding_endomorphism")
+    if endo is not None:
+        h = Homomorphism(a, a, tuple(endo))
+        assert h.verify() and not _is_embedding(h)
+        kinds.add("endomorphism")
+    return kinds
+
+
+def test_golden_certificates_verify():
+    """Every certificate in the golden outputs passes the library's own
+    checkers: obstructions, polymorphisms (the 1-tolerant one also as a
+    homomorphism from the one-tolerant power), non-embedding
+    endomorphisms, pp-definability certificates and Horn witness pairs."""
+    kinds = set()
+    for case, result in _expected().items():
+        args = case.split()
+        if result["exit"] == 2 or args[0] not in ("analyze", "duality", "ppdef", "horn"):
+            continue
+        doc = json.loads(result["stdout"])
+        if args[0] in ("analyze", "duality"):
+            kinds |= _check_structure_certificates(FiniteStructure.from_json(_read(args[1])), doc)
+        elif args[0] == "ppdef":
+            a = FiniteStructure.from_json(_read(args[1]))
+            rel = json.loads(_read(args[2]))
+            r = Relation.make(rel["arity"], rel["tuples"])
+            if doc["definable"]:
+                cert = PpDefinabilityCertificate(True, formula=parse_sentence(doc["formula"]))
+            else:
+                cert = PpDefinabilityCertificate(
+                    False, violating_operation=OperationTable.from_json_dict(doc["violating_operation"]),
+                    input_rows=tuple(map(tuple, doc["input_rows"])),
+                    violating_tuple=tuple(doc["violating_tuple"]))
+            assert cert.verify(a, r)
+            kinds.add("ppdef")
+        elif args[:2] == ["horn", "classify"] and not doc["horn"]:
+            f = parse_cnf(_read(args[2]))
+            irreducible = parse_cnf(doc["irreducible"])
+            p, q = ({v: Fraction(x) for v, x in point.items()} for point in doc["witness_pair"])
+            assert f.holds(p) and f.holds(q)
+            assert not check_mix_preservation(irreducible, p, q)
+            (clause,) = parse_cnf(doc["violating_clause"]).clauses
+            r1, r2 = [lit for lit in clause if lit.is_eq][:2]
+            assert (r1.holds(p), r2.holds(p), r1.holds(q), r2.holds(q)) == (True, False, False, True)
+            kinds.add("horn")
+    # no golden template is a non-core, so no report carries an endomorphism
+    assert kinds == {"obstruction", "polymorphism", "ppdef", "horn"}
 
 
 if __name__ == "__main__":
