@@ -20,6 +20,24 @@ classes that map (the next frontier), the critical ones and the ones that
 do neither, so a repeat skips both its homomorphism search and its
 criticality check.
 
+Each frontier class carries homomorphisms to the template, in
+lexicographic order and at most _MAX_CARRIED_MAPS of them; the root
+carries every template element.  The maps of an extension are its
+parent's, each extended by every assignment of the new vertices and kept
+when they send the added tuple into the template.  When the parent's
+list is complete (no map was ever cut off at the cap), the result is all
+of them, so an empty result means the extension does not map, without a
+search.  Only an empty result from an incomplete list runs a first-only
+homomorphism search; a map it finds starts a new, incomplete list.  The
+cap keeps memory and filtering time bounded: Hom(s, T) grows
+exponentially with the vertices of s on templates with many tuples.  A
+criticality check skips the newest tuple, because deleting it leaves the
+parent with isolated vertices, which maps.  The budget bounds each
+search the sweep runs, fallbacks and criticality checks alike; filtering
+carried maps runs no search and is not counted.  Since the sweep runs a
+subset of the searches it would run without carried maps, they can
+remove a budget overrun but never add one.
+
 A homomorphism from the one-tolerant k-th power to the template is a
 k-ary 1-tolerant polymorphism.  Finding one of arity n+1 certifies that
 the CSP is first-order definable and that all critical obstructions have
@@ -34,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .structures import (
     DEFAULT_BUDGET,
@@ -50,6 +69,11 @@ from .clones import OperationTable
 # obstructions of K2 up to C5) should pass explicit bounds.
 DEFAULT_MAX_VERTICES = 4
 DEFAULT_MAX_TUPLES = 6
+
+# Each frontier class of the obstruction sweep carries at most this many
+# homomorphisms to the template; beyond it, extensions whose carried maps
+# all fail fall back to a search.
+_MAX_CARRIED_MAPS = 16
 
 
 @dataclass
@@ -77,11 +101,14 @@ def _delete_tuple(s: FiniteStructure, rname: str, tup) -> FiniteStructure:
     return FiniteStructure(s.sig, s.n, rels, s.const)
 
 
-def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int) -> bool:
+def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int,
+                    newest=None) -> bool:
     """Criticality of an obstruction s: does every structure obtained by
-    deleting one tuple of s map to the template?"""
+    deleting one tuple of s map to the template?  The sweep passes the
+    (rname, tup) it added last as newest, which is not deleted: what
+    deleting it leaves is the parent with isolated vertices, which maps."""
     return all(find_homomorphism(_delete_tuple(s, rname, tup), template, budget=budget) is not None
-               for rname, tup in _all_tuples(s))
+               for rname, tup in _all_tuples(s) if (rname, tup) != newest)
 
 
 def _add_tuple(s: FiniteStructure, rname: str, tup, n: int) -> FiniteStructure:
@@ -101,7 +128,8 @@ def has_one_tolerant_polymorphism(a: FiniteStructure, k: int,
 
 def _extensions(s: FiniteStructure, max_vertices: int):
     """All structures obtained by adding one new tuple that contains an
-    existing vertex; its other entries may be new vertices, each used."""
+    existing vertex; its other entries may be new vertices, each used.
+    Yields (structure, rname, tup)."""
     for rname, ar in s.sig.relations:
         room = min(ar - 1, max_vertices - s.n)
         for fresh in range(room + 1):
@@ -111,7 +139,30 @@ def _extensions(s: FiniteStructure, max_vertices: int):
                     continue  # touch the structure and use every new vertex
                 if tup in s.rel[rname]:
                     continue
-                yield _add_tuple(s, rname, tup, n)
+                yield _add_tuple(s, rname, tup, n), rname, tup
+
+
+def _carried_maps(maps, complete: bool, fresh: int, template: FiniteStructure, rname, tup):
+    """The maps carried by the extension of a frontier class by tup, which
+    uses fresh new vertices, from the class's maps and their completeness:
+    each map extended by every assignment of the new vertices in ascending
+    order, kept when it sends tup into the template relation, at most
+    _MAX_CARRIED_MAPS of them.  Returns (maps, complete); the result is
+    incomplete when the parent's was or a map was cut off."""
+    allowed = template.rel[rname]
+    if len(tup) == 1:
+        allowed = {t[0] for t in allowed}
+    image = itemgetter(*tup)
+    tails = list(itertools.product(range(template.n), repeat=fresh))
+    out = []
+    for h in maps:
+        for tail in tails:
+            g = h + tail
+            if image(g) in allowed:
+                if len(out) == _MAX_CARRIED_MAPS:
+                    return out, False
+                out.append(g)
+    return out, complete
 
 
 def critical_obstructions(a: FiniteStructure,
@@ -128,22 +179,28 @@ def critical_obstructions(a: FiniteStructure,
     if max_vertices < 1 or max_tuples < 1:
         raise ValueError("enumeration bounds must be positive")
 
-    def maps(s):
-        return find_homomorphism(s, template, budget=budget) is not None
-
     found = {}
-    frontier = [FiniteStructure(template.sig, 1)]
+    # (structure, carried maps, complete); the root maps to every element
+    frontier = [(FiniteStructure(template.sig, 1),
+                 [(v,) for v in range(min(template.n, _MAX_CARRIED_MAPS))],
+                 template.n <= _MAX_CARRIED_MAPS)]
     for _ in range(max_tuples):
         next_frontier = {}
         dead = set()  # classes of this level that neither map nor are critical
-        for s in frontier:
-            for ext in _extensions(s, max_vertices):
+        for s, maps, complete in frontier:
+            for ext, rname, tup in _extensions(s, max_vertices):
                 key = canonical_form(ext)
                 if key in found or key in next_frontier or key in dead:
                     continue
-                if maps(ext):
-                    next_frontier[key] = ext
-                elif _weakenings_map(ext, template, budget):
+                ext_maps, ext_complete = _carried_maps(maps, complete, ext.n - s.n,
+                                                       template, rname, tup)
+                if not ext_maps and not ext_complete:
+                    h = find_homomorphism(ext, template, budget=budget)
+                    if h is not None:
+                        ext_maps = [h.map]
+                if ext_maps:
+                    next_frontier[key] = (ext, ext_maps, ext_complete)
+                elif _weakenings_map(ext, template, budget, (rname, tup)):
                     found[key] = Obstruction(ext, True, ext.total_tuples())
                 else:
                     dead.add(key)
@@ -197,15 +254,18 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
     complete obstruction set, from which the universal sentence is
     synthesized.  max_vertices and max_tuples never cut that sweep, which
     would drop obstructions from the set; they bound only the evidence
-    sweep.  On failure the verdict is explicitly arity-bounded and proves
-    nothing; the largest critical obstruction found within max_vertices
-    and max_tuples is reported as evidence.  A budget overrun at an arity
+    sweep.  None takes the defaults, and a bound below 1 raises ValueError
+    in either branch.  On failure the verdict is explicitly arity-bounded
+    and proves nothing; the largest critical obstruction found within
+    max_vertices and max_tuples is reported as evidence.  A budget overrun at an arity
     k > 3 ends the search there: the evidence is bounded by arity k-1 and
     the verdict names the overrun.  An overrun at arity 3 leaves no
     evidence and raises.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2 (1-tolerant polymorphisms are at least ternary)")
+    if any(b is not None and b < 1 for b in (max_vertices, max_tuples)):
+        raise ValueError("enumeration bounds must be positive")
     max_rel_arity = max((ar for _, ar in a.sig.relations), default=1)
     bound = f"up to arity {n_max + 1}"
     for k in range(3, n_max + 2):
@@ -231,8 +291,8 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
         )
     obs = critical_obstructions(
         a,
-        max_vertices=max_vertices or DEFAULT_MAX_VERTICES,
-        max_tuples=max_tuples or DEFAULT_MAX_TUPLES,
+        max_vertices=DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices,
+        max_tuples=DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples,
         budget=budget,
     )
     largest = max(obs, key=lambda o: o.hyperedges, default=None)

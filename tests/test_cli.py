@@ -146,6 +146,14 @@ def test_duality_one_tolerant_overrun_reports_bounded_evidence(files, capsys):
     assert code == 2 and "budget" in err
 
 
+def test_duality_rejects_bounds_below_one(files, capsys):
+    for flag in ("--max-vertices", "--max-tuples"):
+        for template in ("k2.json", "uv.json"):
+            code, out, err = run(capsys, "duality", files[template], "--n-max", "2", flag, "0")
+            assert code == 2 and out == ""
+            assert "bounds must be positive" in err
+
+
 def test_horn_commands(files, capsys):
     code, out, _ = run(capsys, "horn", "classify", files["horn.cnf"])
     assert code == 0 and "Horn" in out

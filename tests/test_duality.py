@@ -161,6 +161,8 @@ def test_sweep_differential_on_more_templates():
         if len(a.sig.relations) >= 2:
             cases.append((a, 3, 4))
     cases += [(helpers.nae(), 3, 3), (helpers.p4_structure(), 4, 2)]
+    # more elements than the root carries maps
+    cases += [(helpers.graph(17, [(0, 1), (1, 0)]), 4, 4)]
     for a, max_vertices, max_tuples in cases:
         got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
         want = oracles.reference_critical_obstructions(a, max_vertices, max_tuples)
@@ -170,50 +172,107 @@ def test_sweep_differential_on_more_templates():
 
 
 def _spy_on_sweep(monkeypatch):
-    """Record the structures the sweep searches outside criticality checks
-    and the ones it checks for criticality."""
-    searched, checked = [], []
+    """Record the searches the sweep runs outside criticality checks, as
+    (structure, result) pairs, the structures it checks for criticality
+    and the ones it canonizes."""
+    searched, checked, canonized = [], [], []
     weakening = []
     search = duality.find_homomorphism
     criticality = duality._weakenings_map
+    canonize = duality.canonical_form
 
     def counting_search(s, t, **kw):
+        h = search(s, t, **kw)
         if not weakening:
-            searched.append(s)
-        return search(s, t, **kw)
+            searched.append((s, h))
+        return h
 
-    def counting_criticality(s, t, budget):
+    def counting_criticality(s, t, budget, newest=None):
         checked.append(s)
         weakening.append(s)
         try:
-            return criticality(s, t, budget)
+            return criticality(s, t, budget, newest)
         finally:
             weakening.pop()
 
+    def counting_canonize(s):
+        canonized.append(s)
+        return canonize(s)
+
     monkeypatch.setattr(duality, "find_homomorphism", counting_search)
     monkeypatch.setattr(duality, "_weakenings_map", counting_criticality)
-    return searched, checked
+    monkeypatch.setattr(duality, "canonical_form", counting_canonize)
+    return searched, checked, canonized
 
 
 def test_sweep_decides_each_class_once(monkeypatch):
-    """Every isomorphism class of extensions is searched for a map to the
-    template, and checked for criticality, at most once."""
-    searched, checked = _spy_on_sweep(monkeypatch)
+    """On K2 every connected structure that maps has at most two maps, so
+    the carried maps decide every extension: the sweep runs no search
+    outside criticality checks, and checks each class at most once."""
+    searched, checked, _ = _spy_on_sweep(monkeypatch)
     obs = critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
     assert len(obs) == 7
-    searched = [canonical_form(s) for s in searched]
+    assert searched == []
     checked = [canonical_form(s) for s in checked]
-    assert len(searched) > 100 and checked
-    assert len(set(searched)) == len(searched)
+    assert checked
     assert len(set(checked)) == len(checked)
 
 
 def test_sweep_searches_connected_structures_only(monkeypatch):
-    searched, checked = _spy_on_sweep(monkeypatch)
+    _, checked, canonized = _spy_on_sweep(monkeypatch)
     critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
     critical_obstructions(helpers.nae(), max_vertices=3, max_tuples=3)
-    assert len(searched) > 100 and checked
-    assert all(oracles._is_connected(s) for s in searched + checked)
+    assert len(canonized) > 100 and checked
+    assert all(oracles._is_connected(s) for s in canonized + checked)
+
+
+def test_sweep_capped_maps_match_reference(monkeypatch):
+    """Templates whose frontier classes have more maps than the sweep
+    carries.  On K3 and C5 a cut-off list filters to empty and the search
+    that follows finds nothing; on the full edge relation with U = {(2,)},
+    the carried maps send the new tuple outside U and the search finds a
+    map.  The obstructions match the reference either way."""
+    full_edge = FiniteStructure(Signature.make({"E": 2, "U": 1}), 3,
+                                {"E": itertools.product(range(3), repeat=2), "U": [(2,)]})
+    cases = [(helpers.k3(), 5, 5, False), (helpers.cycle(5), 5, 5, False),
+             (full_edge, 4, 4, True)]
+    wants = [oracles.reference_critical_obstructions(a, v, t) for a, v, t, _ in cases]
+    searched, _, _ = _spy_on_sweep(monkeypatch)
+    for (a, max_vertices, max_tuples, finds), want in zip(cases, wants):
+        del searched[:]
+        got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
+        assert [oracles.exhaustive_canonical_key(o.structure) for o in got] == \
+            [oracles.exhaustive_canonical_key(o.structure) for o in want]
+        assert all(is_isomorphic(g.structure, w.structure) for g, w in zip(got, want))
+        assert searched
+        assert all((h is not None) == finds for _, h in searched)
+
+
+def test_carried_maps_are_capped_and_lexicographic():
+    k3 = helpers.k3()
+    path = helpers.graph(3, [(0, 1), (1, 2)])
+    parent = oracles.brute_homs(path, k3)  # 12 maps, all of them
+    # a new edge to a fresh vertex doubles them past the cap
+    ext = helpers.graph(4, [(0, 1), (1, 2), (2, 3)])
+    maps, complete = duality._carried_maps(parent, True, 1, k3, "E", (2, 3))
+    assert not complete
+    assert len(maps) == duality._MAX_CARRIED_MAPS
+    assert maps == oracles.brute_homs(ext, k3)[:duality._MAX_CARRIED_MAPS]
+    # closing the path into a triangle keeps 6 of the 12, all of them
+    triangle = helpers.graph(3, [(0, 1), (1, 2), (2, 0)])
+    maps, complete = duality._carried_maps(parent, True, 0, k3, "E", (2, 0))
+    assert complete and maps == oracles.brute_homs(triangle, k3)
+    # from an incomplete parent nothing is complete
+    assert duality._carried_maps(parent, False, 0, k3, "E", (2, 0)) == (maps, False)
+
+
+def test_fo_report_rejects_bounds_below_one():
+    for kw in ({"max_vertices": 0}, {"max_tuples": 0}, {"max_vertices": -1}):
+        with pytest.raises(ValueError, match="bounds must be positive"):
+            fo_definability_report(helpers.k2(), n_max=2, **kw)
+        # the fo-definable branch never runs the evidence sweep
+        with pytest.raises(ValueError, match="bounds must be positive"):
+            fo_definability_report(helpers.uv(), n_max=2, **kw)
 
 
 def test_fo_report_t3_sweeps_past_max_vertices():
