@@ -21,6 +21,7 @@ from the same input files and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -394,7 +395,9 @@ def _budget_flag(p):
                    help="candidate-assignment budget per search")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="cspbench",
         description="Analyze finite constraint-satisfaction templates.")
@@ -407,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--types-n", type=int, default=1, dest="types_n")
     p.add_argument("--duality-n", type=int, default=3, dest="duality_n")
     _budget_flag(p)
-    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("solve", help="decide a pp/ep sentence on a template")
     p.add_argument("structure")
@@ -416,19 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route ep sentences through the disjunction rewriter")
     p.add_argument("--p4-name", default="P4", dest="p4_name")
     _budget_flag(p)
-    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("ppdef", help="pp-definability certificate for a relation")
     p.add_argument("structure")
     p.add_argument("relation", help="JSON file with fields arity, tuples")
     _budget_flag(p)
-    p.set_defaults(fn=_cmd_ppdef)
 
     p = sub.add_parser("types", help="maximal pp-type counts")
     p.add_argument("structure")
     p.add_argument("--n", type=int, default=2)
     _budget_flag(p)
-    p.set_defaults(fn=_cmd_types)
 
     p = sub.add_parser("duality", help="fo-definability and critical obstructions")
     p.add_argument("structure")
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "enumerates its complete obstruction set regardless")
     p.add_argument("--export", default=None, help="directory for the obstruction set")
     _budget_flag(p)
-    p.set_defaults(fn=_cmd_duality)
 
     p = sub.add_parser("horn", help="classify or solve a linear-equality CNF")
     p.add_argument("action", choices=("classify", "solve"))
@@ -449,14 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=linear_horn.DEFAULT_BRANCH_BUDGET,
                    help="branch-node budget per satisfiability check of 'horn classify'; "
                         "'horn solve' is polynomial and does not use it")
-    p.set_defaults(fn=_cmd_horn)
 
     p = sub.add_parser("rewrite-ep", help="eliminate disjunctions via a P4 relation")
     p.add_argument("structure")
     p.add_argument("sentence")
     p.add_argument("--p4-name", default="P4", dest="p4_name")
     _budget_flag(p)
-    p.set_defaults(fn=_cmd_rewrite_ep)
 
     return parser
 
@@ -464,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # by name at each call: the parser is built once and holds no command function
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError, BudgetExceededError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ universal quantification exist in this AST.
 Evaluation of a pp formula reduces to homomorphism search from its
 canonical database (equalities merged by union-find); ep formulas are
 evaluated by structural recursion with quantifiers ranging over the
-domain.
+domain.  One renaming walk, _rename, serves disjunction elimination both
+for replacing free names and for giving every quantifier fresh variables.
 
 Sentence text grammar (used by the CLI; '#' starts a comment)::
 
@@ -20,7 +21,10 @@ Sentence text grammar (used by the CLI; '#' starts a comment)::
     conj     :=  atom ('&' atom)*
     atom     :=  '(' formula ')'  |  'false'
               |  name '(' name (',' name)* ')'  |  name '=' name
-    name     :=  [A-Za-z_][A-Za-z0-9_]*
+    name     :=  a letter or '_', then letters, digits or '_'
+
+Letters and digits are Unicode ones (str.isalpha, str.isalnum), so 'é'
+is a name and '²' may follow its first character but not start it.
 
 '&' binds tighter than '|'; 'exists' extends as far right as possible.
 Universal quantifiers and negation are rejected.
@@ -29,6 +33,7 @@ Universal quantifiers and negation are rejected.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .structures import (
@@ -155,24 +160,6 @@ def free_variables(phi, sig: Signature) -> set:
     return free_names(phi) - set(sig.constants)
 
 
-def substitute(phi, mapping: dict):
-    """Replace free occurrences of names; bound names are left alone."""
-    if isinstance(phi, Atom):
-        return Atom(phi.rel, tuple(mapping.get(x, x) for x in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(mapping.get(phi.left, phi.left), mapping.get(phi.right, phi.right))
-    if isinstance(phi, And):
-        return And(tuple(substitute(p, mapping) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(substitute(p, mapping) for p in phi.parts))
-    if isinstance(phi, Exists):
-        inner = {k: v for k, v in mapping.items() if k not in phi.vars}
-        return Exists(phi.vars, substitute(phi.body, inner))
-    if isinstance(phi, Falsum):
-        return phi
-    raise FormulaError(f"not a formula node: {phi!r}")
-
-
 class _FreshNames:
     def __init__(self, taken, prefix="_v"):
         self.taken = set(taken)
@@ -188,33 +175,31 @@ class _FreshNames:
                 return name
 
 
-def rename_bound_apart(phi, fresh=None):
-    """Give every quantifier its own fresh variable name."""
-    if fresh is None:
-        fresh = _FreshNames(names_in(phi), prefix="_q")
+def _rename(phi, env: dict, fresh=None):
+    """Replace names through env, which maps a name to its new name.
 
-    def walk(node, env):
-        if isinstance(node, Atom):
-            return Atom(node.rel, tuple(env.get(x, x) for x in node.args))
-        if isinstance(node, Eq):
-            return Eq(env.get(node.left, node.left), env.get(node.right, node.right))
-        if isinstance(node, And):
-            return And(tuple(walk(p, env) for p in node.parts))
-        if isinstance(node, Or):
-            return Or(tuple(walk(p, env) for p in node.parts))
-        if isinstance(node, Exists):
-            new_env = dict(env)
-            new_vars = []
-            for v in node.vars:
-                nv = fresh()
-                new_env[v] = nv
-                new_vars.append(nv)
-            return Exists(tuple(new_vars), walk(node.body, new_env))
-        if isinstance(node, Falsum):
-            return node
-        raise FormulaError(f"not a formula node: {node!r}")
-
-    return walk(phi, {})
+    Without fresh, only free occurrences are replaced: a quantifier keeps
+    its variables and shadows their entries of env.  With fresh, every
+    quantified variable is also renamed to fresh(), one call per variable
+    in preorder, so that no two quantifiers share a name.
+    """
+    if isinstance(phi, Atom):
+        return Atom(phi.rel, tuple(env.get(x, x) for x in phi.args))
+    if isinstance(phi, Eq):
+        return Eq(env.get(phi.left, phi.left), env.get(phi.right, phi.right))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(_rename(p, env, fresh) for p in phi.parts))
+    if isinstance(phi, Exists):
+        if fresh is None:
+            bound = phi.vars
+            inner = {k: v for k, v in env.items() if k not in bound}
+        else:
+            bound = tuple(fresh() for _ in phi.vars)
+            inner = {**env, **dict(zip(phi.vars, bound))}
+        return Exists(bound, _rename(phi.body, inner, fresh))
+    if isinstance(phi, Falsum):
+        return phi
+    raise FormulaError(f"not a formula node: {phi!r}")
 
 
 def _validate_symbols(phi, sig: Signature):
@@ -245,23 +230,26 @@ def _numbered_names(count: int, avoid) -> tuple:
     raise AssertionError("unreachable: some prefix is always free")
 
 
-def canonical_query(a: FiniteStructure) -> object:
-    """The pp sentence listing all positive facts of a, one variable per element.
+def _fact_formula(a: FiniteStructure, variables: tuple, extra=()) -> Exists:
+    """exists variables . (every fact of a) & (constant equalities) & extra.
 
-    Constants are folded in as equalities x_i = c pinning the element's
-    variable; an empty conjunction is rendered as the trivial equality
-    x0 = x0 so the sentence grammar stays closed.
+    variables[e] names element e.  Facts come relation by relation in
+    signature order, tuples sorted; each constant c of the signature adds
+    the equality variables[e] = c pinning its element e.  An empty
+    conjunction becomes the trivial equality variables[0] = variables[0],
+    so the rendered sentence stays inside the grammar.
     """
-    variables = _numbered_names(a.n, a.sig.constants)
-    atoms = []
-    for rname, _ in a.sig.relations:
-        for t in sorted(a.rel[rname]):
-            atoms.append(Atom(rname, tuple(variables[v] for v in t)))
-    for cname in a.sig.constants:
-        atoms.append(Eq(variables[a.const[cname]], cname))
-    if not atoms:
-        atoms.append(Eq(variables[0], variables[0]))
-    return Exists(variables, conj(atoms))
+    atoms = [Atom(rname, tuple(variables[v] for v in t))
+             for rname, _ in a.sig.relations for t in sorted(a.rel[rname])]
+    atoms += [Eq(variables[a.const[cname]], cname) for cname in a.sig.constants]
+    atoms += extra
+    return Exists(variables, conj(atoms or [Eq(variables[0], variables[0])]))
+
+
+def canonical_query(a: FiniteStructure) -> Exists:
+    """The pp sentence listing all positive facts of a, one variable per
+    element; constants are folded in as equalities x_i = c."""
+    return _fact_formula(a, _numbered_names(a.n, a.sig.constants))
 
 
 def canonical_structure(phi, sig: Signature):
@@ -300,13 +288,13 @@ def canonical_structure(phi, sig: Signature):
         elif isinstance(node, Eq):
             union(node.left, node.right)
 
-    reps = sorted({find(x) for x in nodes})
-    elem = {x: reps.index(find(x)) for x in nodes}
+    rank = {r: i for i, r in enumerate(sorted({find(x) for x in nodes}))}
+    elem = {x: rank[find(x)] for x in nodes}
     relations = {}
     for atom in atoms:
         relations.setdefault(atom.rel, set()).add(tuple(elem[x] for x in atom.args))
     constants = {c: elem[c] for c in consts}
-    db = FiniteStructure(sig, len(reps), relations, constants)
+    db = FiniteStructure(sig, len(rank), relations, constants)
     return db, elem
 
 
@@ -441,21 +429,13 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
 def local_refutation_value(a: FiniteStructure, phi) -> bool:
     """Boolean value of the sentence after replacing atoms over empty
     relations by false and every other atom (equalities included) by true;
-    quantifiers are dropped."""
-    _validate_symbols(phi, a.sig)
-    if isinstance(phi, Atom):
-        return bool(a.rel[phi.rel])
-    if isinstance(phi, Eq):
-        return True
-    if isinstance(phi, And):
-        return all(local_refutation_value(a, p) for p in phi.parts)
-    if isinstance(phi, Or):
-        return any(local_refutation_value(a, p) for p in phi.parts)
-    if isinstance(phi, Exists):
-        return local_refutation_value(a, phi.body)
-    if isinstance(phi, Falsum):
-        return False
-    raise FormulaError(f"not a formula node: {phi!r}")
+    quantifiers are dropped.  This is the truth of phi in the one-element
+    structure whose relations are full exactly where those of a are
+    nonempty."""
+    point = FiniteStructure(a.sig, 1,
+                            {rname: [(0,) * ar] for rname, ar in a.sig.relations if a.rel[rname]},
+                            dict.fromkeys(a.sig.constants, 0))
+    return evaluate(point, phi, dict.fromkeys(free_variables(phi, a.sig), 0))
 
 
 def is_locally_refutable(a: FiniteStructure, include_constants: bool = True):
@@ -538,7 +518,7 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
         return phi
 
     fresh = _FreshNames(names_in(phi) | constants)
-    phi = rename_bound_apart(phi, fresh)
+    phi = _rename(phi, {}, fresh)
 
     def branch_satisfiable(psi):
         if _contains_falsum(psi):
@@ -564,7 +544,7 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
         copy1 = {v: fresh() for v in vars1}
         copy2 = {w: fresh() for w in vars2}
         selector = [Atom(p4, (copy1[v], v, copy2[w], w)) for v in vars1 for w in vars2]
-        body = conj([substitute(psi1, copy1), substitute(psi2, copy2)] + selector)
+        body = conj([_rename(psi1, copy1), _rename(psi2, copy2)] + selector)
         return Exists(tuple(copy1[v] for v in vars1) + tuple(copy2[w] for w in vars2), body)
 
     def rewrite(node):
@@ -595,47 +575,30 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
 # -- sentence text grammar --
 
 _KEYWORDS = {"exists", "false"}
-_REJECTED = {"forall", "not", "~", "!"}
+_REJECTED = {"forall", "not"}
+# The search skips blanks (" \t\r"), and a comment yields no token; a
+# newline starts the next line.  A word that starts with a digit, like any
+# other character outside the grammar, is reported at its first character.
+_TOKEN = re.compile(r"#[^\n]*|(?P<newline>\n)|(?P<punct>[()&|=.,])|(?P<word>\w+)|(?P<other>[^ \t\r])")
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in "()&|=.,":
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _REJECTED:
-                raise FormulaError(f"line {line} col {col}: {word!r} is not part of the ep fragment")
-            kind = word if word in _KEYWORDS else "name"
-            tokens.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise FormulaError(f"line {line} col {col}: unexpected character {ch!r}")
-    tokens.append(("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "punct":
+            tokens.append((lexeme, lexeme, line, col))
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            if lexeme in _REJECTED:
+                raise FormulaError(f"line {line} col {col}: {lexeme!r} is not part of the ep fragment")
+            tokens.append((lexeme if lexeme in _KEYWORDS else "name", lexeme, line, col))
+        elif kind is not None:
+            raise FormulaError(f"line {line} col {col}: unexpected character {lexeme[0]!r}")
+    # The end of input is placed where a trailing comment starts.
+    tokens.append(("end", "", line, len(text[line_start:].partition("#")[0]) + 1))
     return tokens
 
 

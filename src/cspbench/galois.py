@@ -27,7 +27,7 @@ from .structures import (
     is_int,
     power,
 )
-from .formulas import Atom, Eq, Exists, FALSE, _numbered_names, conj, evaluator, free_variables
+from .formulas import Eq, FALSE, _fact_formula, _numbered_names, evaluator, free_variables
 from .clones import OperationTable, operation_preserves
 
 # Indicator powers: t tuples mean a power with |A|**t elements.  These caps
@@ -194,16 +194,8 @@ def synthesize_pp_definition(a: FiniteStructure, r: Relation,
     inner = tuple(f"_e{i}" for i in range(pw.n))
     assert not inner_avoid.intersection(inner)
 
-    atoms = []
-    for rname, _ in pw.sig.relations:
-        for tup in sorted(pw.rel[rname]):
-            atoms.append(Atom(rname, tuple(inner[e] for e in tup)))
-    for cname in pw.sig.constants:
-        atoms.append(Eq(inner[pw.const[cname]], cname))
-    for y, col in zip(outer, _columns(a, rows, r.arity)):
-        atoms.append(Eq(y, inner[col]))
-    phi = Exists(inner, conj(atoms))
-
+    columns = _columns(a, rows, r.arity)
+    phi = _fact_formula(pw, inner, [Eq(y, inner[col]) for y, col in zip(outer, columns)])
     extension = relation_of_formula(a, phi, r.arity)
     if extension != r.tuples:
         raise ValueError("relation is not pp-definable; synthesize_pp_definition "

@@ -438,26 +438,19 @@ def make_irreducible(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> Linea
     re-verified by mutual entailment before returning.
     """
     clauses = [list(c) for c in f.clauses]
-
-    def entailed(others, clause):
-        # others AND not(clause) unsatisfiable?
-        negation = [(lit.negate(),) for lit in clause]
-        return cnf_sat(LinearCnf([tuple(c) for c in others] + negation), budget=budget) is None
-
     changed = True
     while changed:
         changed = False
         for i in range(len(clauses)):
             others = clauses[:i] + clauses[i + 1:]
-            if entailed(others, clauses[i]):
+            if _entails(others, clauses[i], budget):
                 del clauses[i]
                 changed = True
                 break
             for j in range(len(clauses[i])):
-                lit = clauses[i][j]
+                # not(not L) is L: this probes (F minus C) and L and not(C minus L)
                 rest = clauses[i][:j] + clauses[i][j + 1:]
-                probe = [tuple(c) for c in others] + [(lit,)] + [(l.negate(),) for l in rest]
-                if cnf_sat(LinearCnf(probe), budget=budget) is None:
+                if _entails(others, [clauses[i][j].negate()] + rest, budget):
                     del clauses[i][j]
                     changed = True
                     break
@@ -465,13 +458,16 @@ def make_irreducible(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> Linea
                 break
 
     out = LinearCnf([tuple(c) for c in clauses])
-    for direction in ((f, out), (out, f)):
-        src, dst = direction
-        for clause in dst.clauses:
-            probe = list(src.clauses) + [(lit.negate(),) for lit in clause]
-            if cnf_sat(LinearCnf(probe), budget=budget) is not None:
-                raise AssertionError("irreducibility transform changed the CNF's meaning")
+    for src, dst in ((f, out), (out, f)):
+        if not all(_entails(src.clauses, clause, budget) for clause in dst.clauses):
+            raise AssertionError("irreducibility transform changed the CNF's meaning")
     return out
+
+
+def _entails(clauses, clause, budget: int) -> bool:
+    """Whether the clauses entail clause: clauses and not(clause) is unsatisfiable."""
+    probe = [tuple(c) for c in clauses] + [(lit.negate(),) for lit in clause]
+    return cnf_sat(LinearCnf(probe), budget=budget) is None
 
 
 @dataclass

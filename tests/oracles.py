@@ -6,13 +6,15 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.
+indicator construction the library uses.  The last section is different:
+it keeps earlier formula-layer code verbatim as a reference.
 """
 
 import itertools
 
 from cspbench.duality import _add_tuple, _all_tuples
-from cspbench.formulas import And, Atom, Eq, Exists, Falsum, Or
+from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or, _FreshNames,
+                               _validate_symbols, names_in)
 from cspbench.structures import FiniteStructure
 
 
@@ -368,3 +370,121 @@ def reference_critical_obstructions(a, max_vertices, max_tuples, budget=5_000_00
         frontier = next_frontier
     return sorted(found.values(),
                   key=lambda o: (o.hyperedges, o.structure.n, exhaustive_canonical_key(o.structure)))
+
+# -- reference formula-layer code, kept verbatim: two renaming walks, a
+# recursive local refutation and a character-loop tokenizer.  Differential
+# tests hold cspbench.formulas._rename, local_refutation_value and
+# _tokenize to them. --
+
+
+def substitute(phi, mapping: dict):
+    """Replace free occurrences of names; bound names are left alone."""
+    if isinstance(phi, Atom):
+        return Atom(phi.rel, tuple(mapping.get(x, x) for x in phi.args))
+    if isinstance(phi, Eq):
+        return Eq(mapping.get(phi.left, phi.left), mapping.get(phi.right, phi.right))
+    if isinstance(phi, And):
+        return And(tuple(substitute(p, mapping) for p in phi.parts))
+    if isinstance(phi, Or):
+        return Or(tuple(substitute(p, mapping) for p in phi.parts))
+    if isinstance(phi, Exists):
+        inner = {k: v for k, v in mapping.items() if k not in phi.vars}
+        return Exists(phi.vars, substitute(phi.body, inner))
+    if isinstance(phi, Falsum):
+        return phi
+    raise FormulaError(f"not a formula node: {phi!r}")
+
+
+def rename_bound_apart(phi, fresh=None):
+    """Give every quantifier its own fresh variable name."""
+    if fresh is None:
+        fresh = _FreshNames(names_in(phi), prefix="_q")
+
+    def walk(node, env):
+        if isinstance(node, Atom):
+            return Atom(node.rel, tuple(env.get(x, x) for x in node.args))
+        if isinstance(node, Eq):
+            return Eq(env.get(node.left, node.left), env.get(node.right, node.right))
+        if isinstance(node, And):
+            return And(tuple(walk(p, env) for p in node.parts))
+        if isinstance(node, Or):
+            return Or(tuple(walk(p, env) for p in node.parts))
+        if isinstance(node, Exists):
+            new_env = dict(env)
+            new_vars = []
+            for v in node.vars:
+                nv = fresh()
+                new_env[v] = nv
+                new_vars.append(nv)
+            return Exists(tuple(new_vars), walk(node.body, new_env))
+        if isinstance(node, Falsum):
+            return node
+        raise FormulaError(f"not a formula node: {node!r}")
+
+    return walk(phi, {})
+
+
+def local_refutation_value(a: FiniteStructure, phi) -> bool:
+    """Boolean value of the sentence after replacing atoms over empty
+    relations by false and every other atom (equalities included) by true;
+    quantifiers are dropped."""
+    _validate_symbols(phi, a.sig)
+    if isinstance(phi, Atom):
+        return bool(a.rel[phi.rel])
+    if isinstance(phi, Eq):
+        return True
+    if isinstance(phi, And):
+        return all(local_refutation_value(a, p) for p in phi.parts)
+    if isinstance(phi, Or):
+        return any(local_refutation_value(a, p) for p in phi.parts)
+    if isinstance(phi, Exists):
+        return local_refutation_value(a, phi.body)
+    if isinstance(phi, Falsum):
+        return False
+    raise FormulaError(f"not a formula node: {phi!r}")
+
+
+# Word classes of the character-loop tokenizer below.
+_KEYWORDS = {"exists", "false"}
+_REJECTED = {"forall", "not", "~", "!"}
+
+
+def _tokenize(text: str):
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch in "()&|=.,":
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in _REJECTED:
+                raise FormulaError(f"line {line} col {col}: {word!r} is not part of the ep fragment")
+            kind = word if word in _KEYWORDS else "name"
+            tokens.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise FormulaError(f"line {line} col {col}: unexpected character {ch!r}")
+    tokens.append(("end", "", line, col))
+    return tokens

@@ -4,8 +4,11 @@ import random
 import pytest
 
 import helpers
-from cspbench import cli
+from cspbench import FiniteStructure, Signature, cli
 from cspbench.cli import AnalysisReport, main
+from cspbench.formulas import parse_sentence
+from cspbench.galois import PpDefinabilityCertificate, Relation
+from cspbench.structures import DEFAULT_BUDGET
 
 
 @pytest.fixture
@@ -95,6 +98,40 @@ def test_ppdef_exit_codes(files, capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "ppdef", files["u1.json"], files["k2.json"])
     assert code == 2 and "error" in err
+
+
+def test_ppdef_certificate_with_empty_body_reparses(files, capsys, tmp_path):
+    # no relations or constants: the defining formula has no fact to list
+    a = FiniteStructure(Signature.make({}), 2)
+    template, rel = tmp_path / "bare.json", tmp_path / "rel0.json"
+    template.write_text(a.to_json())
+    rel.write_text(json.dumps({"arity": 0, "tuples": [[]]}))
+    code, out, err = run(capsys, "--format", "machine", "ppdef", str(template), str(rel))
+    assert code == 0, err
+    formula = json.loads(out)["formula"]
+    assert formula == "exists _e0 _e1 . _e0 = _e0"
+    cert = PpDefinabilityCertificate(True, formula=parse_sentence(formula))
+    assert cert.verify(a, Relation.make(0, [()]))
+
+
+def test_consecutive_main_calls_share_no_state(files, capsys):
+    argvs = [
+        ("--format", "machine", "solve", files["k2.json"], files["edge.txt"], "--budget", "50"),
+        ("solve", files["k2.json"], files["loop.txt"]),
+        ("--format", "machine", "horn", "classify", files["nonhorn.cnf"]),
+        ("ppdef", files["u1.json"], files["rel.json"]),
+        ("--format", "machine", "rewrite-ep", files["p4.json"], files["disj.txt"]),
+        ("types", files["u1.json"], "--n", "1"),
+    ]
+    forward = [run(capsys, *argv) for argv in argvs]
+    backward = [run(capsys, *argv) for argv in reversed(argvs)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [0, 1, 1, 0, 0, 0]
+    assert json.loads(forward[0][1])["satisfied"] is True
+    assert not forward[1][1].startswith("{")
+    assert cli.build_parser() is cli.build_parser()
+    args = cli.build_parser().parse_args(["solve", "k2.json", "edge.txt"])
+    assert (args.format, args.budget, args.via_p4) == ("text", DEFAULT_BUDGET, False)
 
 
 def test_types(files, capsys):

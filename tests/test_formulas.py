@@ -15,6 +15,9 @@ from cspbench.formulas import (
     FormulaError,
     Or,
     TriviallyFalseError,
+    _FreshNames,
+    _rename,
+    _tokenize,
     canonical_query,
     canonical_structure,
     eliminate_disjunctions,
@@ -23,6 +26,7 @@ from cspbench.formulas import (
     is_locally_refutable,
     is_pp,
     local_refutation_value,
+    names_in,
     parse_sentence,
     render,
     witness_assignment,
@@ -48,6 +52,94 @@ def test_parse_rejects_universals_and_negation():
                 "exists x . ~E(x,x)", "exists . E(x,x)", "exists x , E(x,x)"):
         with pytest.raises(FormulaError):
             parse_sentence(bad)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the text of the FormulaError it raised."""
+    try:
+        return "ok", fn(*args)
+    except FormulaError as exc:
+        return "error", str(exc)
+
+
+# Pieces of random tokenizer input.  A bad piece is an error unless a comment
+# hides it or a word before it absorbs it.
+_BAD_PIECES = ("~", "!", "\v", "-", ";", "0", "²", "forall", "not")
+_GOOD_PIECES = ("exists", "false", "x", "E", "v1", "_", "é", "#", " ", "\t", "\n", "\r",
+                "(", ")", "&", "|", "=", ".", ",")
+
+
+def test_tokenizer_matches_reference():
+    rng = random.Random(41)
+    pieces = _BAD_PIECES + _GOOD_PIECES
+    weights = [1] * len(_BAD_PIECES) + [4] * len(_GOOD_PIECES)
+    outcomes = set()
+    for _ in range(100_000):
+        text = "".join(rng.choices(pieces, weights, k=rng.randint(0, 12)))
+        got = _outcome(_tokenize, text)
+        assert got == _outcome(oracles._tokenize, text), text
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "error"}
+
+
+def _structure_with_constants(rng):
+    """A random structure with up to two constants and some relations emptied."""
+    a = helpers.random_structure(rng, max_n=3, max_rels=3, max_arity=3)
+    consts = rng.sample(["c", "d"], rng.randint(0, 2))
+    relations = {r: () if rng.random() < 0.3 else a.rel[r] for r, _ in a.sig.relations}
+    return FiniteStructure(Signature.make(dict(a.sig.relations), constants=consts), a.n,
+                           relations, {c: rng.randrange(a.n) for c in consts})
+
+
+def _decorated_sentence(rng, sig):
+    """A random ep sentence with constants in term positions, false
+    branches, nested (shadowing) quantifiers and, rarely, a quantified
+    constant, which is an error."""
+    phi = helpers.random_ep_sentence(rng, sig, max_vars=5)
+    constants = list(sig.constants)
+
+    def term(x):
+        return rng.choice(constants) if constants and rng.random() < 0.2 else x
+
+    def walk(node):
+        if isinstance(node, Atom):
+            node = Atom(node.rel, tuple(term(x) for x in node.args))
+        elif isinstance(node, Eq):
+            node = Eq(term(node.left), term(node.right))
+        else:
+            node = type(node)(tuple(walk(p) for p in node.parts))
+        roll = rng.random()
+        if roll < 0.1:
+            return Or((node, FALSE))
+        if roll < 0.3:
+            return Exists(tuple(rng.sample(phi.vars, rng.randint(1, 2))), node)
+        if roll < 0.31 and constants:
+            return Exists((constants[0],), node)
+        return node
+
+    return Exists(phi.vars, walk(phi.body))
+
+
+def test_renaming_and_local_refutation_match_reference():
+    rng = random.Random(43)
+    values = set()
+    for _ in range(2000):
+        a = _structure_with_constants(rng)
+        phi = _decorated_sentence(rng, a.sig)
+        for psi in (phi, phi.body):
+            got = _outcome(local_refutation_value, a, psi)
+            assert got == _outcome(oracles.local_refutation_value, a, psi)
+            values.add(got)
+            names = sorted(names_in(psi))
+            mapping = {x: rng.choice(["u", "w", x + "_"])
+                       for x in rng.sample(names, rng.randint(0, len(names)))}
+            assert _rename(psi, mapping) == oracles.substitute(psi, mapping)
+        taken = names_in(phi) | set(a.sig.constants)
+        new, old = _FreshNames(taken), _FreshNames(taken)
+        assert _rename(phi, {}, new) == oracles.rename_bound_apart(phi, old)
+        assert new.counter == old.counter
+    assert {("ok", True), ("ok", False)} <= values
+    assert any(kind == "error" for kind, _ in values)
 
 
 def test_render_round_trip():
