@@ -96,9 +96,9 @@ def _all_tuples(s: FiniteStructure):
 
 
 def _delete_tuple(s: FiniteStructure, rname: str, tup) -> FiniteStructure:
-    rels = {r: set(ts) for r, ts in s.rel.items()}
-    rels[rname].discard(tuple(tup))
-    return FiniteStructure(s.sig, s.n, rels, s.const)
+    rel = dict(s.rel)
+    rel[rname] = rel[rname] - {tuple(tup)}
+    return FiniteStructure._from_checked(s.sig, s.n, rel, s.const)
 
 
 def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int,
@@ -112,9 +112,11 @@ def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int,
 
 
 def _add_tuple(s: FiniteStructure, rname: str, tup, n: int) -> FiniteStructure:
-    rels = {r: set(ts) for r, ts in s.rel.items()}
-    rels[rname].add(tuple(tup))
-    return FiniteStructure(s.sig, n, rels, s.const)
+    """s with one more tuple, over n >= s.n elements; tup must lie in
+    range(n) and have rname's arity, which the sweep guarantees."""
+    rel = dict(s.rel)
+    rel[rname] = rel[rname] | {tuple(tup)}
+    return FiniteStructure._from_checked(s.sig, n, rel, s.const)
 
 
 def has_one_tolerant_polymorphism(a: FiniteStructure, k: int,

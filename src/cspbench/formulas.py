@@ -220,14 +220,17 @@ def _validate_symbols(phi, sig: Signature):
 # -- canonical queries and canonical databases --
 
 
-def _numbered_names(count: int, avoid) -> tuple:
-    """count distinct names of the form x0, x1, ... avoiding a name set."""
+def _numbered_names(count: int, avoid, prefixes=("x", "y", "v", "w", "_x")) -> tuple:
+    """count distinct names p0, p1, ... for the first prefix p that avoids
+    a name set.  Past the given prefixes come the last one with one, two,
+    ... more leading underscores, so the search always ends: a prefix
+    longer than every avoided name avoids them all."""
     avoid = set(avoid)
-    for prefix in ("x", "y", "v", "w", "_x"):
+    longer = ("_" * k + prefixes[-1] for k in itertools.count(1))
+    for prefix in itertools.chain(prefixes, longer):
         names = tuple(f"{prefix}{i}" for i in range(count))
-        if not avoid.intersection(names):
+        if avoid.isdisjoint(names):
             return names
-    raise AssertionError("unreachable: some prefix is always free")
 
 
 def _fact_formula(a: FiniteStructure, variables: tuple, extra=()) -> Exists:

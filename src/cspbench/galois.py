@@ -190,9 +190,7 @@ def synthesize_pp_definition(a: FiniteStructure, r: Relation,
     pw = indicator_power or _indicator_power(a, len(rows), budget)
 
     outer = _numbered_names(r.arity, a.sig.constants)
-    inner_avoid = set(a.sig.constants) | set(outer)
-    inner = tuple(f"_e{i}" for i in range(pw.n))
-    assert not inner_avoid.intersection(inner)
+    inner = _numbered_names(pw.n, set(a.sig.constants) | set(outer), prefixes=("_e",))
 
     columns = _columns(a, rows, r.arity)
     phi = _fact_formula(pw, inner, [Eq(y, inner[col]) for y, col in zip(outer, columns)])

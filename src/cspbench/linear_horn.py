@@ -4,11 +4,13 @@ Literals are (in)equations  c_1*x_1 + ... + c_k*x_k  =  d  (or != d) with
 exact rational coefficients; clauses are disjunctions of literals and a
 CNF is a conjunction of clauses.  A clause is Horn when it carries at most
 one equality literal.  Satisfiability over the rationals is decided
-exactly: Gaussian elimination handles conjunctions of equalities, and a
-system of disequalities is satisfiable alongside them iff none of the
-underlying equalities is entailed, because finitely many proper affine
-subspaces never cover the solution space of an affine system over an
-infinite field.  Witness points are drawn deterministically from the
+exactly: fraction-free row reduction handles conjunctions of equalities
+(each row a primitive integer vector, each literal scaled to integers
+where it enters; see _EqSystem), and a system of disequalities is
+satisfiable alongside them iff none of the underlying equalities is
+entailed, because finitely many proper affine subspaces never cover the
+solution space of an affine system over an infinite field.  Witness
+points have Fraction coordinates and are drawn deterministically from the
 moment curve: free parameters take values (t, t**2, t**3, ...) for
 t = 0, 1, 2, ..., and since a nontrivial affine condition restricted to
 the moment curve is a nonzero polynomial of degree at most f (the number
@@ -18,11 +20,11 @@ terminates after at most (#disequalities) * f + 1 steps.
 The complete solver cnf_sat branches on one literal per clause and keeps
 the theory state of the current path incrementally, as a DPLL(T)-style
 solver does: each branch node extends its parent's row-reduced system
-and list of equalities to avoid by its one literal, testing only what
-that literal can change, and only a leaf builds a witness point.  The
-search tree, its node count (the budget) and the rows at every leaf are
-those of deciding each node's whole path from scratch with conj_sat, so
-the witnesses are the same.
+and its list of equalities to avoid, kept reduced against that system,
+by its one literal, testing only what that literal can change, and only
+a leaf builds a witness point.  The search tree, its node count (the
+budget) and the rows at every leaf are those of deciding each node's
+whole path from scratch with conj_sat, so the witnesses are the same.
 
 The mixing embedding sends a pair of rational points to the point
 e(x, y) = (1 - sqrt2)*x + sqrt2*y computed coordinate-wise in the field
@@ -64,6 +66,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .structures import BudgetExceededError
 
@@ -243,12 +246,25 @@ class LinearCnf:
 
 
 class _EqSystem:
-    """Row-reduced system of linear equalities over Q."""
+    """Row-reduced system of linear equalities over Q, kept in integers.
+
+    Each row is (vec, rhs, pivot): an integer coefficient vector over
+    self.vars and a right-hand side whose gcd is 1, zero before the pivot
+    column, positive at it, and zero at the pivot column of every other
+    row.  Dividing a row by its pivot entry gives the row of the reduced
+    row echelon form over Q, so the rows determine that form and the
+    solution set exactly.  As in fraction-free elimination (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968), no step forms a fraction; entries
+    are kept small by dividing each new or changed row by its gcd.
+    Literals keep their Fraction coefficients; each is scaled to an
+    integer vector where it enters the system.
+    """
 
     def __init__(self, variables):
         self.vars = sorted(variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
-        self.rows = []  # each row: (coeff vector over self.vars, rhs, pivot index)
+        self.rows = []
         self.inconsistent = False
 
     def copy(self) -> "_EqSystem":
@@ -261,75 +277,129 @@ class _EqSystem:
         return other
 
     def _vector(self, lit: LinearLiteral):
-        vec = [Fraction(0)] * len(self.vars)
+        """The literal's equality as an integer vector and right-hand side:
+        its coefficients and constant times the lcm of their denominators."""
+        const = lit.const
+        den = lcm(const.denominator, *[c.denominator for _, c in lit.coeffs])
+        vec = [0] * len(self.vars)
         for v, c in lit.coeffs:
-            vec[self.index[v]] = c
-        return vec, lit.const
+            vec[self.index[v]] = c.numerator * (den // c.denominator)
+        return vec, const.numerator * (den // const.denominator)
 
     def reduce(self, vec, rhs):
-        vec = list(vec)
-        for rvec, rrhs, pivot in self.rows:
-            factor = vec[pivot]
-            if factor:
-                for j in range(pivot, len(vec)):
-                    if rvec[j]:
-                        vec[j] -= factor * rvec[j]
-                rhs = rhs - factor * rrhs
-        return vec, rhs
+        """A positive multiple of (vec, rhs) minus a combination of the rows
+        that is zero at every pivot column.
+
+        The rows are reduced, so subtracting one of them leaves vec alone at
+        every other pivot: each factor is read off the input vector, and
+        the whole combination is taken over the lcm of the pivot entries it
+        uses, which keeps it integral without cross-multiplying row by row.
+        """
+        used = [row for row in self.rows if vec[row[2]]]
+        if not used:
+            return vec, rhs
+        scale = lcm(*[rvec[pivot] for rvec, _, pivot in used])
+        out = [scale * c for c in vec]
+        rhs *= scale
+        for rvec, rrhs, pivot in used:
+            k = vec[pivot] * (scale // rvec[pivot])
+            out = [c - k * r for c, r in zip(out, rvec)]
+            rhs -= k * rrhs
+        return out, rhs
+
+    def residual(self, lit: LinearLiteral):
+        """The literal's equality reduced against the system: zero exactly
+        when the system entails it, and at a solution of the system a
+        positive multiple of the equality's defect, since it is zero at
+        every pivot column."""
+        return self.reduce(*self._vector(lit))
 
     def add(self, lit: LinearLiteral) -> bool:
-        """Add an equality; returns False when it makes the system inconsistent."""
-        vec, rhs = self.reduce(*self._vector(lit))
-        if all(c == 0 for c in vec):
+        """Add the literal read as an equality; returns False when it makes
+        the system inconsistent."""
+        vec, rhs = self.residual(lit)
+        pivot = next((i for i, c in enumerate(vec) if c), None)
+        if pivot is None:
             if rhs != 0:
                 self.inconsistent = True
                 return False
             return True
-        pivot = next(i for i, c in enumerate(vec) if c != 0)
-        lead = vec[pivot]
-        vec = [c / lead if c else c for c in vec]
-        rhs = rhs / lead
+        g = gcd(*vec, rhs)
+        if vec[pivot] < 0:
+            g = -g
+        if g != 1:
+            vec = [c // g for c in vec]
+            rhs //= g
+        new = (vec, rhs, pivot)
         # back-substitute into existing rows to keep reduced form; rows are
         # replaced, never changed in place, so copies may share them.  A
-        # changed row keeps its pivot: vec is zero before its own pivot,
-        # which lies past the pivot of every row nonzero there
+        # changed row keeps its pivot and its sign there: vec is zero at
+        # that pivot and before its own, which lies past the pivot of every
+        # row nonzero there
         new_rows = []
         for rvec, rrhs, rpivot in self.rows:
-            if rvec[pivot] != 0:
-                f = rvec[pivot]
-                rvec = [c - f * nc if nc else c for c, nc in zip(rvec, vec)]
-                rrhs = rrhs - f * rhs
+            if rvec[pivot]:
+                rvec, rrhs = _eliminate(rvec, rrhs, new)
             new_rows.append((rvec, rrhs, rpivot))
-        new_rows.append((vec, rhs, pivot))
+        new_rows.append(new)
         self.rows = new_rows
         return True
 
     def entails(self, lit: LinearLiteral) -> bool:
-        """Is the equality a linear consequence of the system?"""
+        """Is the literal's equality a linear consequence of the system?"""
         if self.inconsistent:
             return True
-        vec, rhs = self.reduce(*self._vector(lit))
-        return all(c == 0 for c in vec) and rhs == 0
+        vec, rhs = self.residual(lit)
+        return _is_zero(vec, rhs)
 
-    def point_avoiding(self, avoid_eqs) -> dict:
-        """A solution of the system violating every given equality, found by
-        scanning moment-curve values of the free parameters.  Each equality
-        must not be entailed; then it excludes at most len(free) parameter
-        values, so the scan is guaranteed to stop."""
+    def point_avoiding(self, residuals) -> dict:
+        """A solution of the system at which no given residual (see
+        residual) vanishes, found by scanning moment-curve values of the
+        free parameters.  No residual may be zero; then it excludes at most
+        len(free) parameter values, so the scan is guaranteed to stop.
+
+        A residual is zero at every pivot column, so it is evaluated on the
+        integer parameter values alone; each pivot variable is then
+        (rhs - sum of the row over the free columns) / pivot entry.
+        """
         assert not self.inconsistent
-        pivots = {pivot: (rvec, rrhs) for rvec, rrhs, pivot in self.rows}
+        pivots = {pivot for _, _, pivot in self.rows}
         free = [i for i in range(len(self.vars)) if i not in pivots]
-        last = len(avoid_eqs) * max(1, len(free)) + 1
+        last = len(residuals) * max(1, len(free)) + 1
         for t in range(last + 1):
-            values = [Fraction(0)] * len(self.vars)
-            for pos, i in enumerate(free):
-                values[i] = Fraction(t) ** (pos + 1)
-            for i, (rvec, rrhs) in pivots.items():
-                values[i] = rrhs - sum(rvec[j] * values[j] for j in free if rvec[j] != 0)
-            point = dict(zip(self.vars, values))
-            if all(not eq.holds(point) for eq in avoid_eqs):
-                return point
-        raise AssertionError("point_avoiding called with an entailed equality")
+            values = [t ** (pos + 1) for pos in range(len(free))]
+            if all(sum(vec[i] * x for i, x in zip(free, values)) != rhs
+                   for vec, rhs in residuals):
+                break
+        else:
+            raise AssertionError("point_avoiding called with an entailed equality")
+        point = [Fraction(0)] * len(self.vars)
+        for i, x in zip(free, values):
+            point[i] = Fraction(x)
+        for rvec, rrhs, pivot in self.rows:
+            total = sum(rvec[i] * x for i, x in zip(free, values))
+            point[pivot] = Fraction(rrhs - total, rvec[pivot])
+        return dict(zip(self.vars, point))
+
+
+def _is_zero(vec, rhs) -> bool:
+    return rhs == 0 and not any(vec)
+
+
+def _eliminate(vec, rhs, row):
+    """The primitive positive multiple of (vec, rhs) minus the multiple of
+    row that clears vec at row's pivot column."""
+    rvec, rrhs, pivot = row
+    a, f = rvec[pivot], vec[pivot]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    vec = [a * c - f * r for c, r in zip(vec, rvec)]
+    rhs = a * rhs - f * rrhs
+    g = gcd(*vec, rhs)
+    if g > 1:
+        vec = [c // g for c in vec]
+        rhs //= g
+    return vec, rhs
 
 
 def _assume(state, lit: LinearLiteral, positive: bool):
@@ -338,24 +408,40 @@ def _assume(state, lit: LinearLiteral, positive: bool):
     conjunction is unsatisfiable.
 
     The system is row-reduced and consistent; avoid lists, in the order
-    they were assumed, the underlying equalities of the non-trivial
-    disequalities, none of which the system entails.  The given state is
-    never changed: an equality is added to a copy of the system, which
-    shares the row vectors, because _EqSystem.add builds new vectors
-    instead of changing a row in place.
+    they were assumed, the residuals (see _EqSystem.residual) of the
+    non-trivial disequalities' equalities against the system, none of
+    them zero: the system entails none of those equalities.  An equality
+    adds at most one row, and the residuals are kept reduced by
+    eliminating that row's pivot from each, so no residual is reduced
+    against the whole system again.  The given state is never changed: an
+    equality is added to a copy of the system, which shares the row
+    vectors, because _EqSystem.add builds new vectors instead of changing
+    a row in place.
     """
     system, avoid = state
-    eq = lit.as_equality()
-    if eq.is_trivial:  # 0 = d holds iff d = 0, and 0 != d iff d != 0
-        return state if (eq.const == 0) == positive else None
+    if lit.is_trivial:  # 0 = d holds iff d = 0, and 0 != d iff d != 0
+        return state if (lit.const == 0) == positive else None
     if positive:
+        before = len(system.rows)
         system = system.copy()
-        if not system.add(eq) or any(system.entails(a) for a in avoid):
+        if not system.add(lit):
             return None
+        if len(system.rows) > before:
+            new = system.rows[-1]
+            pivot = new[2]
+            reduced = []
+            for vec, rhs in avoid:
+                if vec[pivot]:
+                    vec, rhs = _eliminate(vec, rhs, new)
+                    if _is_zero(vec, rhs):
+                        return None
+                reduced.append((vec, rhs))
+            avoid = reduced
         return system, avoid
-    if system.entails(eq):
+    vec, rhs = system.residual(lit)
+    if _is_zero(vec, rhs):
         return None
-    return system, avoid + [eq]
+    return system, avoid + [(vec, rhs)]
 
 
 def conj_sat(eqs, neqs, extra_vars=()):
@@ -530,9 +616,6 @@ def horn_solve(f: LinearCnf):
     variables = f.variables()
     system = _EqSystem(variables)
 
-    def entailed(lit):
-        return system.entails(lit.as_equality())
-
     pending = True
     while pending:
         pending = False
@@ -541,27 +624,28 @@ def horn_solve(f: LinearCnf):
             negatives = [lit for lit in clause if not lit.is_eq]
             if positives and any(lit.trivially_true for lit in positives):
                 continue
-            if not all(entailed(lit) for lit in negatives):
+            if not all(system.entails(lit) for lit in negatives):
                 continue
             if not positives:
                 return False, None
             e0 = positives[0]
             if e0.is_trivial:  # 0 = d with d != 0: clause cannot be satisfied
                 return False, None
-            if entailed(e0):
+            if system.entails(e0):
                 continue
             if not system.add(e0):
                 return False, None
             pending = True
 
-    avoid = []
+    # deduped; point_avoiding is linear in the number of equalities to dodge
+    avoid = {}
     for clause in f.clauses:
         for lit in clause:
-            if not lit.is_eq and not lit.is_trivial and not entailed(lit):
-                avoid.append(lit.as_equality())
-    # dedupe; point_avoiding is linear in the number of equalities to dodge
-    avoid = list(dict.fromkeys(avoid))
-    point = system.point_avoiding(avoid)
+            if not lit.is_eq and not lit.is_trivial and lit not in avoid:
+                residual = system.residual(lit)
+                if not _is_zero(*residual):
+                    avoid[lit] = residual
+    point = system.point_avoiding(list(avoid.values()))
     for v in variables:
         point.setdefault(v, Fraction(0))
     assert f.holds(point)

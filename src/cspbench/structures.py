@@ -176,6 +176,17 @@ class FiniteStructure:
         self._plan = None
         self._projections = None
 
+    @classmethod
+    def _from_checked(cls, sig: Signature, n: int, rel: dict, const: dict) -> "FiniteStructure":
+        """A structure built without re-checking its parts, for callers that
+        derive them from a checked structure: rel maps each relation of sig
+        to a frozenset of tuples of the right length over range(n), and
+        const each constant to an element."""
+        s = cls.__new__(cls)
+        s.sig, s.n, s.rel, s.const, s.name = sig, n, rel, const, None
+        s._canon = s._plan = s._projections = None
+        return s
+
     def _projection(self, rname: str, positions: tuple):
         """(tuples of rname projected onto positions, values v whose constant
         tuple (v, ..., v) is in that projection); computed once and kept."""

@@ -6,15 +6,18 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  The last section is different:
-it keeps earlier formula-layer code verbatim as a reference.
+indicator construction the library uses.  Two sections are different:
+they keep earlier library code verbatim as a reference, the Fraction
+linear-algebra kernel of linear_horn and the formula-layer code.
 """
 
 import itertools
+from fractions import Fraction
 
-from cspbench.duality import _add_tuple, _all_tuples
+from cspbench.duality import _all_tuples
 from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or, _FreshNames,
                                _validate_symbols, names_in)
+from cspbench.linear_horn import LinearLiteral
 from cspbench.structures import FiniteStructure
 
 
@@ -219,15 +222,155 @@ def relation_mask(tuples):
 
 # -- complete satisfiability of linear CNFs --
 
+# The Fraction kernel that linear_horn used before its rows became
+# integer vectors, kept verbatim: _EqSystem, _assume and conj_sat.
+
+
+class _EqSystem:
+    """Row-reduced system of linear equalities over Q."""
+
+    def __init__(self, variables):
+        self.vars = sorted(variables)
+        self.index = {v: i for i, v in enumerate(self.vars)}
+        self.rows = []  # each row: (coeff vector over self.vars, rhs, pivot index)
+        self.inconsistent = False
+
+    def copy(self) -> "_EqSystem":
+        """A copy that add() can extend without changing this system: the
+        row list is new, the row vectors are shared."""
+        other = _EqSystem.__new__(_EqSystem)
+        other.vars, other.index = self.vars, self.index
+        other.rows = list(self.rows)
+        other.inconsistent = self.inconsistent
+        return other
+
+    def _vector(self, lit: LinearLiteral):
+        vec = [Fraction(0)] * len(self.vars)
+        for v, c in lit.coeffs:
+            vec[self.index[v]] = c
+        return vec, lit.const
+
+    def reduce(self, vec, rhs):
+        vec = list(vec)
+        for rvec, rrhs, pivot in self.rows:
+            factor = vec[pivot]
+            if factor:
+                for j in range(pivot, len(vec)):
+                    if rvec[j]:
+                        vec[j] -= factor * rvec[j]
+                rhs = rhs - factor * rrhs
+        return vec, rhs
+
+    def add(self, lit: LinearLiteral) -> bool:
+        """Add an equality; returns False when it makes the system inconsistent."""
+        vec, rhs = self.reduce(*self._vector(lit))
+        if all(c == 0 for c in vec):
+            if rhs != 0:
+                self.inconsistent = True
+                return False
+            return True
+        pivot = next(i for i, c in enumerate(vec) if c != 0)
+        lead = vec[pivot]
+        vec = [c / lead if c else c for c in vec]
+        rhs = rhs / lead
+        # back-substitute into existing rows to keep reduced form; rows are
+        # replaced, never changed in place, so copies may share them.  A
+        # changed row keeps its pivot: vec is zero before its own pivot,
+        # which lies past the pivot of every row nonzero there
+        new_rows = []
+        for rvec, rrhs, rpivot in self.rows:
+            if rvec[pivot] != 0:
+                f = rvec[pivot]
+                rvec = [c - f * nc if nc else c for c, nc in zip(rvec, vec)]
+                rrhs = rrhs - f * rhs
+            new_rows.append((rvec, rrhs, rpivot))
+        new_rows.append((vec, rhs, pivot))
+        self.rows = new_rows
+        return True
+
+    def entails(self, lit: LinearLiteral) -> bool:
+        """Is the equality a linear consequence of the system?"""
+        if self.inconsistent:
+            return True
+        vec, rhs = self.reduce(*self._vector(lit))
+        return all(c == 0 for c in vec) and rhs == 0
+
+    def point_avoiding(self, avoid_eqs) -> dict:
+        """A solution of the system violating every given equality, found by
+        scanning moment-curve values of the free parameters.  Each equality
+        must not be entailed; then it excludes at most len(free) parameter
+        values, so the scan is guaranteed to stop."""
+        assert not self.inconsistent
+        pivots = {pivot: (rvec, rrhs) for rvec, rrhs, pivot in self.rows}
+        free = [i for i in range(len(self.vars)) if i not in pivots]
+        last = len(avoid_eqs) * max(1, len(free)) + 1
+        for t in range(last + 1):
+            values = [Fraction(0)] * len(self.vars)
+            for pos, i in enumerate(free):
+                values[i] = Fraction(t) ** (pos + 1)
+            for i, (rvec, rrhs) in pivots.items():
+                values[i] = rrhs - sum(rvec[j] * values[j] for j in free if rvec[j] != 0)
+            point = dict(zip(self.vars, values))
+            if all(not eq.holds(point) for eq in avoid_eqs):
+                return point
+        raise AssertionError("point_avoiding called with an entailed equality")
+
+
+def _assume(state, lit: LinearLiteral, positive: bool):
+    """One theory step: the state (system, avoid) extended by lit read as
+    an equality (positive) or as a disequality, or None when the extended
+    conjunction is unsatisfiable.
+
+    The system is row-reduced and consistent; avoid lists, in the order
+    they were assumed, the underlying equalities of the non-trivial
+    disequalities, none of which the system entails.  The given state is
+    never changed: an equality is added to a copy of the system, which
+    shares the row vectors, because _EqSystem.add builds new vectors
+    instead of changing a row in place.
+    """
+    system, avoid = state
+    eq = lit.as_equality()
+    if eq.is_trivial:  # 0 = d holds iff d = 0, and 0 != d iff d != 0
+        return state if (eq.const == 0) == positive else None
+    if positive:
+        system = system.copy()
+        if not system.add(eq) or any(system.entails(a) for a in avoid):
+            return None
+        return system, avoid
+    if system.entails(eq):
+        return None
+    return system, avoid + [eq]
+
+
+def conj_sat(eqs, neqs, extra_vars=()):
+    """Satisfiability of a conjunction of equality and disequality literals
+    over Q; returns a witness point (dict var -> Fraction) or None.
+
+    Satisfiable iff the equalities are consistent and entail none of the
+    disequalities' underlying equalities (finitely many proper affine
+    subspaces cannot cover the solution space over Q).  Literals are used
+    by position: each member of eqs is read as an equality and each member
+    of neqs as a disequality, whatever its polarity flag says.
+    """
+    variables = set(extra_vars)
+    for lit in itertools.chain(eqs, neqs):
+        variables |= lit.variables()
+    state = (_EqSystem(variables), [])
+    for lit, positive in [(lit, True) for lit in eqs] + [(lit, False) for lit in neqs]:
+        state = _assume(state, lit, positive)
+        if state is None:
+            return None
+    system, avoid = state
+    return system.point_avoiding(avoid)
+
 
 def branching_cnf_sat(f, extra_vars=()):
     """Reference for linear_horn.cnf_sat: the same search tree (clauses
     shortest first, literals in clause order), with every node decided
-    from scratch by conj_sat on the literals of its whole path.  Returns
-    (witness point or None, number of nodes visited); a search with budget
-    b raises exactly when b is less than that number."""
-    from cspbench.linear_horn import conj_sat
-
+    from scratch by the Fraction conj_sat above on the literals of its
+    whole path.  Returns (witness point or None, number of nodes visited);
+    a search with budget b raises exactly when b is less than that
+    number."""
     clauses = sorted(f.clauses, key=len)
     variables = set(f.variables()) | set(extra_vars)
     steps = 0
@@ -294,6 +437,12 @@ def _seed_structures(sig):
             if ok:
                 out.append(FiniteStructure(sig, len(seen), {rname: {pattern}}, {}))
     return out
+
+
+def _add_tuple(s: FiniteStructure, rname: str, tup, n: int) -> FiniteStructure:
+    rels = {r: set(ts) for r, ts in s.rel.items()}
+    rels[rname].add(tuple(tup))
+    return FiniteStructure(s.sig, n, rels, s.const)
 
 
 def _extensions(s: FiniteStructure, max_vertices: int):

@@ -114,6 +114,23 @@ def test_ppdef_certificate_with_empty_body_reparses(files, capsys, tmp_path):
     assert cert.verify(a, Relation.make(0, [()]))
 
 
+@pytest.mark.parametrize("constants", [["_e0"], ["x0", "y0", "v0", "w0", "_x0"]],
+                         ids=["element-name", "every-variable-prefix"])
+def test_ppdef_names_avoid_constants(constants, capsys, tmp_path):
+    # the constants take the names the certificate would give its element
+    # and free variables
+    a = FiniteStructure(Signature.make({"U": 1}, constants), 2, {"U": [(1,)]},
+                        {c: 0 for c in constants})
+    template, rel = tmp_path / "t.json", tmp_path / "r.json"
+    template.write_text(a.to_json())
+    rel.write_text(json.dumps({"arity": 1, "tuples": [[1]]}))
+    code, out, err = run(capsys, "--format", "machine", "ppdef", str(template), str(rel))
+    assert code == 0, err
+    formula = parse_sentence(json.loads(out)["formula"])
+    cert = PpDefinabilityCertificate(True, formula=formula)
+    assert cert.verify(a, Relation.make(1, [(1,)]))
+
+
 def test_consecutive_main_calls_share_no_state(files, capsys):
     argvs = [
         ("--format", "machine", "solve", files["k2.json"], files["edge.txt"], "--budget", "50"),

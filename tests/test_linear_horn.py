@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -13,6 +14,7 @@ from cspbench import (
     cnf_sat,
     conj_sat,
     horn_solve,
+    linear_horn,
     make_irreducible,
     mix,
     parse_cnf,
@@ -134,6 +136,85 @@ def test_cnf_sat_matches_branching_reference_random():
         assert cnf_sat(f, extra_vars=extra, budget=nodes) == expected
         unsatisfiable += expected is None
     assert unsatisfiable >= 25  # 32 with this seed
+
+
+def _dense_rational(rng):
+    return Fr(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _dense_equalities(rng, names, count):
+    return [L.eq({v: _dense_rational(rng) for v in names}, _dense_rational(rng))
+            for _ in range(count)]
+
+
+def _combination(rng, lits, shift=0, is_eq=True):
+    """A rational combination of up to three of lits, its constant moved
+    by shift: entailed by them when shift is 0, contradicting them when
+    not (unless the coefficients cancel)."""
+    coeffs, const = {}, Fr(shift)
+    for lit in rng.sample(lits, min(3, len(lits))):
+        k = _dense_rational(rng) or Fr(1)
+        for v, c in lit.coeffs:
+            coeffs[v] = coeffs.get(v, 0) + k * c
+        const += k * lit.const
+    return L.make(coeffs, const, is_eq)
+
+
+def _assert_rows_match_reference(system, reference):
+    """Every integer row is primitive with a positive pivot entry, and
+    divided by that entry it is the reference's Fraction row."""
+    assert len(system.rows) == len(reference.rows)
+    for (vec, rhs, pivot), (fvec, frhs, fpivot) in zip(system.rows, reference.rows):
+        assert pivot == fpivot and vec[pivot] > 0
+        assert math.gcd(*vec, rhs) == 1
+        assert [Fr(c, vec[pivot]) for c in vec] == fvec and Fr(rhs, vec[pivot]) == frhs
+
+
+def test_dense_systems_match_fraction_reference():
+    rng = random.Random(131)
+    for n in (20, 40, 60):
+        names = [f"x{i}" for i in range(n)]
+        base = _dense_equalities(rng, names, rng.randint(n - 6, n - 2))
+        eqs = base + [_combination(rng, base) for _ in range(3)]
+        rng.shuffle(eqs)
+        neqs = [L.neq({v: _dense_rational(rng) for v in names}, _dense_rational(rng))
+                for _ in range(4)]
+        system, reference = linear_horn._EqSystem(names), oracles._EqSystem(names)
+        for lit in eqs:
+            assert system.add(lit) == reference.add(lit)
+        assert not system.inconsistent and not reference.inconsistent
+        _assert_rows_match_reference(system, reference)
+        queries = [_combination(rng, base) for _ in range(3)]
+        queries += [_combination(rng, base, shift=1) for _ in range(3)] + neqs
+        assert [system.entails(q) for q in queries] == [reference.entails(q) for q in queries]
+        assert all(system.entails(q) for q in queries[:3])
+
+        point = conj_sat(eqs, neqs)
+        assert point is not None and point == oracles.conj_sat(eqs, neqs)
+        entailed = _combination(rng, base, is_eq=False)
+        assert conj_sat(eqs, neqs + [entailed]) is None
+        clash = _combination(rng, base, shift=Fr(1, 3))
+        assert system.add(clash) == reference.add(clash) is False
+        assert system.inconsistent and reference.inconsistent
+        assert conj_sat(eqs + [clash], neqs) is None
+
+
+def test_dense_cnf_budgets_match_fraction_reference():
+    rng = random.Random(137)
+    unsatisfiable = 0
+    for _ in range(16):
+        names = [f"x{i}" for i in range(rng.randint(20, 30))]
+        base = _dense_equalities(rng, names, 6)
+        pool = base + [_combination(rng, base, shift=rng.choice([0, 0, 1])) for _ in range(6)]
+        f = LinearCnf([tuple(rng.choice(pool) if rng.random() < 0.5 else rng.choice(pool).negate()
+                             for _ in range(rng.randint(1, 3)))
+                       for _ in range(rng.randint(5, 9))])
+        expected, nodes = oracles.branching_cnf_sat(f)
+        with pytest.raises(BudgetExceededError):
+            cnf_sat(f, budget=nodes - 1)
+        assert cnf_sat(f, budget=nodes) == expected
+        unsatisfiable += expected is None
+    assert 0 < unsatisfiable < 16
 
 
 def test_make_irreducible_worked_examples():
