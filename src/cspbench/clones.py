@@ -25,6 +25,7 @@ from .structures import (
     Homomorphism,
     encode_tuple,
     enumerate_homomorphisms,
+    is_int,
     power,
 )
 
@@ -38,11 +39,11 @@ class OperationTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError("operation table needs n >= 1 and k >= 1")
+        if not (is_int(self.n) and is_int(self.k)) or self.n < 1 or self.k < 1:
+            raise ValueError("operation table needs integers n >= 1 and k >= 1")
         if len(self.values) != self.n ** self.k:
             raise ValueError(f"value table must have length {self.n ** self.k}")
-        if not all(isinstance(v, int) and 0 <= v < self.n for v in self.values):
+        if not all(is_int(v) and 0 <= v < self.n for v in self.values):
             raise ValueError("table values must lie in the domain")
 
     def apply(self, args) -> int:
@@ -56,8 +57,10 @@ class OperationTable:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OperationTable":
-        if set(doc) != {"domain", "arity", "values"}:
+        if not isinstance(doc, dict) or set(doc) != {"domain", "arity", "values"}:
             raise ValueError("operation table document needs exactly domain, arity, values")
+        if not isinstance(doc["values"], list):
+            raise ValueError('"values" must be a list of table values')
         return OperationTable(doc["domain"], doc["arity"], tuple(doc["values"]))
 
     @staticmethod

@@ -8,11 +8,19 @@ a variable.  A formula with no disjunction is primitive positive (pp);
 with disjunction it is existential positive (ep).  No negation and no
 universal quantification exist in this AST.
 
+A formula is read in one walk: _walk collects, in one iterative preorder
+pass, its atoms and equalities, its names and free names, whether a
+disjunction or false occurs, and its first symbol fault.  Every caller
+reads each formula once and asks the walk, never a walker of its own, so
+a certificate with thousands of atoms is traversed once per use.
+
 Evaluation of a pp formula reduces to homomorphism search from its
 canonical database (equalities merged by union-find); ep formulas are
 evaluated by structural recursion with quantifiers ranging over the
 domain.  One renaming walk, _rename, serves disjunction elimination both
-for replacing free names and for giving every quantifier fresh variables.
+for replacing free names and for giving every quantifier fresh variables,
+and separates the variables of a pp formula that quantifies a name twice
+before its canonical database is built.
 
 Sentence text grammar (used by the CLI; '#' starts a comment)::
 
@@ -41,6 +49,7 @@ from .structures import (
     FiniteStructure,
     Signature,
     find_homomorphism,
+    is_int,
 )
 
 
@@ -95,69 +104,116 @@ def conj(parts):
     return And(parts)
 
 
-_LEAVES = (Atom, Eq, Falsum)
+@dataclass(frozen=True)
+class _Walk:
+    """What one preorder walk reads off a formula.
+
+    atoms and equalities are listed in preorder; names holds every name in
+    a term position or a quantifier prefix, free those not bound by an
+    enclosing quantifier (constants not yet separated out).  symbol_error
+    is the message of the first symbol fault in preorder (an unknown
+    relation, an arity mismatch or a quantified constant) when the walk
+    was given a signature, else None.  clean means that every name is
+    quantified by at most one block and none is both quantified and free,
+    so that each name stands for one variable throughout.
+    """
+
+    atoms: list
+    equalities: list
+    names: set
+    free: set
+    disjunctive: bool
+    false: bool
+    symbol_error: str | None
+    clean: bool
 
 
-def _children(phi) -> tuple:
-    """The direct subformulas of a formula node."""
-    if isinstance(phi, _LEAVES):
-        return ()
-    if isinstance(phi, (And, Or)):
-        return phi.parts
-    if isinstance(phi, Exists):
-        return (phi.body,)
-    raise FormulaError(f"not a formula node: {phi!r}")
-
-
-def _subformulas(phi):
-    """phi and all its subformulas, in left-to-right preorder."""
-    yield phi
-    for child in _children(phi):
-        if isinstance(child, _LEAVES):
-            yield child
+def _walk(phi, sig: Signature | None = None) -> _Walk:
+    """Read a formula in one iterative left-to-right preorder walk."""
+    arity = None if sig is None else dict(sig.relations)
+    atoms, equalities, quantified = [], [], set()
+    disjunctive = false = rebound = False
+    error = None
+    # scopes[i]: (names bound there, names in the atoms and equalities there)
+    scopes = [(frozenset(), set())]
+    stack = [(phi, 0)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, Atom):
+            atoms.append(node)
+            scopes[scope][1].update(node.args)
+            if arity is not None and error is None:
+                ar = arity.get(node.rel)
+                if ar is None:
+                    error = f"unknown relation symbol {node.rel!r}"
+                elif len(node.args) != ar:
+                    error = f"arity mismatch: {node.rel} expects {ar} arguments, got {len(node.args)}"
+        elif isinstance(node, Eq):
+            equalities.append(node)
+            scopes[scope][1].update((node.left, node.right))
+        elif isinstance(node, (And, Or)):
+            disjunctive = disjunctive or isinstance(node, Or)
+            stack.extend([(part, scope) for part in reversed(node.parts)])
+        elif isinstance(node, Exists):
+            rebound = rebound or not quantified.isdisjoint(node.vars)
+            quantified.update(node.vars)
+            if arity is not None and error is None:
+                for v in node.vars:
+                    if v in sig.constants:
+                        error = f"cannot quantify over constant symbol {v!r}"
+                        break
+            scopes.append((scopes[scope][0].union(node.vars), set()))
+            stack.append((node.body, len(scopes) - 1))
+        elif isinstance(node, Falsum):
+            false = True
         else:
-            yield from _subformulas(child)
+            raise FormulaError(f"not a formula node: {node!r}")
+    names = quantified.union(*[leaf for _, leaf in scopes])
+    free = set().union(*[leaf - bound for bound, leaf in scopes])
+    clean = not rebound and quantified.isdisjoint(free)
+    return _Walk(atoms, equalities, names, free, disjunctive, false, error, clean)
 
 
-def _terms(node) -> tuple:
-    """The names in the term positions of an atom or an equality."""
-    if isinstance(node, Atom):
-        return node.args
-    if isinstance(node, Eq):
-        return (node.left, node.right)
-    return ()
+def _apart_names(walk: _Walk, avoid):
+    """A namer for _rename that separates the variables of an unclean
+    formula: a quantified name keeps its first binding in preorder unless
+    it also occurs free, and every other binding gets a fresh name outside
+    the formula's names and avoid."""
+    fresh = _FreshNames(walk.names | set(avoid))
+    used = set(walk.free)
+
+    def name(v):
+        if v in used:
+            return fresh()
+        used.add(v)
+        return v
+
+    return name
+
+
+def _check_symbols(walk: _Walk):
+    if walk.symbol_error is not None:
+        raise FormulaError(walk.symbol_error)
 
 
 def is_pp(phi) -> bool:
     """True iff the formula contains no disjunction."""
-    return not any(isinstance(node, Or) for node in _subformulas(phi))
-
-
-def _contains_falsum(phi) -> bool:
-    return any(isinstance(node, Falsum) for node in _subformulas(phi))
+    return not _walk(phi).disjunctive
 
 
 def names_in(phi) -> set:
     """All names occurring in term positions or quantifier prefixes."""
-    out = set()
-    for node in _subformulas(phi):
-        out.update(node.vars if isinstance(node, Exists) else _terms(node))
-    return out
+    return _walk(phi).names
 
 
 def free_names(phi) -> set:
     """Names not bound by any quantifier (constants not yet separated out)."""
-    if isinstance(phi, Exists):
-        return free_names(phi.body).difference(phi.vars)
-    out = set(_terms(phi))
-    for child in _children(phi):
-        out.update(_terms(child) if isinstance(child, _LEAVES) else free_names(child))
-    return out
+    return _walk(phi).free
 
 
 def free_variables(phi, sig: Signature) -> set:
     """Free variables relative to a signature (its constants are not variables)."""
-    return free_names(phi) - set(sig.constants)
+    return _walk(phi).free.difference(sig.constants)
 
 
 class _FreshNames:
@@ -166,7 +222,7 @@ class _FreshNames:
         self.prefix = prefix
         self.counter = 0
 
-    def __call__(self):
+    def __call__(self, _name=None):
         while True:
             name = f"{self.prefix}{self.counter}"
             self.counter += 1
@@ -180,8 +236,8 @@ def _rename(phi, env: dict, fresh=None):
 
     Without fresh, only free occurrences are replaced: a quantifier keeps
     its variables and shadows their entries of env.  With fresh, every
-    quantified variable is also renamed to fresh(), one call per variable
-    in preorder, so that no two quantifiers share a name.
+    quantified variable v is also renamed to fresh(v), one call per
+    variable in preorder.
     """
     if isinstance(phi, Atom):
         return Atom(phi.rel, tuple(env.get(x, x) for x in phi.args))
@@ -194,27 +250,12 @@ def _rename(phi, env: dict, fresh=None):
             bound = phi.vars
             inner = {k: v for k, v in env.items() if k not in bound}
         else:
-            bound = tuple(fresh() for _ in phi.vars)
+            bound = tuple(fresh(v) for v in phi.vars)
             inner = {**env, **dict(zip(phi.vars, bound))}
         return Exists(bound, _rename(phi.body, inner, fresh))
     if isinstance(phi, Falsum):
         return phi
     raise FormulaError(f"not a formula node: {phi!r}")
-
-
-def _validate_symbols(phi, sig: Signature):
-    for node in _subformulas(phi):
-        if isinstance(node, Atom):
-            try:
-                ar = sig.arity(node.rel)
-            except KeyError:
-                raise FormulaError(f"unknown relation symbol {node.rel!r}") from None
-            if len(node.args) != ar:
-                raise FormulaError(f"arity mismatch: {node.rel} expects {ar} arguments, got {len(node.args)}")
-        elif isinstance(node, Exists):
-            for v in node.vars:
-                if v in sig.constants:
-                    raise FormulaError(f"cannot quantify over constant symbol {v!r}")
 
 
 # -- canonical queries and canonical databases --
@@ -255,22 +296,30 @@ def canonical_query(a: FiniteStructure) -> Exists:
     return _fact_formula(a, _numbered_names(a.n, a.sig.constants))
 
 
-def canonical_structure(phi, sig: Signature):
+def canonical_structure(phi, sig: Signature, walk: _Walk | None = None):
     """Canonical database of a pp formula: (structure, name -> element map).
 
     Equality atoms are merged by union-find; every variable (bound, free or
     merely quantified) contributes an element, as does every constant
-    symbol of the signature.  Raises TriviallyFalseError on formulas
-    containing the constant false.
+    symbol of the signature.  A formula that is not clean (see _Walk) is
+    first renamed apart by _apart_names, so that each binding is its own
+    variable; the map then also holds the fresh names.  Raises
+    FormulaError on a disjunction, then TriviallyFalseError on formulas
+    containing the constant false, then FormulaError on a symbol fault.  A
+    caller that has read the formula already passes walk, _walk(phi, sig).
     """
-    if not is_pp(phi):
+    walk = walk or _walk(phi, sig)
+    if walk.disjunctive:
         raise FormulaError("canonical database is defined for pp formulas only")
-    if _contains_falsum(phi):
+    if walk.false:
         raise TriviallyFalseError("formula contains false: trivially false instance")
-    _validate_symbols(phi, sig)
+    _check_symbols(walk)
+    if not walk.clean:
+        walk = _walk(_rename(phi, {}, _apart_names(walk, sig.constants)))
 
-    consts = set(sig.constants)
-    nodes = sorted((names_in(phi) - consts)) + sorted(consts)
+    nodes = sorted(walk.names.difference(sig.constants)) + list(sig.constants)
+    if not nodes:
+        raise FormulaError("a formula without names or constants has no canonical database")
     parent = {x: x for x in nodes}
 
     def find(x):
@@ -279,25 +328,19 @@ def canonical_structure(phi, sig: Signature):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
+    for eq in walk.equalities:
+        rx, ry = find(eq.left), find(eq.right)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    atoms = []
-    for node in _subformulas(phi):
-        if isinstance(node, Atom):
-            atoms.append(node)
-        elif isinstance(node, Eq):
-            union(node.left, node.right)
-
     rank = {r: i for i, r in enumerate(sorted({find(x) for x in nodes}))}
     elem = {x: rank[find(x)] for x in nodes}
-    relations = {}
-    for atom in atoms:
-        relations.setdefault(atom.rel, set()).add(tuple(elem[x] for x in atom.args))
-    constants = {c: elem[c] for c in consts}
-    db = FiniteStructure(sig, len(rank), relations, constants)
+    relations = {rname: set() for rname, _ in sig.relations}
+    for atom in walk.atoms:
+        relations[atom.rel].add(tuple([elem[x] for x in atom.args]))
+    db = FiniteStructure._from_checked(
+        sig, len(rank), {rname: frozenset(ts) for rname, ts in relations.items()},
+        {c: elem[c] for c in sig.constants})
     return db, elem
 
 
@@ -339,18 +382,18 @@ def _checked_env(a: FiniteStructure, free: set, assignment) -> dict:
     if missing:
         raise FormulaError(f"unbound free variables: {sorted(missing)}")
     for v, value in env.items():
-        if not (isinstance(value, int) and 0 <= value < a.n):
+        if not (is_int(value) and 0 <= value < a.n):
             raise FormulaError(f"assignment value {v}={value!r} outside the domain")
     return env
 
 
-def _pp_search(a: FiniteStructure, phi, budget: int):
+def _pp_search(a: FiniteStructure, phi, budget: int, walk: _Walk):
     """Canonical database of a pp formula without false, built once, and a
     search over it: (elem, search), where search(env) is the lexicographically
     least homomorphism from the database to a sending each free variable's
-    element to its value under env, or None."""
-    db, elem = canonical_structure(phi, a.sig)
-    free = sorted(free_variables(phi, a.sig))
+    element to its value under env, or None.  walk is _walk(phi, a.sig)."""
+    db, elem = canonical_structure(phi, a.sig, walk)
+    free = sorted(walk.free.difference(a.sig.constants))
 
     def search(env):
         pinned = {}
@@ -362,23 +405,25 @@ def _pp_search(a: FiniteStructure, phi, budget: int):
     return elem, search
 
 
-def evaluator(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
+def evaluator(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET, walk: _Walk | None = None):
     """Truth of phi in a as a function of an assignment of its free variables.
 
-    The formula is checked once and, when it is pp, its canonical database
-    is built once; each call then runs one pinned homomorphism search.  ep
+    The formula is read once (a caller that has read it already passes
+    walk, _walk(phi, a.sig)) and, when it is pp, its canonical database is
+    built once; each call then runs one pinned homomorphism search.  ep
     formulas are evaluated recursively.
     """
-    _validate_symbols(phi, a.sig)
-    free = free_variables(phi, a.sig)
-    if not is_pp(phi):
+    walk = walk or _walk(phi, a.sig)
+    _check_symbols(walk)
+    free = walk.free.difference(a.sig.constants)
+    if walk.disjunctive:
         def decide(env):
             return _eval_rec(phi, a, env)
-    elif _contains_falsum(phi):
+    elif walk.false:
         def decide(env):
             return False
     else:
-        search = _pp_search(a, phi, budget)[1]
+        search = _pp_search(a, phi, budget, walk)[1]
 
         def decide(env):
             return search(env) is not None
@@ -403,21 +448,23 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
     """A satisfying assignment for a true sentence, or None.
 
     pp sentences report values for all their variables, read off the
-    homomorphism from the canonical database that decided truth; ep
+    homomorphism from the canonical database that decided truth (a name
+    quantified more than once reports its first binding in preorder); ep
     sentences report the first assignment, in lexicographic order, of the
     outermost existential block under which the body holds, found by the
     one scan of that block that decides truth.
     """
-    _validate_symbols(phi, a.sig)
-    _checked_env(a, free_variables(phi, a.sig), None)
-    if is_pp(phi):
-        if _contains_falsum(phi):
+    walk = _walk(phi, a.sig)
+    _check_symbols(walk)
+    _checked_env(a, walk.free.difference(a.sig.constants), None)
+    if not walk.disjunctive:
+        if walk.false:
             return None
-        elem, search = _pp_search(a, phi, budget)
+        elem, search = _pp_search(a, phi, budget, walk)
         h = search({})
         if h is None:
             return None
-        return {v: h.map[e] for v, e in elem.items() if v not in a.sig.constants}
+        return {v: h.map[e] for v, e in elem.items() if v in walk.names and v not in a.sig.constants}
     block, body = (phi.vars, phi.body) if isinstance(phi, Exists) else ((), phi)
     for values in itertools.product(range(a.n), repeat=len(block)):
         env = dict(zip(block, values))
@@ -509,26 +556,25 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
     output is equivalent on every structure interpreting p4 correctly in
     which each disjunct is satisfiable.
     """
-    if template is not None:
-        if not _is_p4_interpretation(template, p4):
-            raise FormulaError(f"template does not interpret {p4!r} as (u=v or x=y)")
-        constants = set(template.sig.constants)
-    else:
-        # In a sentence, any name never bound is a constant symbol.
-        constants = free_names(phi)
+    if template is not None and not _is_p4_interpretation(template, p4):
+        raise FormulaError(f"template does not interpret {p4!r} as (u=v or x=y)")
+    walk = _walk(phi)
+    # In a sentence without a template, any name never bound is a constant symbol.
+    constants = set(template.sig.constants) if template is not None else walk.free
 
-    if is_pp(phi):
+    if not walk.disjunctive:
         return phi
 
-    fresh = _FreshNames(names_in(phi) | constants)
+    fresh = _FreshNames(walk.names | constants)
     phi = _rename(phi, {}, fresh)
 
     def branch_satisfiable(psi):
-        if _contains_falsum(psi):
+        branch = _walk(psi)
+        if branch.false:
             return False
         if template is None:
             return True
-        fv = sorted(free_names(psi) - constants)
+        fv = sorted(branch.free - constants)
         closed = Exists(tuple(fv), psi) if fv else psi
         return evaluate(template, closed, budget=budget)
 

@@ -27,7 +27,7 @@ from .structures import (
     is_int,
     power,
 )
-from .formulas import Eq, FALSE, _fact_formula, _numbered_names, evaluator, free_variables
+from .formulas import Eq, FALSE, _fact_formula, _numbered_names, _walk, evaluator
 from .clones import OperationTable, operation_preserves
 
 # Indicator powers: t tuples mean a power with |A|**t elements.  These caps
@@ -97,20 +97,32 @@ def relation_of_formula(a: FiniteStructure, phi, arity: int) -> frozenset:
     """Extension of a formula over a; free variables are taken in
     length-then-lexicographic order (so x2 precedes x10).
 
-    A pp formula's canonical database is built once, and each candidate
-    tuple costs one pinned homomorphism search from it."""
-    var_order = sorted(free_variables(phi, a.sig), key=lambda v: (len(v), v))
+    The formula is read once, a pp formula's canonical database is built
+    once, and each candidate tuple costs one pinned homomorphism search
+    from it."""
+    walk = _walk(phi, a.sig)
+    var_order = sorted(walk.free.difference(a.sig.constants), key=lambda v: (len(v), v))
     if len(var_order) > arity:
         raise ValueError(f"formula has {len(var_order)} free variables, expected <= {arity}")
-    holds = evaluator(a, phi)
+    holds = evaluator(a, phi, walk=walk)
     return frozenset(values for values in itertools.product(range(a.n), repeat=arity)
                      if holds(dict(zip(var_order, values))))
+
+
+def _max_exponent(n: int) -> int:
+    """The largest e with n**e within MAX_POWER_DOMAIN, for n >= 2."""
+    e = 0
+    while n ** (e + 1) <= MAX_POWER_DOMAIN:
+        e += 1
+    return e
 
 
 def _indicator_power(a: FiniteStructure, t: int, budget: int) -> FiniteStructure:
     if a.n ** t > MAX_POWER_DOMAIN:
         raise BudgetExceededError(
-            f"indicator power {a.n}**{t} exceeds the configured cap of {MAX_POWER_DOMAIN}")
+            f"the relation has {t} tuples, so its indicator power has {a.n}**{t} elements, "
+            f"over the configured cap of {MAX_POWER_DOMAIN}: a relation over {a.n} elements "
+            f"may have at most {_max_exponent(a.n)} tuples")
     return power(a, t, budget=budget)
 
 
@@ -234,7 +246,10 @@ def count_maximal_pp_types(a: FiniteStructure, n: int, budget: int = DEFAULT_BUD
     if n < 1:
         raise ValueError("type arity must be >= 1")
     if a.n ** n > MAX_POWER_DOMAIN:
-        raise BudgetExceededError(f"{a.n}**{n} tuples exceed the configured cap")
+        raise BudgetExceededError(
+            f"pp-types of {n}-tuples range over {a.n}**{n} tuples, over the configured cap "
+            f"of {MAX_POWER_DOMAIN}: --n (--types-n of analyze) may be at most "
+            f"{_max_exponent(a.n)} over {a.n} elements")
     tuples = list(itertools.product(range(a.n), repeat=n))
     leq = {}
     for s in tuples:

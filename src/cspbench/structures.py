@@ -9,6 +9,10 @@ powers encode element tuples in row-major order: the k-tuple
 
 so that ``power(a, k)`` coincides with the k-fold iterated binary product
 and every certificate derived from a power is reproducible bit for bit.
+Powers are built by that arithmetic, level by level: each tuple of
+level j + 1 is a tuple of level j times n plus one base row, position by
+position, as in (x*n + u, y*n + v) for a binary relation.  A one-tolerant
+power joins the encoded rows before and after its free row the same way.
 
 Homomorphism search is backtracking over source elements in ascending
 order, trying target values in ascending order.  The first map found is
@@ -20,15 +24,19 @@ target relation onto the same positions, so a fully assigned tuple must be
 a target tuple and a partly assigned one must extend to one.
 
 A search runs in two parts.  The plan is compiled once per (source,
-target) pair: for each source element, the distinct checks its assignment
-triggers.  A check on x alone becomes a set of values x may take; any
-other check is one set lookup of the assigned projection.  The plan is
-cached on the source, keyed by the identity of the target, and the target
-keeps the projections of its relations, so repeated searches with
-different pins (pp-closures, pp-type containment, re-evaluation of pp
-formulas) share the work.  Pins are applied per call.  The loop then walks
-the search tree with an explicit stack, so the depth of a search is not
-bounded by the interpreter's recursion limit.
+target) pair, in one pass over the source tuples.  A tuple t checks
+nothing more once its greatest element is assigned, so it gives at most
+one check per distinct element: its least element may only take values v
+whose constant tuple (v, ..., v) lies in the target projection onto its
+positions, a set of values; its greatest element looks t up in the target
+relation; and each element in between (arity 3 and up) looks up the
+projection of t onto the positions assigned so far, once per distinct
+projection.  The plan is cached on the source, keyed by the identity of
+the target, and the target keeps the projections of its relations, so
+repeated searches with different pins (pp-closures, pp-type containment,
+re-evaluation of pp formulas) share the work.  Pins are applied per call.
+The loop then walks the search tree with an explicit stack, so the depth
+of a search is not bounded by the interpreter's recursion limit.
 
 Every search counts candidate value assignments, pinned and rejected ones
 included, against a budget (default 5_000_000) and raises
@@ -335,9 +343,19 @@ def product(a: FiniteStructure, b: FiniteStructure, budget: int = DEFAULT_BUDGET
     return FiniteStructure(a.sig, a.n * b.n, rels, consts)
 
 
+def _shifted_sums(heads, tails, scale: int, ar: int) -> list:
+    """Every tuple h * scale + t, position by position, for h in heads and
+    t in tails (tuples of length ar)."""
+    if ar == 1:
+        return [(x * scale + u,) for (x,) in heads for (u,) in tails]
+    if ar == 2:
+        return [(x * scale + u, y * scale + v) for x, y in heads for u, v in tails]
+    return [tuple([x * scale + u for x, u in zip(h, t)]) for h in heads for t in tails]
+
+
 def power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
     """k-fold power with row-major tuple encoding; power(a, 1) equals a."""
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise ValueError("power exponent must be a positive integer")
     if a.n ** k > budget:
         raise BudgetExceededError(f"power domain size {a.n}^{k} exceeds budget {budget}")
@@ -346,12 +364,12 @@ def power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStr
         base = sorted(a.rel[rname])
         if len(base) ** k > budget:
             raise BudgetExceededError(f"power relation {rname} exceeds budget")
-        out = set()
-        for rows in itertools.product(base, repeat=k):
-            out.add(tuple(encode_tuple(tuple(rows[j][p] for j in range(k)), a.n) for p in range(ar)))
-        rels[rname] = out
+        level = [(0,) * ar]
+        for _ in range(k):
+            level = _shifted_sums(level, base, a.n, ar)
+        rels[rname] = frozenset(level)
     consts = {c: encode_tuple((v,) * k, a.n) for c, v in a.const.items()}
-    return FiniteStructure(a.sig, a.n ** k, rels, consts)
+    return FiniteStructure._from_checked(a.sig, a.n ** k, rels, consts)
 
 
 def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
@@ -361,30 +379,30 @@ def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET)
     in R^a for at least k-1 of the k coordinates.  Constants (when present)
     are interpreted as diagonal tuples, matching power().
     """
-    if not isinstance(k, int) or k < 3:
+    if not is_int(k) or k < 3:
         raise ValueError("one-tolerant power requires exponent >= 3")
     if a.n ** k > budget:
         raise BudgetExceededError(f"one-tolerant power domain size {a.n}^{k} exceeds budget")
+    n = a.n
     rels = {}
     for rname, ar in a.sig.relations:
         base = sorted(a.rel[rname])
-        work = len(base) ** k + k * (len(base) ** (k - 1)) * (a.n ** ar)
+        work = len(base) ** k + k * (len(base) ** (k - 1)) * (n ** ar)
         if work > budget:
             raise BudgetExceededError(f"one-tolerant power relation {rname} exceeds budget")
+        levels = [[(0,) * ar]]
+        for _ in range(k - 1):
+            levels.append(_shifted_sums(levels[-1], base, n, ar))
+        free = list(itertools.product(range(n), repeat=ar))
         out = set()
-
-        def add(rows):
-            out.add(tuple(encode_tuple(tuple(rows[j][p] for j in range(k)), a.n) for p in range(ar)))
-
-        for rows in itertools.product(base, repeat=k):
-            add(rows)
+        # coordinate j free: j base rows, any row, then k - 1 - j base rows;
+        # the tuples with every coordinate in R^a are among them
         for j in range(k):
-            for ok_rows in itertools.product(base, repeat=k - 1):
-                for free_row in itertools.product(range(a.n), repeat=ar):
-                    add(ok_rows[:j] + (free_row,) + ok_rows[j:])
-        rels[rname] = out
-    consts = {c: encode_tuple((v,) * k, a.n) for c, v in a.const.items()}
-    return FiniteStructure(a.sig, a.n ** k, rels, consts)
+            heads = _shifted_sums(levels[j], free, n, ar)
+            out.update(_shifted_sums(heads, levels[k - 1 - j], n ** (k - 1 - j), ar))
+        rels[rname] = frozenset(out)
+    consts = {c: encode_tuple((v,) * k, n) for c, v in a.const.items()}
+    return FiniteStructure._from_checked(a.sig, n ** k, rels, consts)
 
 
 def _compile_plan(a, b):
@@ -394,37 +412,64 @@ def _compile_plan(a, b):
     support) checks, which pass when getter(h) is in support.
 
     A source tuple t is checked once per distinct element x in it, when x is
-    assigned, on the positions p with t[p] <= x.  Checks that every target
-    assignment passes are left out.  Returns None when some relation is
-    nonempty in a but empty in b, so that no homomorphism exists.
+    assigned, on the positions p with t[p] <= x: its least element is
+    restricted to the diagonal of the projection onto its own positions,
+    its greatest element checks the whole of t against the relation, and
+    each element in between (arity 3 and up) checks the projection onto
+    the positions assigned so far, once per distinct such projection.
+    Checks that every target assignment passes are left out.  Returns None
+    when some relation is nonempty in a but empty in b, so that no
+    homomorphism exists.
     """
     allowed = [None] * a.n
-    checks = [{} for _ in range(a.n)]
+    checks = [[] for _ in range(a.n)]
     for rname, ar in a.sig.relations:
         tuples = a.rel[rname]
-        if tuples and not b.rel[rname]:
+        if not tuples:
+            continue
+        target = b.rel[rname]
+        if not target:
             return None
+        partial = len(target) < b.n ** ar  # whole-tuple checks can fail
+        projections = {}  # positions -> (support, diagonal) of b's rname
+        seen = set()  # (x, t masked beyond x) of the checks on middle elements
+        everywhere = tuple(range(ar))
         for t in tuples:
-            top = max(t)
+            low, top = min(t), max(t)
+            if low == top:
+                positions = everywhere
+            elif ar == 2:
+                positions = (0,) if t[0] == low else (1,)
+            else:
+                positions = tuple([p for p, e in enumerate(t) if e == low])
+            entry = projections.get(positions)
+            if entry is None:
+                entry = projections[positions] = b._projection(rname, positions)
+            diagonal = entry[1]
+            if len(diagonal) < b.n:
+                allowed[low] = diagonal if allowed[low] is None else allowed[low] & diagonal
+            if top == low:
+                continue
+            if partial:
+                checks[top].append((itemgetter(*t), target))
+            if ar < 3:
+                continue
             for x in set(t):
-                # t with its not yet assigned entries masked names the check
-                masked = t if x == top else tuple([e if e <= x else -1 for e in t])
-                known = checks[x]
-                if (rname, masked) in known:
+                if x == low or x == top:
                     continue
-                positions = tuple([p for p in range(ar) if masked[p] >= 0])
-                elems = tuple([t[p] for p in positions])
-                support, diagonal = b._projection(rname, positions)
-                check = None
-                if elems.count(x) == len(elems):
-                    if len(diagonal) < b.n:
-                        allowed[x] = diagonal if allowed[x] is None else allowed[x] & diagonal
-                elif len(support) < b.n ** len(elems):
-                    check = (itemgetter(*elems), support)
-                known[rname, masked] = check
+                masked = tuple([e if e <= x else -1 for e in t])
+                if (x, masked) in seen:
+                    continue
+                seen.add((x, masked))
+                positions = tuple([p for p, e in enumerate(t) if e <= x])
+                entry = projections.get(positions)
+                if entry is None:
+                    entry = projections[positions] = b._projection(rname, positions)
+                if len(entry[0]) < b.n ** len(positions):
+                    checks[x].append((itemgetter(*[t[p] for p in positions]), entry[0]))
     values = [tuple(range(b.n)) if ok is None else tuple(sorted(ok)) for ok in allowed]
     counts = [tuple(v + 1 for v in vs) for vs in values]
-    return values, counts, [tuple(c for c in known.values() if c is not None) for known in checks]
+    return values, counts, [tuple(c) for c in checks]
 
 
 def _plan(a, b):

@@ -6,19 +6,23 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  Two sections are different:
-they keep earlier library code verbatim as a reference, the Fraction
-linear-algebra kernel of linear_horn and the formula-layer code.
+indicator construction the library uses.  Three sections are different:
+they keep earlier library code verbatim as a reference: the Fraction
+linear-algebra kernel of linear_horn, the formula-layer code (renaming,
+tokenizing and the separate walkers over a formula), and the
+tuple-by-tuple powers and plan compiler of structures.
 """
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 from cspbench.duality import _all_tuples
-from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or, _FreshNames,
-                               _validate_symbols, names_in)
+from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or,
+                               TriviallyFalseError, _FreshNames)
 from cspbench.linear_horn import LinearLiteral
-from cspbench.structures import FiniteStructure
+from cspbench.structures import (DEFAULT_BUDGET, BudgetExceededError, FiniteStructure,
+                                 Signature, encode_tuple)
 
 
 def all_maps(n_source, n_target):
@@ -637,3 +641,231 @@ def _tokenize(text: str):
         raise FormulaError(f"line {line} col {col}: unexpected character {ch!r}")
     tokens.append(("end", "", line, col))
     return tokens
+
+
+# -- reference formula walkers, kept verbatim: one generator walk per
+# question.  Differential tests hold cspbench.formulas' single walk, and
+# the error precedence of its callers, to them. --
+
+_LEAVES = (Atom, Eq, Falsum)
+
+
+def _children(phi) -> tuple:
+    """The direct subformulas of a formula node."""
+    if isinstance(phi, _LEAVES):
+        return ()
+    if isinstance(phi, (And, Or)):
+        return phi.parts
+    if isinstance(phi, Exists):
+        return (phi.body,)
+    raise FormulaError(f"not a formula node: {phi!r}")
+
+
+def _subformulas(phi):
+    """phi and all its subformulas, in left-to-right preorder."""
+    yield phi
+    for child in _children(phi):
+        if isinstance(child, _LEAVES):
+            yield child
+        else:
+            yield from _subformulas(child)
+
+
+def _terms(node) -> tuple:
+    """The names in the term positions of an atom or an equality."""
+    if isinstance(node, Atom):
+        return node.args
+    if isinstance(node, Eq):
+        return (node.left, node.right)
+    return ()
+
+
+def is_pp(phi) -> bool:
+    """True iff the formula contains no disjunction."""
+    return not any(isinstance(node, Or) for node in _subformulas(phi))
+
+
+def _contains_falsum(phi) -> bool:
+    return any(isinstance(node, Falsum) for node in _subformulas(phi))
+
+
+def names_in(phi) -> set:
+    """All names occurring in term positions or quantifier prefixes."""
+    out = set()
+    for node in _subformulas(phi):
+        out.update(node.vars if isinstance(node, Exists) else _terms(node))
+    return out
+
+
+def free_names(phi) -> set:
+    """Names not bound by any quantifier (constants not yet separated out)."""
+    if isinstance(phi, Exists):
+        return free_names(phi.body).difference(phi.vars)
+    out = set(_terms(phi))
+    for child in _children(phi):
+        out.update(_terms(child) if isinstance(child, _LEAVES) else free_names(child))
+    return out
+
+
+def free_variables(phi, sig: Signature) -> set:
+    """Free variables relative to a signature (its constants are not variables)."""
+    return free_names(phi) - set(sig.constants)
+
+
+def _validate_symbols(phi, sig: Signature):
+    for node in _subformulas(phi):
+        if isinstance(node, Atom):
+            try:
+                ar = sig.arity(node.rel)
+            except KeyError:
+                raise FormulaError(f"unknown relation symbol {node.rel!r}") from None
+            if len(node.args) != ar:
+                raise FormulaError(f"arity mismatch: {node.rel} expects {ar} arguments, got {len(node.args)}")
+        elif isinstance(node, Exists):
+            for v in node.vars:
+                if v in sig.constants:
+                    raise FormulaError(f"cannot quantify over constant symbol {v!r}")
+
+
+def canonical_structure(phi, sig: Signature):
+    """Canonical database of a pp formula: (structure, name -> element map).
+
+    Equality atoms are merged by union-find; every variable (bound, free or
+    merely quantified) contributes an element, as does every constant
+    symbol of the signature.  Raises TriviallyFalseError on formulas
+    containing the constant false.
+    """
+    if not is_pp(phi):
+        raise FormulaError("canonical database is defined for pp formulas only")
+    if _contains_falsum(phi):
+        raise TriviallyFalseError("formula contains false: trivially false instance")
+    _validate_symbols(phi, sig)
+
+    consts = set(sig.constants)
+    nodes = sorted((names_in(phi) - consts)) + sorted(consts)
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    atoms = []
+    for node in _subformulas(phi):
+        if isinstance(node, Atom):
+            atoms.append(node)
+        elif isinstance(node, Eq):
+            union(node.left, node.right)
+
+    rank = {r: i for i, r in enumerate(sorted({find(x) for x in nodes}))}
+    elem = {x: rank[find(x)] for x in nodes}
+    relations = {}
+    for atom in atoms:
+        relations.setdefault(atom.rel, set()).add(tuple(elem[x] for x in atom.args))
+    constants = {c: elem[c] for c in consts}
+    db = FiniteStructure(sig, len(rank), relations, constants)
+    return db, elem
+
+
+# -- reference powers and plan compiler, kept verbatim: each power tuple
+# encoded from its k rows, and the plan's checks found element by element
+# of each source tuple.  Differential tests hold cspbench.structures'
+# arithmetic powers and one-pass compiler to them. --
+
+
+def power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
+    """k-fold power with row-major tuple encoding; power(a, 1) equals a."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("power exponent must be a positive integer")
+    if a.n ** k > budget:
+        raise BudgetExceededError(f"power domain size {a.n}^{k} exceeds budget {budget}")
+    rels = {}
+    for rname, ar in a.sig.relations:
+        base = sorted(a.rel[rname])
+        if len(base) ** k > budget:
+            raise BudgetExceededError(f"power relation {rname} exceeds budget")
+        out = set()
+        for rows in itertools.product(base, repeat=k):
+            out.add(tuple(encode_tuple(tuple(rows[j][p] for j in range(k)), a.n) for p in range(ar)))
+        rels[rname] = out
+    consts = {c: encode_tuple((v,) * k, a.n) for c, v in a.const.items()}
+    return FiniteStructure(a.sig, a.n ** k, rels, consts)
+
+
+def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
+    """k-th power where a relation tuple may fail in at most one coordinate.
+
+    A tuple of encoded elements is in R iff its coordinate projections lie
+    in R^a for at least k-1 of the k coordinates.  Constants (when present)
+    are interpreted as diagonal tuples, matching power().
+    """
+    if not isinstance(k, int) or k < 3:
+        raise ValueError("one-tolerant power requires exponent >= 3")
+    if a.n ** k > budget:
+        raise BudgetExceededError(f"one-tolerant power domain size {a.n}^{k} exceeds budget")
+    rels = {}
+    for rname, ar in a.sig.relations:
+        base = sorted(a.rel[rname])
+        work = len(base) ** k + k * (len(base) ** (k - 1)) * (a.n ** ar)
+        if work > budget:
+            raise BudgetExceededError(f"one-tolerant power relation {rname} exceeds budget")
+        out = set()
+
+        def add(rows):
+            out.add(tuple(encode_tuple(tuple(rows[j][p] for j in range(k)), a.n) for p in range(ar)))
+
+        for rows in itertools.product(base, repeat=k):
+            add(rows)
+        for j in range(k):
+            for ok_rows in itertools.product(base, repeat=k - 1):
+                for free_row in itertools.product(range(a.n), repeat=ar):
+                    add(ok_rows[:j] + (free_row,) + ok_rows[j:])
+        rels[rname] = out
+    consts = {c: encode_tuple((v,) * k, a.n) for c, v in a.const.items()}
+    return FiniteStructure(a.sig, a.n ** k, rels, consts)
+
+
+def _compile_plan(a, b):
+    """Per source element x, as three lists: the values x may take, in
+    ascending order; after each of them, the count of values that plain
+    backtracking, which tries every value, has tried; and the (getter,
+    support) checks, which pass when getter(h) is in support.
+
+    A source tuple t is checked once per distinct element x in it, when x is
+    assigned, on the positions p with t[p] <= x.  Checks that every target
+    assignment passes are left out.  Returns None when some relation is
+    nonempty in a but empty in b, so that no homomorphism exists.
+    """
+    allowed = [None] * a.n
+    checks = [{} for _ in range(a.n)]
+    for rname, ar in a.sig.relations:
+        tuples = a.rel[rname]
+        if tuples and not b.rel[rname]:
+            return None
+        for t in tuples:
+            top = max(t)
+            for x in set(t):
+                # t with its not yet assigned entries masked names the check
+                masked = t if x == top else tuple([e if e <= x else -1 for e in t])
+                known = checks[x]
+                if (rname, masked) in known:
+                    continue
+                positions = tuple([p for p in range(ar) if masked[p] >= 0])
+                elems = tuple([t[p] for p in positions])
+                support, diagonal = b._projection(rname, positions)
+                check = None
+                if elems.count(x) == len(elems):
+                    if len(diagonal) < b.n:
+                        allowed[x] = diagonal if allowed[x] is None else allowed[x] & diagonal
+                elif len(support) < b.n ** len(elems):
+                    check = (itemgetter(*elems), support)
+                known[rname, masked] = check
+    values = [tuple(range(b.n)) if ok is None else tuple(sorted(ok)) for ok in allowed]
+    counts = [tuple(v + 1 for v in vs) for vs in values]
+    return values, counts, [tuple(c for c in known.values() if c is not None) for known in checks]

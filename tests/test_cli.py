@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -98,6 +99,19 @@ def test_ppdef_exit_codes(files, capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "ppdef", files["u1.json"], files["k2.json"])
     assert code == 2 and "error" in err
+
+
+def test_ppdef_over_the_power_cap_is_an_error(files, capsys, tmp_path):
+    # 2**9 = 512 elements exceed the cap of 260; 2**8 = 256 would not
+    rel = tmp_path / "nine.json"
+    rows = sorted(itertools.product(range(2), repeat=4))[:9]
+    rel.write_text(json.dumps({"arity": 4, "tuples": [list(t) for t in rows]}))
+    code, out, err = run(capsys, "ppdef", files["k2.json"], str(rel))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "9 tuples" in err and "cap of 260" in err
+    assert "at most 8 tuples" in err
+    code, _, err = run(capsys, "types", files["u1.json"], "--n", "9")
+    assert code == 2 and "--n" in err and "cap of 260" in err and "at most 8" in err
 
 
 def test_ppdef_certificate_with_empty_body_reparses(files, capsys, tmp_path):

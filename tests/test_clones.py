@@ -42,6 +42,18 @@ def test_operation_table_json_round_trip():
     assert OperationTable.from_json_dict(MAJ3.to_json_dict()) == MAJ3
 
 
+@pytest.mark.parametrize("doc", [
+    {"domain": True, "arity": 1, "values": [False]},
+    {"domain": 1, "arity": True, "values": [0]},
+    {"domain": 2, "arity": 1, "values": [0, True]},
+    {"domain": "2", "arity": 1, "values": [0, 1]},
+    {"domain": 2, "arity": 1, "values": 5},
+], ids=["bool-domain", "bool-arity", "bool-value", "string-domain", "scalar-values"])
+def test_operation_table_json_rejects_non_integers(doc):
+    with pytest.raises(ValueError):
+        OperationTable.from_json_dict(doc)
+
+
 def test_enumerate_polymorphisms_k2_unary():
     polys = enumerate_polymorphisms(helpers.k2(), 1)
     assert [f.values for f in polys] == [(0, 1), (1, 0)]

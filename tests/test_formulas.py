@@ -18,10 +18,12 @@ from cspbench.formulas import (
     _FreshNames,
     _rename,
     _tokenize,
+    _walk,
     canonical_query,
     canonical_structure,
     eliminate_disjunctions,
     evaluate,
+    free_names,
     free_variables,
     is_locally_refutable,
     is_pp,
@@ -142,6 +144,111 @@ def test_renaming_and_local_refutation_match_reference():
     assert any(kind == "error" for kind, _ in values)
 
 
+def _faulty_sentence(rng, sig):
+    """A decorated sentence into which, now and then, an atom over an
+    unknown relation or with the wrong arity is spliced, before or after
+    the rest, so that many sentences carry two faults."""
+    phi = _decorated_sentence(rng, sig)
+    roll = rng.random()
+    if roll < 0.4:
+        rname, ar = rng.choice(sig.relations)
+        bad = rng.choice([Atom("Z", phi.vars[:1]), Atom(rname, (phi.vars[0],) * (ar + 1))])
+        parts = (bad, phi.body) if roll < 0.2 else (phi.body, bad)
+        phi = Exists(phi.vars, And(parts))
+    return phi
+
+
+def _reference_symbol_error(phi, sig):
+    return _outcome(oracles._validate_symbols, phi, sig)[1]
+
+
+def _reference_clean(phi):
+    """No name quantified by two blocks, none both quantified and free."""
+    blocks = [set(node.vars) for node in oracles._subformulas(phi) if isinstance(node, Exists)]
+    quantified = set().union(*blocks)
+    return sum(map(len, blocks)) == len(quantified) and not quantified & oracles.free_names(phi)
+
+
+def test_single_walk_matches_reference_walkers():
+    rng = random.Random(47)
+    canonical = set()
+    for _ in range(1500):
+        a = _structure_with_constants(rng)
+        phi = _faulty_sentence(rng, a.sig)
+        for psi in (phi, phi.body):
+            walk = _walk(psi, a.sig)
+            preorder = list(oracles._subformulas(psi))
+            assert walk.atoms == [node for node in preorder if isinstance(node, Atom)]
+            assert walk.equalities == [node for node in preorder if isinstance(node, Eq)]
+            assert walk.names == names_in(psi) == oracles.names_in(psi)
+            assert walk.free == free_names(psi) == oracles.free_names(psi)
+            assert free_variables(psi, a.sig) == oracles.free_variables(psi, a.sig)
+            assert walk.disjunctive == (not is_pp(psi)) == (not oracles.is_pp(psi))
+            assert walk.false == oracles._contains_falsum(psi)
+            assert walk.symbol_error == _reference_symbol_error(psi, a.sig)
+            assert _walk(psi).symbol_error is None
+            assert walk.clean == _reference_clean(psi)
+            got = _outcome(canonical_structure, psi, a.sig)
+            if walk.clean:
+                # the reference identifies every binding of a name
+                assert got == _outcome(oracles.canonical_structure, psi, a.sig)
+            else:
+                assert _outcome(oracles.canonical_structure, psi, a.sig)[0] == got[0]
+            canonical.add((walk.clean, got[0] if got[0] == "ok" else got[1].split(":")[0]))
+    assert {(True, "ok"), (False, "ok"), (True, "unknown relation symbol 'Z'"),
+            (True, "arity mismatch"),
+            (True, "canonical database is defined for pp formulas only")} <= canonical
+
+
+def test_evaluation_error_precedence_matches_reference():
+    """evaluate and witness_assignment raise a symbol fault first, then an
+    unbound free variable; canonical_structure raises a disjunction, then
+    false, then a symbol fault."""
+    rng = random.Random(53)
+    kinds = set()
+    for _ in range(600):
+        a = _structure_with_constants(rng)
+        phi = _faulty_sentence(rng, a.sig)
+        for psi in (phi, phi.body):
+            want = _reference_symbol_error(psi, a.sig)
+            free = oracles.free_variables(psi, a.sig)
+            if want is None and free:
+                want = f"unbound free variables: {sorted(free)}"
+            truth = oracles.brute_evaluate(a, psi) if want is None else None
+            assert _outcome(evaluate, a, psi) == (("error", want) if want else ("ok", truth))
+            witness = _outcome(witness_assignment, a, psi)
+            assert witness[0] == ("error" if want else "ok")
+            assert witness[1] == want if want else (witness[1] is not None) == truth
+            kinds.add(want.split(":")[0] if want else (_walk(psi).clean, truth))
+    assert {(True, True), (True, False), (False, True), (False, False),
+            "unknown relation symbol 'Z'", "arity mismatch", "unbound free variables"} <= kinds
+    graph = helpers.GRAPH
+    two_faults = {
+        Or((Atom("Z", ("x",)), FALSE)): "canonical database is defined for pp formulas only",
+        And((FALSE, Atom("E", ("x",)))): "formula contains false: trivially false instance",
+        Exists(("x",), And((Atom("E", ("x", "x", "x")), Atom("Z", ("x",))))):
+            "arity mismatch: E expects 2 arguments, got 3",
+    }
+    for psi, message in two_faults.items():
+        assert _outcome(canonical_structure, psi, graph) == ("error", message)
+        assert _outcome(oracles.canonical_structure, psi, graph) == ("error", message)
+        assert _outcome(evaluate, helpers.k2(), psi)[1] == _reference_symbol_error(psi, graph)
+
+
+def test_rebound_names_are_separate_variables():
+    uv, k2 = helpers.uv(), helpers.k2()
+    siblings = parse_sentence("(exists x . U(x)) & (exists x . V(x))")
+    assert evaluate(uv, siblings) and witness_assignment(uv, siblings) == {"x": 1}
+    shadowed = parse_sentence("exists x y . E(x, y) & (exists y . x = y)")
+    assert evaluate(k2, shadowed)
+    assert witness_assignment(k2, shadowed) == {"x": 0, "y": 1}
+    bound_and_free = parse_sentence("U(x) & (exists x . V(x))")
+    assert [evaluate(uv, bound_and_free, {"x": v}) for v in (0, 1)] == [False, True]
+    db, elem = canonical_structure(shadowed, k2.sig)
+    # the inner y is a variable of its own, merged with x
+    assert db.n == 2 and len(elem) == 3 and elem["x"] != elem["y"]
+
+
 def test_render_round_trip():
     rng = random.Random(3)
     sig = helpers.GRAPH
@@ -187,6 +294,11 @@ def test_evaluate_free_variables():
         evaluate(u, phi)
     with pytest.raises(FormulaError):
         evaluate(u, phi, {"x": 5})
+
+
+def test_assignment_values_reject_booleans():
+    with pytest.raises(FormulaError, match="outside the domain"):
+        evaluate(helpers.u1(), Atom("U", ("x",)), {"x": True})
 
 
 def test_evaluate_errors():

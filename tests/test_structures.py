@@ -19,6 +19,7 @@ from cspbench import (
 )
 from cspbench.structures import (
     Homomorphism,
+    _compile_plan,
     _hom_maps,
     canonical_form,
     decode_index,
@@ -159,6 +160,79 @@ def test_one_tolerant_empty_relation_stays_empty():
 def test_one_tolerant_requires_three():
     with pytest.raises(ValueError):
         one_tolerant_power(helpers.k2(), 2)
+
+
+def test_power_exponents_reject_booleans():
+    k2 = helpers.k2()
+    with pytest.raises(ValueError):
+        power(k2, True)
+    with pytest.raises(ValueError):
+        one_tolerant_power(k2, True)
+
+
+def _small_structure(rng, max_n=3):
+    """Relations of arity 1-3, some of them empty, and up to two constants."""
+    n = rng.randint(1, max_n)
+    relations, data = {}, {}
+    for i in range(rng.randint(1, 3)):
+        ar = rng.randint(1, 3)
+        pool = list(itertools.product(range(n), repeat=ar))
+        relations[f"R{i}"] = ar
+        data[f"R{i}"] = [] if rng.random() < 0.2 else rng.sample(pool, rng.randint(1, min(len(pool), 4)))
+    consts = {c: rng.randrange(n) for c in rng.sample(["c", "d"], rng.randint(0, 2))}
+    return FiniteStructure(Signature.make(relations, list(consts)), n, data, consts)
+
+
+def _result(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_powers_match_reference():
+    rng = random.Random(61)
+    for _ in range(300):
+        a = _small_structure(rng)
+        for k in (1, 2, 3, 4):
+            got, want = power(a, k), oracles.power(a, k)
+            assert got == want and got.n == want.n
+        for k in (3, 4):
+            got = _result(one_tolerant_power, a, k, 20_000)
+            assert got == _result(oracles.one_tolerant_power, a, k, 20_000)
+            if got[0] == "ok":
+                assert got[1].n == a.n ** k
+    assert _result(power, helpers.k3(), 20) == _result(oracles.power, helpers.k3(), 20)
+
+
+def _plan_summary(plan, a):
+    """values, counts and, per element, the multiset of (what each check
+    reads from the identity assignment, its support)."""
+    if plan is None:
+        return None
+    values, counts, checks = plan
+    identity = list(range(a.n))
+    reads = [sorted((getter(identity), sorted(support)) for getter, support in chk) for chk in checks]
+    return values, counts, reads
+
+
+def test_plans_match_reference():
+    rng = random.Random(67)
+    compiled = 0
+    for _ in range(1000):
+        b = _small_structure(rng)
+        b = FiniteStructure(b.sig.relational_part(), b.n, b.rel)
+        sources = [power(b, rng.randint(1, 3))]
+        sig = b.sig
+        data = {r: rng.sample(list(itertools.product(range(4), repeat=ar)), rng.randint(0, 4))
+                for r, ar in sig.relations}
+        sources.append(FiniteStructure(sig, 4, data))
+        for a in sources:
+            plan = _compile_plan(a, b)
+            assert _plan_summary(plan, a) == _plan_summary(oracles._compile_plan(a, b), a)
+            compiled += plan is not None
+    assert compiled > 1000
 
 
 def test_find_homomorphism_examples():
