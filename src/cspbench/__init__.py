@@ -65,14 +65,12 @@ from .duality import (
 from .linear_horn import (
     LinearCnf,
     LinearLiteral,
-    QuadExtNumber,
     check_mix_preservation,
     classify_horn,
     cnf_sat,
     conj_sat,
     horn_solve,
     make_irreducible,
-    mix,
     parse_cnf,
 )
 

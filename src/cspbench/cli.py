@@ -171,7 +171,7 @@ def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
 
     def epc_section():
         if "error" in report.core:
-            raise BudgetExceededError(report.core["error"])
+            return {"error": report.core["error"]}
         return {"verdict": report.core["verdict"],
                 "note": "epc coincides with core on finite structures"}
 

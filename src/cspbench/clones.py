@@ -216,15 +216,10 @@ def all_polymorphisms_essentially_unary(a: FiniteStructure, max_arity: int,
 
 
 def _is_embedding(h: Homomorphism) -> bool:
-    a = h.source
-    if len(set(h.map)) != a.n:
-        return False
-    for rname, ar in a.sig.relations:
-        rel = a.rel[rname]
-        for t in itertools.product(range(a.n), repeat=ar):
-            if t not in rel and tuple(h.map[x] for x in t) in rel:
-                return False
-    return True
+    """Is the endomorphism h an embedding?  On a finite structure that is
+    injectivity: an injective endomorphism is a bijection that maps each
+    relation R injectively into R, so onto R, and hence reflects it."""
+    return len(set(h.map)) == h.source.n
 
 
 def first_non_embedding(endomorphisms):

@@ -17,7 +17,8 @@ a certificate with thousands of atoms is traversed once per use.
 Evaluation of a pp formula reduces to homomorphism search from its
 canonical database (equalities merged by union-find); ep formulas are
 evaluated by structural recursion with quantifiers ranging over the
-domain.  One renaming walk, _rename, serves disjunction elimination both
+domain, each assignment of a quantifier block counted against the
+budget.  One renaming walk, _rename, serves disjunction elimination both
 for replacing free names and for giving every quantifier fresh variables,
 and separates the variables of a pp formula that quantifies a name twice
 before its canonical database is built.
@@ -48,6 +49,7 @@ from .structures import (
     DEFAULT_BUDGET,
     FiniteStructure,
     Signature,
+    budget_meter,
     find_homomorphism,
     is_int,
 )
@@ -355,22 +357,29 @@ def _resolve(name, a, env):
     raise FormulaError(f"unbound free variable {name!r}")
 
 
-def _eval_rec(phi, a, env):
+def _assignment_meter(budget: int):
+    return budget_meter(budget, f"ep evaluation exceeded budget of {budget} quantifier assignments")
+
+
+def _eval_rec(phi, a, env, step):
+    """Truth of phi in a under env by structural recursion; step (see
+    budget_meter) is called once per quantifier assignment tried."""
     if isinstance(phi, Atom):
         return tuple(_resolve(x, a, env) for x in phi.args) in a.rel[phi.rel]
     if isinstance(phi, Eq):
         return _resolve(phi.left, a, env) == _resolve(phi.right, a, env)
     if isinstance(phi, And):
-        return all(_eval_rec(p, a, env) for p in phi.parts)
+        return all(_eval_rec(p, a, env, step) for p in phi.parts)
     if isinstance(phi, Or):
-        return any(_eval_rec(p, a, env) for p in phi.parts)
+        return any(_eval_rec(p, a, env, step) for p in phi.parts)
     if isinstance(phi, Falsum):
         return False
     if isinstance(phi, Exists):
         for values in itertools.product(range(a.n), repeat=len(phi.vars)):
+            step()
             inner = dict(env)
             inner.update(zip(phi.vars, values))
-            if _eval_rec(phi.body, a, inner):
+            if _eval_rec(phi.body, a, inner, step):
                 return True
         return False
     raise FormulaError(f"not a formula node: {phi!r}")
@@ -418,7 +427,7 @@ def evaluator(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET, walk: _Walk
     free = walk.free.difference(a.sig.constants)
     if walk.disjunctive:
         def decide(env):
-            return _eval_rec(phi, a, env)
+            return _eval_rec(phi, a, env, _assignment_meter(budget))
     elif walk.false:
         def decide(env):
             return False
@@ -466,9 +475,11 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
             return None
         return {v: h.map[e] for v, e in elem.items() if v in walk.names and v not in a.sig.constants}
     block, body = (phi.vars, phi.body) if isinstance(phi, Exists) else ((), phi)
+    step = _assignment_meter(budget)
     for values in itertools.product(range(a.n), repeat=len(block)):
+        step()
         env = dict(zip(block, values))
-        if _eval_rec(body, a, env):
+        if _eval_rec(body, a, env, step):
             return env
     return None
 
@@ -509,7 +520,7 @@ def is_locally_refutable(a: FiniteStructure, include_constants: bool = True):
 
     def holds(d, pool):
         env = {var: d}
-        return all(_eval_rec(atm, a, env) for atm in pool)
+        return all(_eval_rec(atm, a, env, None) for atm in pool)  # atoms count no steps
 
     for d in range(a.n):
         if holds(d, atoms):

@@ -26,21 +26,21 @@ a leaf builds a witness point.  The search tree, its node count (the
 budget) and the rows at every leaf are those of deciding each node's
 whole path from scratch with conj_sat, so the witnesses are the same.
 
-The mixing embedding sends a pair of rational points to the point
-e(x, y) = (1 - sqrt2)*x + sqrt2*y computed coordinate-wise in the field
-Q(sqrt2) of numbers p + q*sqrt2.  Then e(1, 1) = 1, e is injective on
-rational pairs (the sqrt2 component of e(x, y) - e(x', y') separates
-them), and for a rational linear form s with values s_p, s_q at p, q:
+A CNF is preserved by the mixing map e(x, y) = (1 - sqrt2)*x + sqrt2*y
+when e(p, q), taken coordinate-wise, satisfies it for every two
+satisfying points p, q.  e(1, 1) = 1 and e is injective on rational
+pairs.  A rational linear form s with values s_p, s_q at p, q has
 
-    s(e(p, q)) = s_p + sqrt2 * (s_q - s_p)
+    s(e(p, q)) = s_p + sqrt2 * (s_q - s_p),
 
-equals a rational d iff s_p = d and s_q = d.  Hence an equality literal
-satisfied by both points is satisfied by the mix, one satisfied by
-exactly one of them is falsified, and a disequality satisfied by both is
-preserved.  This yields the Horn solver's dichotomy behaviour: every
-clause with at most one equality literal is preserved under mixing of
-satisfying points, while an irreducible non-Horn clause admits a pair of
-satisfying points whose mix falsifies the whole CNF.
+a rational d iff s_p = d and s_q = d, since sqrt2 is irrational.  So
+preservation is decided over Q: an equality holds at the mix iff it
+holds at p and at q, a disequality iff it holds at p or at q.  Hence a
+clause with at most one equality is preserved (a disequality true at p
+or q stays true; else both points satisfy the equality), while an
+irreducible non-Horn clause has equalities r1, r2 and satisfying points,
+one with r1 but not r2, one with r2 but not r1, both falsifying the rest
+of the clause, whose mix falsifies every literal of the clause.
 
 Why the Horn propagation solver is complete over Q: let S be the set of
 equality literals fired at fixpoint.  If firing never produced an
@@ -68,78 +68,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .structures import BudgetExceededError
+from .structures import budget_meter
 
 DEFAULT_BRANCH_BUDGET = 200_000
 
 
 class CnfError(ValueError):
     """Malformed CNF input."""
-
-
-@dataclass(frozen=True)
-class QuadExtNumber:
-    """An element p + q*sqrt2 of the field Q(sqrt2), with exact arithmetic."""
-
-    p: Fraction
-    q: Fraction
-
-    @staticmethod
-    def of(value) -> "QuadExtNumber":
-        if isinstance(value, QuadExtNumber):
-            return value
-        return QuadExtNumber(Fraction(value), Fraction(0))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def __add__(self, other):
-        o = QuadExtNumber.of(other)
-        return QuadExtNumber(self.p + o.p, self.q + o.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtNumber(-self.p, -self.q)
-
-    def __sub__(self, other):
-        return self + (-QuadExtNumber.of(other))
-
-    def __rsub__(self, other):
-        return QuadExtNumber.of(other) + (-self)
-
-    def __mul__(self, other):
-        o = QuadExtNumber.of(other)
-        return QuadExtNumber(self.p * o.p + 2 * self.q * o.q, self.p * o.q + self.q * o.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = QuadExtNumber.of(other)
-        norm = o.p * o.p - 2 * o.q * o.q
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return self * QuadExtNumber(o.p / norm, -o.q / norm)
-
-    def __rtruediv__(self, other):
-        return QuadExtNumber.of(other) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (QuadExtNumber, int, Fraction)):
-            o = QuadExtNumber.of(other)
-            return self.p == o.p and self.q == o.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __repr__(self):
-        return f"({self.p} + {self.q}*sqrt2)"
-
-
-SQRT2 = QuadExtNumber(Fraction(0), Fraction(1))
-ONE_MINUS_SQRT2 = QuadExtNumber(Fraction(1), Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -188,7 +123,7 @@ class LinearLiteral:
         return LinearLiteral(self.coeffs, self.const, True)
 
     def holds(self, point: dict) -> bool:
-        """Evaluate at a point with Fraction or QuadExtNumber coordinates."""
+        """Evaluate at a point with Fraction coordinates."""
         total = sum((c * point[v] for v, c in self.coeffs), start=Fraction(0))
         return (total == self.const) == self.is_eq
 
@@ -482,14 +417,7 @@ def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
     """
     clauses = sorted(f.clauses, key=len)
     variables = set(f.variables()) | set(extra_vars)
-    steps = 0
-
-    def step():
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise BudgetExceededError(f"cnf_sat exceeded branching budget {budget}")
-
+    step = budget_meter(budget, f"cnf_sat exceeded branching budget {budget}")
     step()  # the root
     state = (_EqSystem(variables), [])
     if not clauses:
@@ -598,6 +526,8 @@ def classify_horn(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> HornVerd
         for point in (p, q):
             for v in variables:
                 point.setdefault(v, Fraction(0))
+        if not (f.holds(p) and f.holds(q)) or check_mix_preservation(irr, p, q):
+            raise AssertionError("the witness pair does not certify that the CNF is non-Horn")
         return HornVerdict(False, "CSP NP-complete", irr, clause, (p, q))
     return HornVerdict(True, "CSP in P", irr)
 
@@ -652,26 +582,26 @@ def horn_solve(f: LinearCnf):
     return True, point
 
 
-def mix(p: dict, q: dict):
-    """Coordinate-wise (1 - sqrt2)*p + sqrt2*q in Q(sqrt2)."""
-    if set(p) != set(q):
-        raise ValueError("mix requires points over the same variables")
-    return {
-        v: ONE_MINUS_SQRT2 * QuadExtNumber.of(p[v]) + SQRT2 * QuadExtNumber.of(q[v])
-        for v in p
-    }
-
-
 def check_mix_preservation(f: LinearCnf, p: dict, q: dict) -> bool:
-    """Does the mix of two satisfying points still satisfy f (evaluated
-    exactly in Q(sqrt2))?  Raises when p or q does not satisfy f."""
+    """Does the mix e(p, q) of two satisfying points still satisfy f?
+    Decided over Q by the two-point rule of the module docstring; raises
+    ValueError when p or q misses a variable, when they assign different
+    variables, or when one does not satisfy f."""
     for name, point in (("first", p), ("second", q)):
         missing = f.variables() - set(point)
         if missing:
             raise ValueError(f"the {name} point does not assign {sorted(missing)}")
         if not f.holds(point):
             raise ValueError(f"the {name} point does not satisfy the CNF")
-    return f.holds(mix(p, q))
+    if set(p) != set(q):
+        raise ValueError("mix requires points over the same variables")
+
+    def holds_at_mix(lit):
+        if lit.is_eq:
+            return lit.holds(p) and lit.holds(q)
+        return lit.holds(p) or lit.holds(q)
+
+    return all(any(holds_at_mix(lit) for lit in clause) for clause in f.clauses)
 
 
 # -- CNF text format --

@@ -42,7 +42,9 @@ Every search counts candidate value assignments, pinned and rejected ones
 included, against a budget (default 5_000_000) and raises
 BudgetExceededError beyond it.  The count, and so the budget at which a
 search first fails, is the same as that of plain backtracking which tries
-every value and tests each tuple when the value is assigned.
+every value and tests each tuple when the value is assigned.  An
+enumeration also fails when it finds a map while the maps it keeps
+already hold more than budget entries, so its memory stays bounded.
 
 canonical_form gives a key that is equal for two structures exactly when
 they are isomorphic: the lex-least (relation bitmasks, constant elements)
@@ -94,6 +96,18 @@ def is_int(v) -> bool:
 
 class BudgetExceededError(RuntimeError):
     """A search or construction exceeded its candidate-assignment budget."""
+
+
+def budget_meter(budget: int, message: str):
+    """A step function: each call counts one step, and the call beyond
+    budget raises BudgetExceededError(message)."""
+    steps = itertools.count(1)
+
+    def step():
+        if next(steps) > budget:
+            raise BudgetExceededError(message)
+
+    return step
 
 
 class SignatureMismatchError(ValueError):
@@ -467,8 +481,10 @@ def _compile_plan(a, b):
                     entry = projections[positions] = b._projection(rname, positions)
                 if len(entry[0]) < b.n ** len(positions):
                     checks[x].append((itemgetter(*[t[p] for p in positions]), entry[0]))
-    values = [tuple(range(b.n)) if ok is None else tuple(sorted(ok)) for ok in allowed]
-    counts = [tuple(v + 1 for v in vs) for vs in values]
+    every = tuple(range(b.n))  # shared, with its counts, by unrestricted elements
+    values = [every if ok is None else tuple(sorted(ok)) for ok in allowed]
+    every_counts = tuple(range(1, b.n + 1))
+    counts = [every_counts if vs is every else tuple(v + 1 for v in vs) for vs in values]
     return values, counts, [tuple(c) for c in checks]
 
 
@@ -489,7 +505,9 @@ def _hom_maps(a, b, pinned, budget, first_only):
 
     Values that a source element's own checks reject are skipped without
     being tried, but still counted, so that the budget means what it
-    means for plain backtracking.
+    means for plain backtracking.  Finding a map while the maps kept hold
+    more than budget entries (maps times a.n) raises as well, so memory
+    stays bounded; a first-only search keeps no map before its first.
     """
     if a.sig != b.sig:
         raise SignatureMismatchError("homomorphism search requires equal signatures")
@@ -545,6 +563,10 @@ def _hom_maps(a, b, pinned, budget, first_only):
                 x += 1
                 nxt[x] = tried[x] = 0
                 continue
+            if len(out) * n > budget:
+                raise BudgetExceededError(
+                    f"homomorphism search holds {len(out)} maps of {n} entries each, "
+                    f"more than the budget of {budget} entries")
             out.append(tuple(h))
             if first_only:
                 return out

@@ -6,14 +6,16 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  Three sections are different:
+indicator construction the library uses.  Four sections are different:
 they keep earlier library code verbatim as a reference: the Fraction
-linear-algebra kernel of linear_horn, the formula-layer code (renaming,
-tokenizing and the separate walkers over a formula), and the
-tuple-by-tuple powers and plan compiler of structures.
+linear-algebra kernel of linear_horn, the Q(sqrt2) field and mixing map
+with which linear_horn once decided mix preservation, the formula-layer
+code (renaming, tokenizing and the separate walkers over a formula), and
+the tuple-by-tuple powers and plan compiler of structures.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -396,6 +398,103 @@ def branching_cnf_sat(f, extra_vars=()):
 
     return branch(0, [], []), steps
 
+
+
+# -- the sqrt2 mixing embedding --
+
+# The Q(sqrt2) field and the mixing map that linear_horn used to decide
+# mix preservation before it did so over Q, kept verbatim: QuadExtNumber,
+# SQRT2, ONE_MINUS_SQRT2 and mix.  holds_in_quadext evaluates a CNF at a
+# mixed point in that field, literal by literal.
+
+
+@dataclass(frozen=True)
+class QuadExtNumber:
+    """An element p + q*sqrt2 of the field Q(sqrt2), with exact arithmetic."""
+
+    p: Fraction
+    q: Fraction
+
+    @staticmethod
+    def of(value) -> "QuadExtNumber":
+        if isinstance(value, QuadExtNumber):
+            return value
+        return QuadExtNumber(Fraction(value), Fraction(0))
+
+    @property
+    def is_rational(self) -> bool:
+        return self.q == 0
+
+    def __add__(self, other):
+        o = QuadExtNumber.of(other)
+        return QuadExtNumber(self.p + o.p, self.q + o.q)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadExtNumber(-self.p, -self.q)
+
+    def __sub__(self, other):
+        return self + (-QuadExtNumber.of(other))
+
+    def __rsub__(self, other):
+        return QuadExtNumber.of(other) + (-self)
+
+    def __mul__(self, other):
+        o = QuadExtNumber.of(other)
+        return QuadExtNumber(self.p * o.p + 2 * self.q * o.q, self.p * o.q + self.q * o.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = QuadExtNumber.of(other)
+        norm = o.p * o.p - 2 * o.q * o.q
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        return self * QuadExtNumber(o.p / norm, -o.q / norm)
+
+    def __rtruediv__(self, other):
+        return QuadExtNumber.of(other) / self
+
+    def __eq__(self, other):
+        if isinstance(other, (QuadExtNumber, int, Fraction)):
+            o = QuadExtNumber.of(other)
+            return self.p == o.p and self.q == o.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __repr__(self):
+        return f"({self.p} + {self.q}*sqrt2)"
+
+
+SQRT2 = QuadExtNumber(Fraction(0), Fraction(1))
+ONE_MINUS_SQRT2 = QuadExtNumber(Fraction(1), Fraction(-1))
+
+
+def mix(p: dict, q: dict):
+    """Coordinate-wise (1 - sqrt2)*p + sqrt2*q in Q(sqrt2)."""
+    if set(p) != set(q):
+        raise ValueError("mix requires points over the same variables")
+    return {
+        v: ONE_MINUS_SQRT2 * QuadExtNumber.of(p[v]) + SQRT2 * QuadExtNumber.of(q[v])
+        for v in p
+    }
+
+
+def literal_holds_in_quadext(lit: LinearLiteral, point: dict) -> bool:
+    """Truth of a literal at a point with QuadExtNumber coordinates."""
+    total = QuadExtNumber.of(0)
+    for v, c in lit.coeffs:
+        total = total + c * point[v]
+    return (total == lit.const) == lit.is_eq
+
+
+def holds_in_quadext(f, point: dict) -> bool:
+    """Truth of a LinearCnf at a point with QuadExtNumber coordinates."""
+    return all(any(literal_holds_in_quadext(lit, point) for lit in clause)
+               for clause in f.clauses)
 
 # -- canonical forms and obstruction sweeps --
 

@@ -268,6 +268,34 @@ def test_solve_deep_chain_is_satisfied(files, capsys, tmp_path):
     assert doc["witness"] == {f"x{i}": i % 2 for i in range(n)}
 
 
+def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):
+    # End(A) of 3,000 elements, 2,998 of them isolated, is far too large to
+    # list: the enumeration stops once the maps it keeps hold more than the
+    # budget in entries, instead of keeping millions of 3,000-entry maps
+    big = tmp_path / "big.json"
+    big.write_text(FiniteStructure(Signature.make({"E": 2}), 3000, {"E": [(0, 1), (1, 0)]}).to_json())
+    code, out, err = run(capsys, "--format", "machine", "analyze", str(big))
+    assert code == 0, err
+    doc = json.loads(out)
+    for section in ("core", "epc", "polymorphism_counts", "essentially_unary"):
+        assert doc[section]["error"].startswith(
+            "budget exceeded: homomorphism search holds 1667 maps of 3000 entries each")
+
+
+def test_ep_solve_is_bounded_by_the_budget(files, capsys, tmp_path):
+    # a false ep sentence over 200 elements has 200**3 assignments to scan
+    template = tmp_path / "t200.json"
+    template.write_text(FiniteStructure(Signature.make({"E": 2}), 200, {"E": [(0, 1), (1, 0)]}).to_json())
+    sentence = tmp_path / "ep.txt"
+    sentence.write_text("exists x y z . E(x, x) | E(y, z) & E(z, z)")
+    code, out, err = run(capsys, "solve", str(template), str(sentence), "--budget", "1000")
+    assert code == 2 and out == ""
+    assert "ep evaluation exceeded budget of 1000 quantifier assignments" in err
+    # over K2 the scan takes 2**3 = 8 assignments
+    code, out, _ = run(capsys, "solve", files["k2.json"], str(sentence), "--budget", "8")
+    assert code == 1 and "unsatisfied" in out
+
+
 @pytest.mark.parametrize("exc", [AssertionError("postcondition violated"),
                                  RecursionError("maximum recursion depth exceeded")],
                          ids=["AssertionError", "RecursionError"])

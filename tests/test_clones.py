@@ -197,6 +197,23 @@ def test_is_core_single_loop():
     assert verdict and cert is None
 
 
+def test_is_core_matches_the_embedding_definition():
+    # is_core only tests endomorphisms for injectivity; by definition an
+    # embedding must also reflect every relation, which is implied on a
+    # finite structure
+    rng = random.Random(59)
+    for _ in range(60):
+        a = helpers.random_structure(rng, max_n=4, max_arity=3)
+
+        def embeds(h):
+            return len(set(h)) == a.n and all(
+                tuple(h[x] for x in t) not in a.rel[rname]
+                for rname, ar in a.sig.relations
+                for t in itertools.product(range(a.n), repeat=ar) if t not in a.rel[rname])
+
+        assert is_core(a)[0] == all(embeds(h) for h in oracles.brute_homs(a, a))
+
+
 def test_is_epc_equals_is_core():
     assert is_epc_finite(helpers.k2())
     assert not is_epc_finite(helpers.graph(3, [(0, 1)], symmetric=True))

@@ -6,9 +6,9 @@ import pytest
 
 import helpers
 import oracles
+from oracles import SQRT2, QuadExtNumber, mix
 from cspbench import (
     LinearCnf,
-    QuadExtNumber,
     check_mix_preservation,
     classify_horn,
     cnf_sat,
@@ -16,10 +16,9 @@ from cspbench import (
     horn_solve,
     linear_horn,
     make_irreducible,
-    mix,
     parse_cnf,
 )
-from cspbench.linear_horn import SQRT2, CnfError, LinearLiteral as L
+from cspbench.linear_horn import CnfError, LinearLiteral as L
 from cspbench.structures import BudgetExceededError
 
 
@@ -297,6 +296,32 @@ def test_mix_requires_satisfying_points():
         check_mix_preservation(f, {}, {})
 
 
+def test_mix_requires_points_over_the_same_variables():
+    f = parse_cnf("1*x = 0")
+    with pytest.raises(ValueError, match="mix requires points over the same variables"):
+        check_mix_preservation(f, {"x": Fr(0)}, {"x": Fr(0), "y": Fr(1)})
+
+
+def test_mix_preservation_matches_quadext_oracle():
+    # check_mix_preservation decides over Q; the oracle evaluates f at the
+    # mix in Q(sqrt2)
+    rng = random.Random(127)
+    preserved = broken = 0
+    for _ in range(300):
+        f = helpers.random_cnf(rng, max_vars=4, max_clauses=4, max_literals=3)
+        points = [p for p in (helpers.random_satisfying_point(rng, f) for _ in range(6))
+                  if p is not None]
+        if not points:
+            continue
+        for _ in range(4):
+            p, q = rng.choice(points), rng.choice(points)
+            expected = oracles.holds_in_quadext(f, oracles.mix(p, q))
+            assert check_mix_preservation(f, p, q) is expected
+            preserved += expected
+            broken += not expected
+    assert preserved > 50 and broken > 50
+
+
 def test_equality_literal_mixing_directions():
     rng = random.Random(109)
     tested_both = tested_one = 0
@@ -309,10 +334,10 @@ def test_equality_literal_mixing_directions():
         q = {v: Fr(rng.randint(-3, 3)) for v in variables}
         mixed = mix(p, q)
         if lit.holds(p) and lit.holds(q):
-            assert lit.holds(mixed)
+            assert oracles.literal_holds_in_quadext(lit, mixed)
             tested_both += 1
         elif lit.holds(p) != lit.holds(q):
-            assert not lit.holds(mixed)
+            assert not oracles.literal_holds_in_quadext(lit, mixed)
             tested_one += 1
 
 

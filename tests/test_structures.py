@@ -302,6 +302,21 @@ def test_budget_exceeded_search():
         enumerate_homomorphisms(a, b, budget=1000)
 
 
+def test_enumeration_is_bounded_by_the_entries_it_keeps():
+    # the 1,024 maps from 10 isolated elements into K2 cost 2,046 candidate
+    # assignments but hold 10,240 entries; the last one is found while the
+    # others hold 10,230
+    k2 = helpers.k2()
+    a = FiniteStructure(k2.sig, 10, {"E": []})
+    assert len(enumerate_homomorphisms(a, k2, budget=10_230)) == 1024
+    with pytest.raises(BudgetExceededError, match="holds 1023 maps of 10 entries each"):
+        enumerate_homomorphisms(a, k2, budget=10_229)
+    with pytest.raises(BudgetExceededError, match="holds 501 maps of 10 entries each"):
+        enumerate_homomorphisms(a, k2, budget=5000)
+    # a first-only search spends a.n steps on its one leaf
+    assert find_homomorphism(a, k2, budget=10).map == (0,) * 10
+
+
 # Candidate-assignment counts of plain backtracking (every value tried,
 # every tuple tested when its last element is assigned): the least budget
 # under which each search completes, and the number of maps it finds.
