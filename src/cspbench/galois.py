@@ -6,7 +6,9 @@ column of r's tuple list is an element of power(a, t), and the closure is
 the set of images of those columns under all homomorphisms
 power(a, t) -> a.  Membership of a candidate image tuple is decided by a
 pinned homomorphism search, so closures never require materializing the
-full (possibly enormous) polymorphism set.
+full (possibly enormous) polymorphism set.  The same image search gives
+pp-types: the pp-type of s is contained in that of t iff an endomorphism
+sends s to t.
 
 Certificates are two-sided: a pp formula that re-evaluates to exactly r,
 or a t-ary polymorphism mapping r's tuple rows to a tuple outside r.
@@ -132,23 +134,16 @@ def _columns(a: FiniteStructure, rows, arity: int) -> list:
     return [encode_tuple(tuple(row[i] for row in rows), a.n) for i in range(arity)]
 
 
-def _closure_search(a: FiniteStructure, r: Relation, pw: FiniteStructure, budget: int):
-    """Yield (image_tuple, homomorphism) for every tuple in the closure;
-    pw is the indicator power power(a, |r|).  All the pinned searches share
-    one compiled search plan for pw -> a."""
-    columns = _columns(a, sorted(r.tuples), r.arity)
-    for image in itertools.product(range(a.n), repeat=r.arity):
+def _images(source: FiniteStructure, target: FiniteStructure, elements, budget: int):
+    """Yield (image, h) for each tuple image, in lexicographic order, that a
+    homomorphism source -> target sends elements to; h is the least one.
+    The pinned searches share one compiled plan for source -> target."""
+    for image in itertools.product(range(target.n), repeat=len(elements)):
         pinned = {}
-        ok = True
-        for col, val in zip(columns, image):
-            if pinned.setdefault(col, val) != val:
-                ok = False
-                break
-        if not ok:
-            continue
-        h = find_homomorphism(pw, a, pinned=pinned, budget=budget)
-        if h is not None:
-            yield image, h
+        if all(pinned.setdefault(x, v) == v for x, v in zip(elements, image)):
+            h = find_homomorphism(source, target, pinned=pinned, budget=budget)
+            if h is not None:
+                yield image, h
 
 
 def pp_closure(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET) -> Relation:
@@ -163,7 +158,8 @@ def pp_closure(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET) ->
                       EmptyRelationClosure, stacklevel=2)
         return Relation(r.arity, frozenset())
     pw = _indicator_power(a, len(r.tuples), budget)
-    return Relation(r.arity, frozenset(image for image, _ in _closure_search(a, r, pw, budget)))
+    columns = _columns(a, sorted(r.tuples), r.arity)
+    return Relation(r.arity, frozenset(image for image, _ in _images(pw, a, columns, budget)))
 
 
 def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET):
@@ -173,7 +169,7 @@ def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGE
         return True, PpDefinabilityCertificate(True, formula=FALSE)
     rows = tuple(sorted(r.tuples))
     pw = _indicator_power(a, len(rows), budget)
-    for image, h in _closure_search(a, r, pw, budget):
+    for image, h in _images(pw, a, _columns(a, rows, r.arity), budget):
         if image not in r.tuples:
             f = OperationTable(a.n, len(rows), h.map)
             return False, PpDefinabilityCertificate(
@@ -242,40 +238,26 @@ class PpTypeReport:
 
 def count_maximal_pp_types(a: FiniteStructure, n: int, budget: int = DEFAULT_BUDGET) -> PpTypeReport:
     """Quotient all n-tuples by mutual pp-type containment and count the
-    classes that no other class strictly dominates."""
+    classes that no other class strictly dominates.  The up-set of s (the
+    t with s <= t) is its image set under End(a); classes come in order of
+    their lex-least member, and a class is maximal when it is its up-set."""
     if n < 1:
         raise ValueError("type arity must be >= 1")
     if a.n ** n > MAX_POWER_DOMAIN:
+        e = _max_exponent(a.n)
+        advice = (f"--n (--types-n of analyze) may be at most {e} over {a.n} elements" if e
+                  else f"no tuple length fits under the cap on {a.n} elements")
         raise BudgetExceededError(
             f"pp-types of {n}-tuples range over {a.n}**{n} tuples, over the configured cap "
-            f"of {MAX_POWER_DOMAIN}: --n (--types-n of analyze) may be at most "
-            f"{_max_exponent(a.n)} over {a.n} elements")
+            f"of {MAX_POWER_DOMAIN}: {advice}")
     tuples = list(itertools.product(range(a.n), repeat=n))
-    leq = {}
-    for s in tuples:
-        for t in tuples:
-            leq[s, t] = pp_type_leq(a, s, t, budget=budget)
-
+    up = {s: {t for t, _ in _images(a, a, s, budget)} for s in tuples}
     classes = []
-    assigned = {}
+    seen = set()
     for s in tuples:
-        for idx, cls in enumerate(classes):
-            rep = cls[0]
-            if leq[s, rep] and leq[rep, s]:
-                cls.append(s)
-                assigned[s] = idx
-                break
-        else:
-            assigned[s] = len(classes)
-            classes.append([s])
-
-    maximal = []
-    for idx, cls in enumerate(classes):
-        rep = cls[0]
-        dominated = any(
-            leq[rep, other[0]] and not leq[other[0], rep]
-            for j, other in enumerate(classes) if j != idx
-        )
-        if not dominated:
-            maximal.append(idx)
+        if s not in seen:
+            cls = sorted(t for t in up[s] if s in up[t])
+            seen.update(cls)
+            classes.append(cls)
+    maximal = [i for i, cls in enumerate(classes) if up[cls[0]].issubset(cls)]
     return PpTypeReport(n, classes, maximal)

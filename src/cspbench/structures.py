@@ -38,11 +38,9 @@ re-evaluation of pp formulas) share the work.  Pins are applied per call.
 The loop then walks the search tree with an explicit stack, so the depth
 of a search is not bounded by the interpreter's recursion limit.
 
-Every search counts candidate value assignments, pinned and rejected ones
-included, against a budget (default 5_000_000) and raises
-BudgetExceededError beyond it.  The count, and so the budget at which a
-search first fails, is the same as that of plain backtracking which tries
-every value and tests each tuple when the value is assigned.  An
+Every value a search assigns is one step against a budget (default
+5_000_000); beyond it the search raises BudgetExceededError.  Values that
+the plan or a pin rules out are never tried, so never counted.  An
 enumeration also fails when it finds a map while the maps it keeps
 already hold more than budget entries, so its memory stays bounded.
 
@@ -340,23 +338,6 @@ def decode_index(idx: int, n: int, k: int) -> tuple:
     return tuple(reversed(out))
 
 
-def product(a: FiniteStructure, b: FiniteStructure, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
-    """Direct (categorical) product; pair (i, j) is element i*|B| + j."""
-    if a.sig != b.sig:
-        raise SignatureMismatchError("product requires equal signatures")
-    rels = {}
-    for rname, ar in a.sig.relations:
-        if len(a.rel[rname]) * len(b.rel[rname]) > budget:
-            raise BudgetExceededError(f"product relation {rname} exceeds budget")
-        out = set()
-        for ta in a.rel[rname]:
-            for tb in b.rel[rname]:
-                out.add(tuple(ta[p] * b.n + tb[p] for p in range(ar)))
-        rels[rname] = out
-    consts = {c: a.const[c] * b.n + b.const[c] for c in a.const}
-    return FiniteStructure(a.sig, a.n * b.n, rels, consts)
-
-
 def _shifted_sums(heads, tails, scale: int, ar: int) -> list:
     """Every tuple h * scale + t, position by position, for h in heads and
     t in tails (tuples of length ar)."""
@@ -365,6 +346,19 @@ def _shifted_sums(heads, tails, scale: int, ar: int) -> list:
     if ar == 2:
         return [(x * scale + u, y * scale + v) for x, y in heads for u, v in tails]
     return [tuple([x * scale + u for x, u in zip(h, t)]) for h in heads for t in tails]
+
+
+def product(a: FiniteStructure, b: FiniteStructure, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
+    """Direct (categorical) product; pair (i, j) is element i*|B| + j."""
+    if a.sig != b.sig:
+        raise SignatureMismatchError("product requires equal signatures")
+    rels = {}
+    for rname, ar in a.sig.relations:
+        if len(a.rel[rname]) * len(b.rel[rname]) > budget:
+            raise BudgetExceededError(f"product relation {rname} exceeds budget")
+        rels[rname] = frozenset(_shifted_sums(a.rel[rname], b.rel[rname], b.n, ar))
+    consts = {c: a.const[c] * b.n + b.const[c] for c in a.const}
+    return FiniteStructure._from_checked(a.sig, a.n * b.n, rels, consts)
 
 
 def power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStructure:
@@ -420,21 +414,13 @@ def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET)
 
 
 def _compile_plan(a, b):
-    """Per source element x, as three lists: the values x may take, in
-    ascending order; after each of them, the count of values that plain
-    backtracking, which tries every value, has tried; and the (getter,
-    support) checks, which pass when getter(h) is in support.
-
-    A source tuple t is checked once per distinct element x in it, when x is
-    assigned, on the positions p with t[p] <= x: its least element is
-    restricted to the diagonal of the projection onto its own positions,
-    its greatest element checks the whole of t against the relation, and
-    each element in between (arity 3 and up) checks the projection onto
-    the positions assigned so far, once per distinct such projection.
-    Checks that every target assignment passes are left out.  Returns None
-    when some relation is nonempty in a but empty in b, so that no
-    homomorphism exists.
-    """
+    """(values, checks) per source element x: the values x may take,
+    ascending, and the (getter, support) checks run when x is assigned,
+    which pass when getter(h) is in support.  A tuple t gives x at most one
+    check, on the positions p with t[p] <= x, as the module docstring
+    describes; checks that every target assignment passes are left out.
+    None when some relation is nonempty in a but empty in b, so that no
+    homomorphism exists."""
     allowed = [None] * a.n
     checks = [[] for _ in range(a.n)]
     for rname, ar in a.sig.relations:
@@ -481,11 +467,9 @@ def _compile_plan(a, b):
                     entry = projections[positions] = b._projection(rname, positions)
                 if len(entry[0]) < b.n ** len(positions):
                     checks[x].append((itemgetter(*[t[p] for p in positions]), entry[0]))
-    every = tuple(range(b.n))  # shared, with its counts, by unrestricted elements
+    every = tuple(range(b.n))  # shared by unrestricted elements
     values = [every if ok is None else tuple(sorted(ok)) for ok in allowed]
-    every_counts = tuple(range(1, b.n + 1))
-    counts = [every_counts if vs is every else tuple(v + 1 for v in vs) for vs in values]
-    return values, counts, [tuple(c) for c in checks]
+    return values, [tuple(c) for c in checks]
 
 
 def _plan(a, b):
@@ -503,11 +487,9 @@ def _hom_maps(a, b, pinned, budget, first_only):
     pinned automatically).  Returns a list of map tuples in lexicographic
     order; with first_only, at most one.
 
-    Values that a source element's own checks reject are skipped without
-    being tried, but still counted, so that the budget means what it
-    means for plain backtracking.  Finding a map while the maps kept hold
-    more than budget entries (maps times a.n) raises as well, so memory
-    stays bounded; a first-only search keeps no map before its first.
+    Each value assigned is one step against the budget; a value that the
+    plan or a pin rules out is never tried.  Finding a map while the maps
+    kept hold more than budget entries (maps times a.n) raises as well.
     """
     if a.sig != b.sig:
         raise SignatureMismatchError("homomorphism search requires equal signatures")
@@ -523,60 +505,50 @@ def _hom_maps(a, b, pinned, budget, first_only):
     plan = _plan(a, b)
     if plan is None:
         return []
-    values, counts, checks = plan
-    width = [b.n] * a.n  # values plain backtracking tries, per level
+    values, checks = plan
     if pin:
-        values, counts = list(values), list(counts)
+        values = list(values)
         for x, v in pin.items():
             values[x] = (v,) if v in values[x] else ()
-            counts[x] = (1,)
-            width[x] = 1
 
     n = a.n
     h = [0] * n
-    nxt = [0] * n  # index of the next candidate to try, per level
-    tried = [0] * n  # values tried so far, per level
+    nxt = [0] * n  # index of the next value to try, per level
     out = []
     steps = 0
-    over = f"homomorphism search exceeded budget of {budget} candidate assignments"
     x = 0
     while True:
-        vs, cs, chk = values[x], counts[x], checks[x]
-        i, done = nxt[x], tried[x]
-        found = False
+        vs, chk = values[x], checks[x]
+        i = nxt[x]
         while i < len(vs):
-            steps += cs[i] - done
-            done = cs[i]
+            steps += 1
             if steps > budget:
-                raise BudgetExceededError(over)
+                raise BudgetExceededError(
+                    f"homomorphism search exceeded budget of {budget} candidate assignments")
             h[x] = vs[i]
             i += 1
             for getter, support in chk:
                 if getter(h) not in support:
                     break
             else:
-                found = True
-                break
-        if found:
-            nxt[x], tried[x] = i, done
-            if x + 1 < n:
-                x += 1
-                nxt[x] = tried[x] = 0
-                continue
-            if len(out) * n > budget:
-                raise BudgetExceededError(
-                    f"homomorphism search holds {len(out)} maps of {n} entries each, "
-                    f"more than the budget of {budget} entries")
-            out.append(tuple(h))
-            if first_only:
+                break  # every check passed
+        else:  # no value left at this level
+            if x == 0:
                 return out
+            x -= 1
             continue
-        steps += width[x] - done
-        if steps > budget:
-            raise BudgetExceededError(over)
-        if x == 0:
+        nxt[x] = i
+        if x + 1 < n:
+            x += 1
+            nxt[x] = 0
+            continue
+        if len(out) * n > budget:
+            raise BudgetExceededError(
+                f"homomorphism search holds {len(out)} maps of {n} entries each, "
+                f"more than the budget of {budget} entries")
+        out.append(tuple(h))
+        if first_only:
             return out
-        x -= 1
 
 
 def find_homomorphism(a, b, pinned=None, budget: int = DEFAULT_BUDGET):

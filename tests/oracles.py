@@ -6,12 +6,13 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  Four sections are different:
+indicator construction the library uses.  Five sections are different:
 they keep earlier library code verbatim as a reference: the Fraction
 linear-algebra kernel of linear_horn, the Q(sqrt2) field and mixing map
 with which linear_horn once decided mix preservation, the formula-layer
-code (renaming, tokenizing and the separate walkers over a formula), and
-the tuple-by-tuple powers and plan compiler of structures.
+code (renaming, tokenizing and the separate walkers over a formula), the
+tuple-by-tuple powers and plan compiler of structures, and the pairwise
+pp-type classes of galois.
 """
 
 import itertools
@@ -133,6 +134,42 @@ def brute_pointed_hom(a, s, t):
         if all(h[x] == y for x, y in zip(s, t)) and is_hom_map(a, a, h):
             return True
     return False
+
+
+def pp_type_classes(a, n):
+    """(classes, maximal) of the n-tuples of a under mutual pp-type
+    containment, decided pair by pair with brute_pointed_hom; the two loops
+    are galois.count_maximal_pp_types as it was before it read both off
+    up-sets, kept verbatim."""
+    tuples = list(itertools.product(range(a.n), repeat=n))
+    leq = {}
+    for s in tuples:
+        for t in tuples:
+            leq[s, t] = brute_pointed_hom(a, s, t)
+
+    classes = []
+    assigned = {}
+    for s in tuples:
+        for idx, cls in enumerate(classes):
+            rep = cls[0]
+            if leq[s, rep] and leq[rep, s]:
+                cls.append(s)
+                assigned[s] = idx
+                break
+        else:
+            assigned[s] = len(classes)
+            classes.append([s])
+
+    maximal = []
+    for idx, cls in enumerate(classes):
+        rep = cls[0]
+        dominated = any(
+            leq[rep, other[0]] and not leq[other[0], rep]
+            for j, other in enumerate(classes) if j != idx
+        )
+        if not dominated:
+            maximal.append(idx)
+    return classes, maximal
 
 
 # -- pp-definable relation generation on the 2-element domain --

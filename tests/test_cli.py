@@ -280,6 +280,9 @@ def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):
     for section in ("core", "epc", "polymorphism_counts", "essentially_unary"):
         assert doc[section]["error"].startswith(
             "budget exceeded: homomorphism search holds 1667 maps of 3000 entries each")
+    # no tuple length keeps 3000**n tuples under the pp-type cap
+    assert doc["pp_type_counts"]["error"].endswith(
+        "no tuple length fits under the cap on 3000 elements")
 
 
 def test_ep_solve_is_bounded_by_the_budget(files, capsys, tmp_path):

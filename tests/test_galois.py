@@ -212,6 +212,17 @@ def test_maximal_pp_type_counts_u1():
     assert [r.count for r in reports] == [1, 1]
 
 
+def test_pp_type_classes_match_pairwise_oracle():
+    # 40 templates of 2 and 3 elements: 40 of the 80 reports have a class
+    # of two or more tuples and 58 a class that is not maximal
+    rng = random.Random(97)
+    for _ in range(40):
+        a = helpers.random_structure(rng, min_n=2, max_n=3)
+        for n in (1, 2):
+            rep = count_maximal_pp_types(a, n)
+            assert (rep.classes, rep.maximal) == oracles.pp_type_classes(a, n)
+
+
 def test_completeness_against_coclone_oracle_sample():
     # spot-check three structures here; the full 256-case sweep is in the
     # acceptance suite
