@@ -25,62 +25,25 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import clones, duality, formulas, galois, linear_horn, structures
 from .structures import BudgetExceededError, DEFAULT_BUDGET, FiniteStructure
 
 
-@dataclass
-class AnalysisReport:
-    """Aggregated verdicts for one template; every boolean verdict carries
-    its certificate or an explicit bound, and the machine encoding
-    round-trips through from_dict."""
-
-    template_name: str
-    file_hash: str
-    core: dict = field(default_factory=dict)
-    epc: dict = field(default_factory=dict)
-    polymorphism_counts: dict = field(default_factory=dict)
-    essentially_unary: dict = field(default_factory=dict)
-    local_refutability: dict = field(default_factory=dict)
-    np_hardness: dict = field(default_factory=dict)
-    pp_type_counts: dict = field(default_factory=dict)
-    fo_definability: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "template_name": self.template_name,
-            "file_hash": self.file_hash,
-            "core": self.core,
-            "epc": self.epc,
-            "polymorphism_counts": self.polymorphism_counts,
-            "essentially_unary": self.essentially_unary,
-            "local_refutability": self.local_refutability,
-            "np_hardness": self.np_hardness,
-            "pp_type_counts": self.pp_type_counts,
-            "fo_definability": self.fo_definability,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "AnalysisReport":
-        return AnalysisReport(**doc)
-
-    def render_text(self) -> str:
-        lines = [f"template {self.template_name}  (sha256 {self.file_hash[:16]}...)"]
-
-        def section(title, body):
-            lines.append(f"  {title}: {body}")
-
-        section("core", _verdict_line(self.core))
-        section("epc (finite)", _verdict_line(self.epc))
-        section("polymorphism counts", self.polymorphism_counts.get("counts", self.polymorphism_counts))
-        section("essentially unary", _verdict_line(self.essentially_unary))
-        section("locally refutable", _verdict_line(self.local_refutability))
-        section("NP-hardness flag", _verdict_line(self.np_hardness))
-        section("maximal pp-type counts", self.pp_type_counts.get("counts", self.pp_type_counts))
-        section("fo-definability", _verdict_line(self.fo_definability))
-        return "\n".join(lines)
+# The sections of an analyze report, in report order: (machine key, text
+# title).  Section k is computed by _section_k(inputs, report), which may
+# read the sections before it in report.
+ANALYZE_SECTIONS = [
+    ("core", "core"),
+    ("epc", "epc (finite)"),
+    ("polymorphism_counts", "polymorphism counts"),
+    ("essentially_unary", "essentially unary"),
+    ("local_refutability", "locally refutable"),
+    ("np_hardness", "NP-hardness flag"),
+    ("pp_type_counts", "maximal pp-type counts"),
+    ("fo_definability", "fo-definability"),
+]
 
 
 def _verdict_line(doc: dict) -> str:
@@ -96,9 +59,7 @@ def _verdict_line(doc: dict) -> str:
 
 
 def _load_structure(path: str) -> FiniteStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return FiniteStructure.from_json(text, name=path)
+    return FiniteStructure.from_json(_read_text(path), name=path)
 
 
 def _file_hash(path: str) -> str:
@@ -111,10 +72,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _section(fn):
+def _section(fn, *args):
     """Run one analysis section, surfacing budget overruns as data."""
     try:
-        return fn()
+        return fn(*args)
     except BudgetExceededError as exc:
         return {"error": f"budget exceeded: {exc}"}
 
@@ -143,9 +104,9 @@ _OMEGA_CATEGORICAL = "yes (finite)"
 
 
 def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
-             duality_n: int, budget: int) -> AnalysisReport:
-    report = AnalysisReport(template_name=path, file_hash=_file_hash(path))
-
+             duality_n: int, budget: int) -> dict:
+    """The analyze report of a as a dict: the template's name and file hash,
+    then each section of ANALYZE_SECTIONS, computed in report order."""
     # Each polymorphism set is enumerated once and shared by the sections
     # that read it; a section still fails on its own when an arity it asks
     # for overran the budget.  End(A) is the arity-1 set: power(a, 1) is a.
@@ -158,83 +119,89 @@ def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
         structures.power(a, 1, budget=budget)
         return [clones.OperationTable(a.n, 1, h.map) for h in endomorphisms(a)]
 
-    polymorphisms = _once(enumerate_arity)
-
-    def core_section():
-        cert = clones.first_non_embedding(endomorphisms(a))
-        doc = {"verdict": cert is None}
-        if cert is not None:
-            doc["certificate"] = {"non_embedding_endomorphism": list(cert.map)}
-        return doc
-
-    report.core = _section(core_section)
-
-    def epc_section():
-        if "error" in report.core:
-            return {"error": report.core["error"]}
-        return {"verdict": report.core["verdict"],
-                "note": "epc coincides with core on finite structures"}
-
-    report.epc = _section(epc_section)
-
-    def counts_section():
-        return {"counts": {str(k): len(polymorphisms(k)) for k in range(1, max_arity + 1)}}
-
-    report.polymorphism_counts = _section(counts_section)
-
-    def unary_section():
-        v = clones.essential_unarity_verdict(polymorphisms, max_arity)
-        doc = {"verdict": v.all_essentially_unary, "bound": v.max_arity,
-               "note": "bounded evidence, not a proof"}
-        if v.counterexample is not None:
-            doc["certificate"] = {
-                "operation": v.counterexample.to_json_dict(),
-                "essential_coordinate_sets": [list(v.witness.x_coords), list(v.witness.y_coords)],
-            }
-        return doc
-
-    report.essentially_unary = _section(unary_section)
-
-    def local_section():
-        verdict, cert = formulas.is_locally_refutable(a)
-        doc = {"verdict": verdict}
-        doc["certificate"] = cert if verdict else formulas.render(cert)
-        return doc
-
-    report.local_refutability = _section(local_section)
-
-    def hardness_section():
-        if "error" in report.local_refutability or "error" in report.essentially_unary:
-            raise BudgetExceededError("depends on a section that exceeded its budget")
-        flag = (not report.local_refutability["verdict"]) and report.essentially_unary["verdict"]
-        return {"verdict": flag,
-                "note": ("bounded evidence, not a proof: requires essential unarity of "
-                         "all polymorphisms of all elementary extensions; checked up to "
-                         f"arity {max_arity} on the template only")}
-
-    report.np_hardness = _section(hardness_section)
-
-    def types_section():
-        reports = [galois.count_maximal_pp_types(a, n, budget=budget)
-                   for n in range(1, types_n + 1)]
-        return {"counts": {str(r.arity): r.count for r in reports},
-                "verdict": _OMEGA_CATEGORICAL}
-
-    report.pp_type_counts = _section(types_section)
-
-    def fo_section():
-        rep = duality.fo_definability_report(a, n_max=duality_n, budget=budget)
-        doc = {"verdict": rep.verdict}
-        if rep.fo_definable:
-            doc["sentence"] = rep.universal_sentence
-            doc["polymorphism"] = rep.polymorphism.to_json_dict()
-            doc["obstructions"] = [o.structure.to_json_dict() for o in rep.obstructions]
-        elif rep.largest_obstruction is not None:
-            doc["largest_obstruction"] = rep.largest_obstruction.structure.to_json_dict()
-        return doc
-
-    report.fo_definability = _section(fo_section)
+    inputs = SimpleNamespace(a=a, max_arity=max_arity, types_n=types_n, duality_n=duality_n,
+                             budget=budget, endomorphisms=endomorphisms,
+                             polymorphisms=_once(enumerate_arity))
+    report = {"template_name": path, "file_hash": _file_hash(path)}
+    for key, _ in ANALYZE_SECTIONS:
+        report[key] = _section(globals()["_section_" + key], inputs, report)
     return report
+
+
+def _section_core(inputs, report):
+    cert = clones.first_non_embedding(inputs.endomorphisms(inputs.a))
+    doc = {"verdict": cert is None}
+    if cert is not None:
+        doc["certificate"] = {"non_embedding_endomorphism": list(cert.map)}
+    return doc
+
+
+def _section_epc(inputs, report):
+    if "error" in report["core"]:
+        return {"error": report["core"]["error"]}
+    return {"verdict": report["core"]["verdict"],
+            "note": "epc coincides with core on finite structures"}
+
+
+def _section_polymorphism_counts(inputs, report):
+    return {"counts": {str(k): len(inputs.polymorphisms(k))
+                       for k in range(1, inputs.max_arity + 1)}}
+
+
+def _section_essentially_unary(inputs, report):
+    v = clones.essential_unarity_verdict(inputs.polymorphisms, inputs.max_arity)
+    doc = {"verdict": v.all_essentially_unary, "bound": v.max_arity,
+           "note": "bounded evidence, not a proof"}
+    if v.counterexample is not None:
+        doc["certificate"] = {
+            "operation": v.counterexample.to_json_dict(),
+            "essential_coordinate_sets": [list(v.witness.x_coords), list(v.witness.y_coords)],
+        }
+    return doc
+
+
+def _section_local_refutability(inputs, report):
+    verdict, cert = formulas.is_locally_refutable(inputs.a)
+    return {"verdict": verdict, "certificate": cert if verdict else formulas.render(cert)}
+
+
+def _section_np_hardness(inputs, report):
+    local, unary = report["local_refutability"], report["essentially_unary"]
+    if "error" in local or "error" in unary:
+        raise BudgetExceededError("depends on a section that exceeded its budget")
+    return {"verdict": (not local["verdict"]) and unary["verdict"],
+            "note": ("bounded evidence, not a proof: requires essential unarity of "
+                     "all polymorphisms of all elementary extensions; checked up to "
+                     f"arity {inputs.max_arity} on the template only")}
+
+
+def _section_pp_type_counts(inputs, report):
+    reports = [galois.count_maximal_pp_types(inputs.a, n, budget=inputs.budget)
+               for n in range(1, inputs.types_n + 1)]
+    return {"counts": {str(r.arity): r.count for r in reports},
+            "verdict": _OMEGA_CATEGORICAL}
+
+
+def _section_fo_definability(inputs, report):
+    rep = duality.fo_definability_report(inputs.a, n_max=inputs.duality_n, budget=inputs.budget)
+    doc = {"verdict": rep.verdict}
+    if rep.fo_definable:
+        doc["sentence"] = rep.universal_sentence
+        doc["polymorphism"] = rep.polymorphism.to_json_dict()
+        doc["obstructions"] = [o.structure.to_json_dict() for o in rep.obstructions]
+    elif rep.largest_obstruction is not None:
+        doc["largest_obstruction"] = rep.largest_obstruction.structure.to_json_dict()
+    return doc
+
+
+def _render_analysis(report: dict) -> str:
+    lines = [f"template {report['template_name']}  (sha256 {report['file_hash'][:16]}...)"]
+    for key, title in ANALYZE_SECTIONS:
+        doc = report[key]
+        # a count section prints its counts, or its error as the whole dict
+        body = doc.get("counts", doc) if key.endswith("_counts") else _verdict_line(doc)
+        lines.append(f"  {title}: {body}")
+    return "\n".join(lines)
 
 
 def _emit(args, text_fn, machine_doc) -> None:
@@ -248,7 +215,7 @@ def _cmd_analyze(args) -> int:
     a = _load_structure(args.structure)
     report = _analyze(a, args.structure, args.max_arity, args.types_n,
                       args.duality_n, args.budget)
-    _emit(args, report.render_text, report.to_dict())
+    _emit(args, lambda: _render_analysis(report), report)
     return 0
 
 
@@ -271,8 +238,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ppdef(args) -> int:
     a = _load_structure(args.structure)
-    with open(args.relation, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(_read_text(args.relation))
     if not isinstance(doc, dict) or set(doc) != {"arity", "tuples"}:
         raise ValueError('relation document needs exactly the fields "arity" and "tuples"')
     tuples = doc["tuples"]

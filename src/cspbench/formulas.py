@@ -396,61 +396,36 @@ def _checked_env(a: FiniteStructure, free: set, assignment) -> dict:
     return env
 
 
-def _pp_search(a: FiniteStructure, phi, budget: int, walk: _Walk):
-    """Canonical database of a pp formula without false, built once, and a
-    search over it: (elem, search), where search(env) is the lexicographically
-    least homomorphism from the database to a sending each free variable's
-    element to its value under env, or None.  walk is _walk(phi, a.sig)."""
+def _pp_search(a: FiniteStructure, phi, budget: int, walk: _Walk, assignment=None):
+    """Canonical database of a pp formula without false and one search over
+    it: (elem, h), with h the lexicographically least homomorphism from the
+    database to a sending each free variable's element to its value under
+    assignment (checked once the database is built), or None."""
     db, elem = canonical_structure(phi, a.sig, walk)
-    free = sorted(walk.free.difference(a.sig.constants))
-
-    def search(env):
-        pinned = {}
-        for v in free:
-            if pinned.setdefault(elem[v], env[v]) != env[v]:
-                return None  # two merged free variables assigned differently
-        return find_homomorphism(db, a, pinned=pinned, budget=budget)
-
-    return elem, search
-
-
-def evaluator(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET, walk: _Walk | None = None):
-    """Truth of phi in a as a function of an assignment of its free variables.
-
-    The formula is read once (a caller that has read it already passes
-    walk, _walk(phi, a.sig)) and, when it is pp, its canonical database is
-    built once; each call then runs one pinned homomorphism search.  ep
-    formulas are evaluated recursively.
-    """
-    walk = walk or _walk(phi, a.sig)
-    _check_symbols(walk)
     free = walk.free.difference(a.sig.constants)
-    if walk.disjunctive:
-        def decide(env):
-            return _eval_rec(phi, a, env, _assignment_meter(budget))
-    elif walk.false:
-        def decide(env):
-            return False
-    else:
-        search = _pp_search(a, phi, budget, walk)[1]
-
-        def decide(env):
-            return search(env) is not None
-
-    def holds(assignment=None) -> bool:
-        return decide(_checked_env(a, free, assignment))
-
-    return holds
+    env = _checked_env(a, free, assignment)
+    pinned = {}
+    for v in free:
+        if pinned.setdefault(elem[v], env[v]) != env[v]:
+            return elem, None  # two merged free variables assigned differently
+    return elem, find_homomorphism(db, a, pinned=pinned, budget=budget)
 
 
 def evaluate(a: FiniteStructure, phi, assignment=None, budget: int = DEFAULT_BUDGET) -> bool:
     """Tarskian truth of phi in a under an assignment of its free variables.
 
     For sentences this is the CSP decision.  The pp fragment is decided by
-    homomorphism search from the canonical database, with free variables
-    pinned through the assignment; ep formulas are evaluated recursively.
+    one homomorphism search from the canonical database, with free
+    variables pinned through the assignment; a formula containing false is
+    false; ep formulas are evaluated recursively.  Faults are reported in
+    the order: symbol fault, canonical-database fault, assignment fault.
     """
-    return evaluator(a, phi, budget)(assignment)
+    walk = _walk(phi, a.sig)
+    _check_symbols(walk)
+    if walk.disjunctive or walk.false:
+        env = _checked_env(a, walk.free.difference(a.sig.constants), assignment)
+        return walk.disjunctive and _eval_rec(phi, a, env, _assignment_meter(budget))
+    return _pp_search(a, phi, budget, walk, assignment)[1] is not None
 
 
 def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
@@ -469,8 +444,7 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
     if not walk.disjunctive:
         if walk.false:
             return None
-        elem, search = _pp_search(a, phi, budget, walk)
-        h = search({})
+        elem, h = _pp_search(a, phi, budget, walk)
         if h is None:
             return None
         return {v: h.map[e] for v, e in elem.items() if v in walk.names and v not in a.sig.constants}

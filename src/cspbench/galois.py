@@ -29,7 +29,8 @@ from .structures import (
     is_int,
     power,
 )
-from .formulas import Eq, FALSE, _fact_formula, _numbered_names, _walk, evaluator
+from .formulas import (Eq, FALSE, _assignment_meter, _check_symbols, _eval_rec, _fact_formula,
+                       _numbered_names, _walk, canonical_structure)
 from .clones import OperationTable, operation_preserves
 
 # Indicator powers: t tuples mean a power with |A|**t elements.  These caps
@@ -97,18 +98,30 @@ class PpDefinabilityCertificate:
 
 def relation_of_formula(a: FiniteStructure, phi, arity: int) -> frozenset:
     """Extension of a formula over a; free variables are taken in
-    length-then-lexicographic order (so x2 precedes x10).
+    length-then-lexicographic order (so x2 precedes x10), and positions
+    beyond them range over the domain.
 
-    The formula is read once, a pp formula's canonical database is built
-    once, and each candidate tuple costs one pinned homomorphism search
-    from it."""
+    A pp formula's extension is the set of images of its free variables
+    under the homomorphisms from its canonical database (Chandra and
+    Merlin), built once and read off one image search; with false it is
+    empty.  An ep formula is evaluated tuple by tuple, each with a fresh
+    assignment budget."""
     walk = _walk(phi, a.sig)
     var_order = sorted(walk.free.difference(a.sig.constants), key=lambda v: (len(v), v))
     if len(var_order) > arity:
         raise ValueError(f"formula has {len(var_order)} free variables, expected <= {arity}")
-    holds = evaluator(a, phi, walk=walk)
-    return frozenset(values for values in itertools.product(range(a.n), repeat=arity)
-                     if holds(dict(zip(var_order, values))))
+    _check_symbols(walk)
+    if walk.disjunctive:
+        return frozenset(values for values in itertools.product(range(a.n), repeat=arity)
+                         if _eval_rec(phi, a, dict(zip(var_order, values)),
+                                      _assignment_meter(DEFAULT_BUDGET)))
+    if walk.false:
+        return frozenset()
+    db, elem = canonical_structure(phi, a.sig, walk)
+    rest = list(itertools.product(range(a.n), repeat=arity - len(var_order)))
+    return frozenset(image + tail
+                     for image, _ in _images(db, a, [elem[v] for v in var_order], DEFAULT_BUDGET)
+                     for tail in rest)
 
 
 def _max_exponent(n: int) -> int:
@@ -119,12 +132,21 @@ def _max_exponent(n: int) -> int:
     return e
 
 
+def _over_cap(n: int, power: str, at_most: str, nothing: str) -> BudgetExceededError:
+    """The error for a power of the n-element domain over MAX_POWER_DOMAIN:
+    its advice is at_most with the largest exponent that fits in place of
+    {}, or, when not even exponent 1 fits, that no nothing fits."""
+    e = _max_exponent(n)
+    advice = at_most.format(e) if e else f"no {nothing} fits under the cap on {n} elements"
+    return BudgetExceededError(f"{power}, over the configured cap of {MAX_POWER_DOMAIN}: {advice}")
+
+
 def _indicator_power(a: FiniteStructure, t: int, budget: int) -> FiniteStructure:
     if a.n ** t > MAX_POWER_DOMAIN:
-        raise BudgetExceededError(
-            f"the relation has {t} tuples, so its indicator power has {a.n}**{t} elements, "
-            f"over the configured cap of {MAX_POWER_DOMAIN}: a relation over {a.n} elements "
-            f"may have at most {_max_exponent(a.n)} tuples")
+        raise _over_cap(a.n, f"the relation has {t} tuples, so its indicator power has "
+                        f"{a.n}**{t} elements",
+                        f"a relation over {a.n} elements may have at most {{}} tuples",
+                        "relation with a tuple")
     return power(a, t, budget=budget)
 
 
@@ -244,12 +266,9 @@ def count_maximal_pp_types(a: FiniteStructure, n: int, budget: int = DEFAULT_BUD
     if n < 1:
         raise ValueError("type arity must be >= 1")
     if a.n ** n > MAX_POWER_DOMAIN:
-        e = _max_exponent(a.n)
-        advice = (f"--n (--types-n of analyze) may be at most {e} over {a.n} elements" if e
-                  else f"no tuple length fits under the cap on {a.n} elements")
-        raise BudgetExceededError(
-            f"pp-types of {n}-tuples range over {a.n}**{n} tuples, over the configured cap "
-            f"of {MAX_POWER_DOMAIN}: {advice}")
+        raise _over_cap(a.n, f"pp-types of {n}-tuples range over {a.n}**{n} tuples",
+                        f"--n (--types-n of analyze) may be at most {{}} over {a.n} elements",
+                        "tuple length")
     tuples = list(itertools.product(range(a.n), repeat=n))
     up = {s: {t for t, _ in _images(a, a, s, budget)} for s in tuples}
     classes = []

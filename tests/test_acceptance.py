@@ -295,7 +295,7 @@ def test_criterion_12_hardness_flag_sanity(tmp_path):
     path = tmp_path / "k3.json"
     path.write_text(k3.to_json())
     report = _analyze(k3, str(path), max_arity=3, types_n=1, duality_n=2, budget=5_000_000)
-    flag = report.np_hardness["verdict"]
+    flag = report["np_hardness"]["verdict"]
 
     # independent sub-verdicts, recomputed outside the pipeline
     locally_refutable, _ = is_locally_refutable(k3)
@@ -304,7 +304,7 @@ def test_criterion_12_hardness_flag_sanity(tmp_path):
     # if the enumerator finds an essential polymorphism the flag must be down
     if not unary_verdict.all_essentially_unary:
         consistent = consistent and not flag
-    bounded_note = "not a proof" in report.np_hardness["note"]
+    bounded_note = "not a proof" in report["np_hardness"]["note"]
     _verdict(12, "NP-hardness flag consistent with its sub-verdicts on K3",
              consistent and bounded_note,
              f"locally_refutable={locally_refutable}, "

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from cspbench import FiniteStructure, Signature, cli
-from cspbench.cli import AnalysisReport, main
+from cspbench.cli import ANALYZE_SECTIONS, main
 from cspbench.formulas import parse_sentence
 from cspbench.galois import PpDefinabilityCertificate, Relation
 from cspbench.structures import DEFAULT_BUDGET
@@ -51,10 +51,11 @@ def test_analyze_text_and_machine(files, capsys):
                        "--types-n", "1", "--duality-n", "2")
     assert code == 0
     doc = json.loads(out)
-    report = AnalysisReport.from_dict(doc)
-    assert report.to_dict() == doc  # machine encoding round-trips
-    assert report.core["verdict"] is True
-    assert report.fo_definability["sentence"] == "not (exists x0 . U(x0) & V(x0))"
+    # the machine report holds the name, the file hash and every section
+    assert set(doc) == {"template_name", "file_hash"} | {key for key, _ in ANALYZE_SECTIONS}
+    assert doc["template_name"] == files["uv.json"] and len(doc["file_hash"]) == 64
+    assert doc["core"]["verdict"] is True
+    assert doc["fo_definability"]["sentence"] == "not (exists x0 . U(x0) & V(x0))"
 
 
 def test_analyze_deterministic(files, capsys):
@@ -112,6 +113,16 @@ def test_ppdef_over_the_power_cap_is_an_error(files, capsys, tmp_path):
     assert "at most 8 tuples" in err
     code, _, err = run(capsys, "types", files["u1.json"], "--n", "9")
     assert code == 2 and "--n" in err and "cap of 260" in err and "at most 8" in err
+    # over 300 elements not even a 1-tuple relation fits: no "at most 0" advice
+    big = tmp_path / "t300.json"
+    big.write_text(FiniteStructure(Signature.make({"E": 2}), 300, {"E": [(0, 1)]}).to_json())
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"arity": 1, "tuples": [[0]]}))
+    code, out, err = run(capsys, "ppdef", str(big), str(one))
+    assert code == 2 and out == ""
+    assert "1 tuples" in err and "300**1 elements" in err and "cap of 260" in err
+    assert "no relation with a tuple fits under the cap on 300 elements" in err
+    assert "at most 0" not in err
 
 
 def test_ppdef_certificate_with_empty_body_reparses(files, capsys, tmp_path):
@@ -297,6 +308,23 @@ def test_ep_solve_is_bounded_by_the_budget(files, capsys, tmp_path):
     # over K2 the scan takes 2**3 = 8 assignments
     code, out, _ = run(capsys, "solve", files["k2.json"], str(sentence), "--budget", "8")
     assert code == 1 and "unsatisfied" in out
+
+
+def test_large_domain_pp_solve(capsys, tmp_path):
+    # 3,000 elements, one edge: pp solve pins no variable and searches the
+    # canonical database of the sentence against the template
+    template = tmp_path / "t3000.json"
+    template.write_text(FiniteStructure(Signature.make({"E": 2}), 3000, {"E": [(0, 2999)]}).to_json())
+    edge, triangle = tmp_path / "edge.txt", tmp_path / "triangle.txt"
+    edge.write_text("exists x y . E(x, y)")
+    triangle.write_text("exists x y z . E(x, y) & E(y, z) & E(z, x)")
+    code, out, _ = run(capsys, "--format", "machine", "solve", str(template), str(edge))
+    assert code == 0 and json.loads(out) == {"satisfied": True, "witness": {"x": 0, "y": 2999}}
+    code, out, err = run(capsys, "solve", str(template), str(edge), "--budget", "1000")
+    assert code == 2 and out == ""
+    assert "homomorphism search exceeded budget of 1000 candidate assignments" in err
+    code, out, _ = run(capsys, "solve", str(template), str(triangle))
+    assert code == 1 and out == "unsatisfied\n"
 
 
 @pytest.mark.parametrize("exc", [AssertionError("postcondition violated"),

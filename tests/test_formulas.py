@@ -294,6 +294,11 @@ def test_evaluate_free_variables():
         evaluate(u, phi)
     with pytest.raises(FormulaError):
         evaluate(u, phi, {"x": 5})
+    # x = y merges two free variables into one element: unequal values fail
+    merged = parse_sentence("exists z . E(x, z) & x = y")
+    k3 = helpers.k3()
+    assert evaluate(k3, merged, {"x": 1, "y": 1})
+    assert not evaluate(k3, merged, {"x": 0, "y": 1})
 
 
 def test_assignment_values_reject_booleans():
@@ -529,7 +534,7 @@ def test_witness_runs_one_search(monkeypatch):
 
 def test_evaluator_builds_one_canonical_database(monkeypatch):
     import cspbench.formulas as formulas
-    from cspbench.galois import relation_of_formula
+    import cspbench.galois as galois
 
     calls = []
     real = formulas.canonical_structure
@@ -539,12 +544,15 @@ def test_evaluator_builds_one_canonical_database(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(formulas, "canonical_structure", counting)
+    monkeypatch.setattr(galois, "canonical_structure", counting)
     k3 = helpers.k3()
     phi = parse_sentence("exists z . E(x,z) & E(z,y)")
-    ext = relation_of_formula(k3, phi, 2)
+    ext = galois.relation_of_formula(k3, phi, 2)
     assert ext == {(x, y) for x in range(3) for y in range(3)}
     assert len(calls) == 1
-    holds = formulas.evaluator(k3, parse_sentence("E(x,y)"))
-    assert [holds({"x": 0, "y": v}) for v in range(3)] == [False, True, True]
+    # evaluate builds one canonical database per call
+    edge = parse_sentence("E(x,y)")
+    assert [evaluate(k3, edge, {"x": 0, "y": v}) for v in range(3)] == [False, True, True]
+    assert len(calls) == 4
     with pytest.raises(FormulaError):
-        holds({"x": 0})
+        evaluate(k3, edge, {"x": 0})

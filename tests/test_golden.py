@@ -1,5 +1,7 @@
-"""Golden outputs: the exact `--format machine` stdout and the exit code of
-every CLI command on a fixed corpus, compared byte for byte.
+"""Golden outputs: the exact stdout and the exit code of every CLI command
+on a fixed corpus, compared byte for byte.  Each case runs under
+`--format machine` unless it starts with `--format text` (argparse keeps
+the last `--format`), which pins the text report of `analyze`.
 
 The corpus lives in tests/golden/ and each command runs from that directory
 with relative paths, so that the template name and file hash in `analyze`
@@ -47,6 +49,13 @@ CASES = [
     # the unary section answers from the binary polymorphisms
     "analyze uv.json --budget 16",
     "analyze k2.json --budget 1",
+    # the text report, byte for byte: argparse keeps the last --format
+    "--format text analyze k2.json",
+    "--format text analyze k3.json",
+    "--format text analyze c5.json --max-arity 2 --duality-n 2",
+    "--format text analyze uv.json",
+    "--format text analyze uv.json --budget 16",
+    "--format text analyze k2.json --budget 1",
     "types k2.json",
     "types k3.json",
     "types c5.json",
