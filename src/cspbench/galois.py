@@ -4,11 +4,10 @@ pp_closure computes the least pp-definable relation containing a given
 relation r via the indicator construction: with t = |r| tuples, the i-th
 column of r's tuple list is an element of power(a, t), and the closure is
 the set of images of those columns under all homomorphisms
-power(a, t) -> a.  Membership of a candidate image tuple is decided by a
-pinned homomorphism search, so closures never require materializing the
-full (possibly enormous) polymorphism set.  The same image search gives
-pp-types: the pp-type of s is contained in that of t iff an endomorphism
-sends s to t.
+power(a, t) -> a, read off one projected search (structures._images) that
+finds each image once, so closures never materialize the (possibly
+enormous) polymorphism set.  The same image search gives pp-types: the
+pp-type of s is contained in that of t iff an endomorphism sends s to t.
 
 Certificates are two-sided: a pp formula that re-evaluates to exactly r,
 or a t-ary polymorphism mapping r's tuple rows to a tuple outside r.
@@ -24,6 +23,7 @@ from .structures import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     FiniteStructure,
+    _images,
     encode_tuple,
     find_homomorphism,
     is_int,
@@ -96,16 +96,16 @@ class PpDefinabilityCertificate:
         return image == self.violating_tuple and operation_preserves(f, a)
 
 
-def relation_of_formula(a: FiniteStructure, phi, arity: int) -> frozenset:
+def relation_of_formula(a: FiniteStructure, phi, arity: int, budget: int = DEFAULT_BUDGET) -> frozenset:
     """Extension of a formula over a; free variables are taken in
     length-then-lexicographic order (so x2 precedes x10), and positions
     beyond them range over the domain.
 
     A pp formula's extension is the set of images of its free variables
     under the homomorphisms from its canonical database (Chandra and
-    Merlin), built once and read off one image search; with false it is
-    empty.  An ep formula is evaluated tuple by tuple, each with a fresh
-    assignment budget."""
+    Merlin), built once and read off one image search under budget; with
+    false it is empty.  An ep formula is evaluated tuple by tuple, each
+    with a fresh assignment budget of the same size."""
     walk = _walk(phi, a.sig)
     var_order = sorted(walk.free.difference(a.sig.constants), key=lambda v: (len(v), v))
     if len(var_order) > arity:
@@ -114,13 +114,13 @@ def relation_of_formula(a: FiniteStructure, phi, arity: int) -> frozenset:
     if walk.disjunctive:
         return frozenset(values for values in itertools.product(range(a.n), repeat=arity)
                          if _eval_rec(phi, a, dict(zip(var_order, values)),
-                                      _assignment_meter(DEFAULT_BUDGET)))
+                                      _assignment_meter(budget)))
     if walk.false:
         return frozenset()
     db, elem = canonical_structure(phi, a.sig, walk)
     rest = list(itertools.product(range(a.n), repeat=arity - len(var_order)))
     return frozenset(image + tail
-                     for image, _ in _images(db, a, [elem[v] for v in var_order], DEFAULT_BUDGET)
+                     for image, _ in _images(db, a, [elem[v] for v in var_order], budget)
                      for tail in rest)
 
 
@@ -156,20 +156,8 @@ def _columns(a: FiniteStructure, rows, arity: int) -> list:
     return [encode_tuple(tuple(row[i] for row in rows), a.n) for i in range(arity)]
 
 
-def _images(source: FiniteStructure, target: FiniteStructure, elements, budget: int):
-    """Yield (image, h) for each tuple image, in lexicographic order, that a
-    homomorphism source -> target sends elements to; h is the least one.
-    The pinned searches share one compiled plan for source -> target."""
-    for image in itertools.product(range(target.n), repeat=len(elements)):
-        pinned = {}
-        if all(pinned.setdefault(x, v) == v for x, v in zip(elements, image)):
-            h = find_homomorphism(source, target, pinned=pinned, budget=budget)
-            if h is not None:
-                yield image, h
-
-
 def pp_closure(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET) -> Relation:
-    """Smallest pp-definable relation of a containing r.
+    """Smallest pp-definable relation of a containing r, one image search.
 
     The closure of the empty relation is empty (pp-definable by false);
     callers who care can catch the EmptyRelationClosure warning.
@@ -191,9 +179,9 @@ def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGE
         return True, PpDefinabilityCertificate(True, formula=FALSE)
     rows = tuple(sorted(r.tuples))
     pw = _indicator_power(a, len(rows), budget)
-    for image, h in _images(pw, a, _columns(a, rows, r.arity), budget):
+    for image, least in _images(pw, a, _columns(a, rows, r.arity), budget):
         if image not in r.tuples:
-            f = OperationTable(a.n, len(rows), h.map)
+            f = OperationTable(a.n, len(rows), least())
             return False, PpDefinabilityCertificate(
                 False, violating_operation=f, input_rows=rows, violating_tuple=image)
     return True, PpDefinabilityCertificate(
@@ -224,7 +212,7 @@ def synthesize_pp_definition(a: FiniteStructure, r: Relation,
 
     columns = _columns(a, rows, r.arity)
     phi = _fact_formula(pw, inner, [Eq(y, inner[col]) for y, col in zip(outer, columns)])
-    extension = relation_of_formula(a, phi, r.arity)
+    extension = relation_of_formula(a, phi, r.arity, budget)
     if extension != r.tuples:
         raise ValueError("relation is not pp-definable; synthesize_pp_definition "
                          "requires is_pp_definable(a, r) to hold")
@@ -260,9 +248,9 @@ class PpTypeReport:
 
 def count_maximal_pp_types(a: FiniteStructure, n: int, budget: int = DEFAULT_BUDGET) -> PpTypeReport:
     """Quotient all n-tuples by mutual pp-type containment and count the
-    classes that no other class strictly dominates.  The up-set of s (the
-    t with s <= t) is its image set under End(a); classes come in order of
-    their lex-least member, and a class is maximal when it is its up-set."""
+    classes that no other class strictly dominates.  The up-set of s (the t
+    with s <= t) is its image set under End(a), one search per s; classes
+    come in lex order of their least member, maximal when equal to its up-set."""
     if n < 1:
         raise ValueError("type arity must be >= 1")
     if a.n ** n > MAX_POWER_DOMAIN:

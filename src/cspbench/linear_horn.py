@@ -64,6 +64,7 @@ CNF text format, one clause per line, '#' starts a comment::
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -89,7 +90,7 @@ class LinearLiteral:
 
     @staticmethod
     def make(coeffs: dict, const, is_eq: bool = True) -> "LinearLiteral":
-        items = sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0)
+        items = sorted([(v, f) for v, c in coeffs.items() if (f := Fraction(c)) != 0])
         const = Fraction(const)
         if items:
             lead = items[0][1]
@@ -608,8 +609,12 @@ def check_mix_preservation(f: LinearCnf, p: dict, q: dict) -> bool:
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
+    """['-'] digits ['/' digits]; Fraction(token) would also expand 1e5000000."""
+    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", token)
+    if m is None:
+        raise CnfError(f"line {lineno}: bad rational {token!r}: expected ['-'] digits ['/' digits]")
+    try:  # int() refuses more digits than the interpreter's limit
+        return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise CnfError(f"line {lineno}: bad rational {token!r}: {exc}") from None
 

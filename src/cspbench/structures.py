@@ -23,26 +23,24 @@ onto its already assigned positions must lie in the projection of the
 target relation onto the same positions, so a fully assigned tuple must be
 a target tuple and a partly assigned one must extend to one.
 
-A search runs in two parts.  The plan is compiled once per (source,
-target) pair, in one pass over the source tuples.  A tuple t checks
-nothing more once its greatest element is assigned, so it gives at most
-one check per distinct element: its least element may only take values v
-whose constant tuple (v, ..., v) lies in the target projection onto its
-positions, a set of values; its greatest element looks t up in the target
-relation; and each element in between (arity 3 and up) looks up the
-projection of t onto the positions assigned so far, once per distinct
-projection.  The plan is cached on the source, keyed by the identity of
-the target, and the target keeps the projections of its relations, so
-repeated searches with different pins (pp-closures, pp-type containment,
-re-evaluation of pp formulas) share the work.  Pins are applied per call.
-The loop then walks the search tree with an explicit stack, so the depth
-of a search is not bounded by the interpreter's recursion limit.
+A search first compiles a plan in one pass over the source tuples.  A
+tuple t checks nothing more once its greatest element is assigned, so it
+gives at most one check per distinct element: its least element may only
+take values v whose constant tuple (v, ..., v) lies in the target
+projection onto its positions, which the target keeps; its greatest
+element looks t up in the target relation; and each element in between
+(arity 3 and up) looks up the projection of t onto the positions
+assigned so far, once per distinct projection.  The loop then walks the
+search tree with an explicit stack, so its depth is not bounded by the
+recursion limit.  An image question (which tuples the homomorphisms
+send some elements to) is one search that resumes after each map at the
+last of those elements, numbered first (_images).
 
 Every value a search assigns is one step against a budget (default
-5_000_000); beyond it the search raises BudgetExceededError.  Values that
-the plan or a pin rules out are never tried, so never counted.  An
-enumeration also fails when it finds a map while the maps it keeps
-already hold more than budget entries, so its memory stays bounded.
+5_000_000, one per search or image question); beyond it the search
+raises BudgetExceededError.  Values that the plan or a pin rules out are
+never tried, so never counted.  An enumeration also fails when it finds
+a map while the maps it keeps hold more than budget entries.
 
 canonical_form gives a key that is equal for two structures exactly when
 they are isomorphic: the lex-least (relation bitmasks, constant elements)
@@ -156,10 +154,10 @@ class FiniteStructure:
 
     Treated as immutable after construction; all operations in this package
     return new structures.  Equality and hashing ignore the optional name
-    and the caches (canonical form, search plan, relation projections).
+    and the caches (canonical form, relation projections).
     """
 
-    __slots__ = ("sig", "n", "rel", "const", "name", "_canon", "_plan", "_projections")
+    __slots__ = ("sig", "n", "rel", "const", "name", "_canon", "_projections")
 
     def __init__(self, sig: Signature, n: int, relations=None, constants=None, name=None):
         if not is_int(n) or n < 1:
@@ -193,7 +191,6 @@ class FiniteStructure:
         self.const = const
         self.name = name
         self._canon = None
-        self._plan = None
         self._projections = None
 
     @classmethod
@@ -204,7 +201,7 @@ class FiniteStructure:
         const each constant to an element."""
         s = cls.__new__(cls)
         s.sig, s.n, s.rel, s.const, s.name = sig, n, rel, const, None
-        s._canon = s._plan = s._projections = None
+        s._canon = s._projections = None
         return s
 
     def _projection(self, rname: str, positions: tuple):
@@ -472,39 +469,26 @@ def _compile_plan(a, b):
     return values, [tuple(c) for c in checks]
 
 
-def _plan(a, b):
-    """The compiled plan for a -> b, cached on a for the last target used."""
-    cached = a._plan
-    if cached is None or cached[0] is not b:
-        cached = a._plan = (b, _compile_plan(a, b))
-    return cached[1]
-
-
-def _hom_maps(a, b, pinned, budget, first_only):
-    """Backtracking search for homomorphism maps a -> b, ascending order.
-
-    pinned maps source elements to forced target values (constants are
-    pinned automatically).  Returns a list of map tuples in lexicographic
-    order; with first_only, at most one.
-
-    Each value assigned is one step against the budget; a value that the
-    plan or a pin rules out is never tried.  Finding a map while the maps
-    kept hold more than budget entries (maps times a.n) raises as well.
-    """
+def _hom_maps(a, b, pinned=None, budget: int = DEFAULT_BUDGET, prefix=None):
+    """Yield homomorphism maps a -> b in lexicographic order, by
+    backtracking; pinned forces values (constants are pinned too).  After a
+    map the search resumes at element prefix - 1, yielding the least map
+    extending each assignment of the elements below prefix: prefix=0 the
+    least map, the default a.n every map.  The budget counts values assigned."""
     if a.sig != b.sig:
         raise SignatureMismatchError("homomorphism search requires equal signatures")
     pin = {}
     for c, va in a.const.items():
         if pin.setdefault(va, b.const[c]) != b.const[c]:
-            return []
+            return
     for x, v in (pinned or {}).items():
         if not (0 <= x < a.n and 0 <= v < b.n):
             raise ValueError(f"pin {x}->{v} out of range")
         if pin.setdefault(x, v) != v:
-            return []
-    plan = _plan(a, b)
+            return
+    plan = _compile_plan(a, b)
     if plan is None:
-        return []
+        return
     values, checks = plan
     if pin:
         values = list(values)
@@ -512,9 +496,9 @@ def _hom_maps(a, b, pinned, budget, first_only):
             values[x] = (v,) if v in values[x] else ()
 
     n = a.n
+    resume = n - 1 if prefix is None else prefix - 1
     h = [0] * n
     nxt = [0] * n  # index of the next value to try, per level
-    out = []
     steps = 0
     x = 0
     while True:
@@ -534,7 +518,7 @@ def _hom_maps(a, b, pinned, budget, first_only):
                 break  # every check passed
         else:  # no value left at this level
             if x == 0:
-                return out
+                return
             x -= 1
             continue
         nxt[x] = i
@@ -542,24 +526,47 @@ def _hom_maps(a, b, pinned, budget, first_only):
             x += 1
             nxt[x] = 0
             continue
-        if len(out) * n > budget:
-            raise BudgetExceededError(
-                f"homomorphism search holds {len(out)} maps of {n} entries each, "
-                f"more than the budget of {budget} entries")
-        out.append(tuple(h))
-        if first_only:
-            return out
+        yield tuple(h)
+        if resume < 0:
+            return
+        x = resume
 
 
 def find_homomorphism(a, b, pinned=None, budget: int = DEFAULT_BUDGET):
     """Lexicographically least homomorphism a -> b, or None."""
-    maps = _hom_maps(a, b, pinned, budget, first_only=True)
-    return Homomorphism(a, b, maps[0]) if maps else None
+    m = next(_hom_maps(a, b, pinned, budget, prefix=0), None)
+    return None if m is None else Homomorphism(a, b, m)
 
 
 def enumerate_homomorphisms(a, b, pinned=None, budget: int = DEFAULT_BUDGET):
     """All homomorphisms a -> b in lexicographic (canonical) order."""
-    return [Homomorphism(a, b, m) for m in _hom_maps(a, b, pinned, budget, first_only=False)]
+    out = []
+    for m in _hom_maps(a, b, pinned, budget):
+        if len(out) * a.n > budget:
+            raise BudgetExceededError(
+                f"homomorphism search holds {len(out)} maps of {a.n} entries each, "
+                f"more than the budget of {budget} entries")
+        out.append(Homomorphism(a, b, m))
+    return out
+
+
+def _images(source, target, elements, budget: int = DEFAULT_BUDGET):
+    """Yield (image, least) for each tuple image, in lexicographic order, that
+    a homomorphism source -> target sends elements to; least() maps the least
+    such map back, on request only.  One search: the source is relabelled with
+    the distinct elements first, in order of first occurrence, the rest
+    ascending, so each image's first completion is the least map with it."""
+    head = list(dict.fromkeys(elements))
+    label = [0] * source.n
+    for new, old in enumerate(head + [x for x in range(source.n) if x not in head]):
+        label[old] = new
+    rel = {r: frozenset(zip(*[map(label.__getitem__, col) for col in zip(*ts)]))  # by columns
+           for r, ts in source.rel.items()}
+    relabelled = FiniteStructure._from_checked(source.sig, source.n, rel,
+                                               {c: label[x] for c, x in source.const.items()})
+    at = [label[x] for x in elements]
+    for m in _hom_maps(relabelled, target, None, budget, prefix=len(head)):
+        yield tuple([m[x] for x in at]), lambda m=m: tuple([m[x] for x in label])
 
 
 def _refine(occurrences, colour, k):

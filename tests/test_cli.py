@@ -5,7 +5,7 @@ import random
 import pytest
 
 import helpers
-from cspbench import FiniteStructure, Signature, cli
+from cspbench import FiniteStructure, Signature, cli, structures
 from cspbench.cli import ANALYZE_SECTIONS, main
 from cspbench.formulas import parse_sentence
 from cspbench.galois import PpDefinabilityCertificate, Relation
@@ -242,6 +242,32 @@ def test_horn_commands(files, capsys):
     assert doc["complexity"] == "CSP NP-complete" and len(doc["witness_pair"]) == 2
     code, out, _ = run(capsys, "horn", "solve", files["horn.cnf"])
     assert code == 0 and "satisfiable" in out
+
+
+def test_horn_rejects_rationals_outside_the_grammar(capsys, tmp_path):
+    # an exponent would expand to five million digits before failing
+    cnf = tmp_path / "exp.cnf"
+    cnf.write_text("1*x = 1\n1e5000000*x = 1\n")
+    code, out, err = run(capsys, "horn", "classify", str(cnf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: bad rational '1e5000000': ")
+
+
+def test_ppdef_searches_under_the_given_budget(files, capsys, monkeypatch, tmp_path):
+    # the re-evaluation of the synthesized formula uses --budget as well
+    budgets = []
+    search = structures._hom_maps
+
+    def spy(a, b, pinned=None, budget=DEFAULT_BUDGET, prefix=None):
+        budgets.append(budget)
+        return search(a, b, pinned, budget, prefix)
+
+    monkeypatch.setattr(structures, "_hom_maps", spy)
+    rel = tmp_path / "rel_edge.json"
+    rel.write_text(json.dumps({"arity": 2, "tuples": [[0, 1], [1, 0]]}))
+    code, out, err = run(capsys, "ppdef", files["k2.json"], str(rel), "--budget", "1000")
+    assert code == 0 and "pp-definable" in out, err
+    assert len(budgets) >= 2 and set(budgets) == {1000}
 
 
 def test_rewrite_ep(files, capsys):

@@ -363,6 +363,10 @@ def test_parse_cnf_round_trip_and_errors():
     f = parse_cnf("# comment\n1*x + -1/2*y = 3/4 | ~2*z = 1\n\n1*x = 0")
     assert len(f.clauses) == 2
     assert parse_cnf(f.render()) == f
-    for bad in ("x = 1", "1*x == 1", "1*x = 1 | ", "1*x + = 1", "1*1x = 0"):
+    for bad in ("x = 1", "1*x == 1", "1*x = 1 | ", "1*x + = 1", "1*1x = 0",
+                # rationals are ['-'] digits ['/' digits] only, within the
+                # interpreter's integer-conversion digit limit
+                "0.5*x = 1", "2e1*x = 1", "1_0*x = 1", "1e5000000*x = 1", "1*x = 1/0",
+                "1*x = " + "7" * 5000):
         with pytest.raises(CnfError):
             parse_cnf(bad)

@@ -17,10 +17,12 @@ from cspbench import (
     power,
     product,
 )
+from cspbench.galois import Relation, pp_closure
 from cspbench.structures import (
     Homomorphism,
     _compile_plan,
     _hom_maps,
+    _images,
     canonical_form,
     decode_index,
     encode_tuple,
@@ -325,26 +327,46 @@ def test_enumeration_is_bounded_by_the_entries_it_keeps():
 # plain backtracking, which tries every value, counted 2**k + 1.
 BUDGET_THRESHOLDS = [
     ("K3^3 -> K3, enumerate", lambda: (power(helpers.k3(), 3), helpers.k3()),
-     None, False, 264_342, 18),
+     None, None, 264_342, 18),
     ("K3^3 -> K3, first, pinned 0 -> 1", lambda: (power(helpers.k3(), 3), helpers.k3()),
-     {0: 1}, True, 22_028, 1),
+     {0: 1}, 0, 22_028, 1),
     ("K3^2 -> K3, enumerate", lambda: (power(helpers.k3(), 2), helpers.k3()),
-     None, False, 696, 12),
-    ("C5 -> K2, first", lambda: (helpers.cycle(5), helpers.k2()), None, True, 18, 0),
-    ("U/V^2 -> U/V, first", lambda: (power(helpers.uv(), 2), helpers.uv()), None, True, 4, 1),
-    ("U/V^3 -> U/V, first", lambda: (power(helpers.uv(), 3), helpers.uv()), None, True, 8, 1),
+     None, None, 696, 12),
+    ("C5 -> K2, first", lambda: (helpers.cycle(5), helpers.k2()), None, 0, 18, 0),
+    ("U/V^2 -> U/V, first", lambda: (power(helpers.uv(), 2), helpers.uv()), None, 0, 4, 1),
+    ("U/V^3 -> U/V, first", lambda: (power(helpers.uv(), 3), helpers.uv()), None, 0, 8, 1),
 ]
 
 
-@pytest.mark.parametrize("name,make,pinned,first_only,threshold,count", BUDGET_THRESHOLDS,
+@pytest.mark.parametrize("name,make,pinned,prefix,threshold,count", BUDGET_THRESHOLDS,
                          ids=[case[0] for case in BUDGET_THRESHOLDS])
-def test_budget_threshold_is_exact(name, make, pinned, first_only, threshold, count):
+def test_budget_threshold_is_exact(name, make, pinned, prefix, threshold, count):
     a, b = make()
     with pytest.raises(BudgetExceededError):
-        _hom_maps(a, b, pinned, threshold - 1, first_only)
-    maps = _hom_maps(a, b, pinned, threshold, first_only)
+        list(_hom_maps(a, b, pinned, threshold - 1, prefix))
+    maps = list(_hom_maps(a, b, pinned, threshold, prefix))
     assert len(maps) == count and maps == sorted(maps)
     assert all(Homomorphism(a, b, m).verify() for m in maps)
+
+
+# An image question is one search under one budget: the least budget under
+# which each pp-closure completes (every indicator power here fits under it),
+# and the size of the closure.
+CLOSURE_THRESHOLDS = [
+    ("K3, one edge", helpers.k3, [(0, 1)], 24, 6),
+    ("K3, path of two edges", helpers.k3, [(0, 1), (1, 2)], 165, 6),
+    ("K3, three triples", helpers.k3, [(0, 1, 2), (1, 2, 0), (0, 0, 1)], 74_475, 12),
+    ("K2, edges and a loop pair", helpers.k2, [(0, 1), (1, 0), (0, 0)], 42, 4),
+]
+
+
+@pytest.mark.parametrize("name,make,tuples,threshold,count", CLOSURE_THRESHOLDS,
+                         ids=[case[0] for case in CLOSURE_THRESHOLDS])
+def test_image_question_budget_threshold_is_exact(name, make, tuples, threshold, count):
+    a, r = make(), Relation.make(len(tuples[0]), tuples)
+    with pytest.raises(BudgetExceededError):
+        pp_closure(a, r, budget=threshold - 1)
+    assert len(pp_closure(a, r, budget=threshold).tuples) == count
 
 
 def _random_with_constants(rng, sig, n):
@@ -363,7 +385,7 @@ def test_hom_search_order_matches_brute_force_with_constants_and_pins():
         a = _random_with_constants(rng, sig, rng.randint(1, 5))
         b = _random_with_constants(rng, sig, rng.randint(1, 3))
         brute = oracles.brute_homs(a, b)
-        # several pinned searches on the same pair share one compiled plan
+        # several pinned searches on the same pair, each compiled afresh
         for _ in range(3):
             pins = {rng.randrange(a.n): rng.randrange(b.n) for _ in range(rng.randint(0, 2))}
             want = [h for h in brute if all(h[x] == v for x, v in pins.items())]
@@ -379,16 +401,33 @@ def test_deep_search_does_not_recurse():
     assert find_homomorphism(helpers.cycle(n + 1), helpers.k2()) is None
 
 
-def test_plan_is_shared_across_pinned_searches():
-    k2, p4 = helpers.k2(), helpers.path(4)
-    first = find_homomorphism(p4, k2, pinned={0: 1})
-    plan = p4._plan
-    second = find_homomorphism(p4, k2, pinned={3: 1})
-    assert p4._plan is plan
-    assert (first.map, second.map) == ((1, 0, 1, 0), (0, 1, 0, 1))
-    # an equal but distinct target gets its own plan
-    find_homomorphism(p4, helpers.k2())
-    assert p4._plan is not plan
+def test_images_match_brute_force():
+    # one projected search per question gives the image set of the elements
+    # in lexicographic order, each with the least map that has it
+    rng = random.Random(71)
+    with_images = 0
+    for case in range(1000):
+        sig = Signature.make({f"R{i}": rng.randint(1, 3) for i in range(rng.randint(1, 2))},
+                             [f"c{i}" for i in range(rng.choice([0, 0, 1, 2]))])
+        n = rng.randint(1, 6)
+        # a sparse source, so that an image often has several completions
+        rels = {r: rng.sample(list(itertools.product(range(n), repeat=ar)),
+                              rng.randint(0, min(n ** ar, 3)))
+                for r, ar in sig.relations}
+        a = FiniteStructure(sig, n, rels, {c: rng.randrange(n) for c in sig.constants})
+        b = _random_with_constants(rng, sig, rng.randint(1, 3))
+        if case % 5 == 0:  # a projected element that a constant names
+            elements = [a.const[c] for c in sig.constants] + [rng.randrange(a.n)]
+        else:  # repeats, and the empty list
+            elements = [rng.randrange(a.n) for _ in range(rng.randint(0, 4))]
+        least = {}
+        for h in oracles.brute_homs(a, b):
+            least.setdefault(tuple(h[x] for x in elements), h)
+        got = list(_images(a, b, elements))
+        assert [image for image, _ in got] == sorted(least)
+        assert all(h() == least[image] for image, h in got)
+        with_images += bool(got)
+    assert with_images > 500
 
 
 def test_homomorphism_preserves_ep_sentences():
