@@ -36,7 +36,8 @@ Letters and digits are Unicode ones (str.isalpha, str.isalnum), so 'é'
 is a name and '²' may follow its first character but not start it.
 
 '&' binds tighter than '|'; 'exists' extends as far right as possible.
-Universal quantifiers and negation are rejected.
+Universal quantifiers and negation are rejected, and so are parentheses
+nested more than MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class _Walk:
     relation, an arity mismatch or a quantified constant) when the walk
     was given a signature, else None.  clean means that every name is
     quantified by at most one block and none is both quantified and free,
-    so that each name stands for one variable throughout.
+    so that each name stands for one variable throughout.  depth is the
+    most parentheses that render(phi) nests.
     """
 
     atoms: list
@@ -128,6 +130,11 @@ class _Walk:
     false: bool
     symbol_error: str | None
     clean: bool
+    depth: int
+
+
+# The parts of a conjunction or a disjunction that render puts in parentheses.
+_BRACKETED = {And: frozenset((And, Or, Exists)), Or: frozenset((Or, Exists))}
 
 
 def _walk(phi, sig: Signature | None = None) -> _Walk:
@@ -138,9 +145,12 @@ def _walk(phi, sig: Signature | None = None) -> _Walk:
     error = None
     # scopes[i]: (names bound there, names in the atoms and equalities there)
     scopes = [(frozenset(), set())]
-    stack = [(phi, 0)]
+    # stack: (node, its scope, outer), outer being (the parentheses around
+    # its parent, the part types the parent brackets)
+    depth = 0
+    stack = [(phi, 0, (0, ()))]
     while stack:
-        node, scope = stack.pop()
+        node, scope, outer = stack.pop()
         if isinstance(node, Atom):
             atoms.append(node)
             scopes[scope][1].update(node.args)
@@ -155,8 +165,13 @@ def _walk(phi, sig: Signature | None = None) -> _Walk:
             scopes[scope][1].update((node.left, node.right))
         elif isinstance(node, (And, Or)):
             disjunctive = disjunctive or isinstance(node, Or)
-            stack.extend([(part, scope) for part in reversed(node.parts)])
+            parens = outer[0] + (type(node) in outer[1])
+            depth = max(depth, parens)
+            inner = (parens, _BRACKETED[type(node)])
+            stack.extend([(part, scope, inner) for part in reversed(node.parts)])
         elif isinstance(node, Exists):
+            parens = outer[0] + (type(node) in outer[1])
+            depth = max(depth, parens)
             rebound = rebound or not quantified.isdisjoint(node.vars)
             quantified.update(node.vars)
             if arity is not None and error is None:
@@ -165,7 +180,7 @@ def _walk(phi, sig: Signature | None = None) -> _Walk:
                         error = f"cannot quantify over constant symbol {v!r}"
                         break
             scopes.append((scopes[scope][0].union(node.vars), set()))
-            stack.append((node.body, len(scopes) - 1))
+            stack.append((node.body, len(scopes) - 1, (parens, ())))
         elif isinstance(node, Falsum):
             false = True
         else:
@@ -173,7 +188,7 @@ def _walk(phi, sig: Signature | None = None) -> _Walk:
     names = quantified.union(*[leaf for _, leaf in scopes])
     free = set().union(*[leaf - bound for bound, leaf in scopes])
     clean = not rebound and quantified.isdisjoint(free)
-    return _Walk(atoms, equalities, names, free, disjunctive, false, error, clean)
+    return _Walk(atoms, equalities, names, free, disjunctive, false, error, clean, depth)
 
 
 def _apart_names(walk: _Walk, avoid):
@@ -473,37 +488,35 @@ def local_refutation_value(a: FiniteStructure, phi) -> bool:
     return evaluate(point, phi, dict.fromkeys(free_variables(phi, a.sig), 0))
 
 
-def is_locally_refutable(a: FiniteStructure, include_constants: bool = True):
+def is_locally_refutable(a: FiniteStructure):
     """Decide local refutability; returns (verdict, certificate).
 
     On a finite structure, truth of every ep sentence with true atom-
     emptiness value is equivalent to the existence of a diagonal element d
-    carrying every nonempty relation as a loop (and equal to every
-    constant, unless include_constants is False).  The certificate is such
-    a d, or, when the verdict is false, an ep sentence whose emptiness
+    carrying every nonempty relation as a loop and equal to every constant.
+    One pass over the relations reads off each loop set; the certificate
+    is the least d in all of them, or, when the verdict is false, the
+    smallest combination of atoms R(x0, ..., x0) and x0 = c, in signature
+    order, whose sets share no element, as an ep sentence whose emptiness
     value is true but which is false in a.
     """
     (var,) = _numbered_names(1, a.sig.constants)
-    atoms = []
-    for rname, ar in a.sig.relations:
-        if a.rel[rname]:
-            atoms.append(Atom(rname, (var,) * ar))
-    if include_constants:
-        for cname in a.sig.constants:
-            atoms.append(Eq(var, cname))
+    atoms = [Atom(rname, (var,) * ar) for rname, ar in a.sig.relations if a.rel[rname]]
+    holds = [a._projection(atom.rel, tuple(range(len(atom.args))))[1] for atom in atoms]
+    atoms += [Eq(var, cname) for cname in a.sig.constants]
+    holds += [{a.const[cname]} for cname in a.sig.constants]
 
-    def holds(d, pool):
-        env = {var: d}
-        return all(_eval_rec(atm, a, env, None) for atm in pool)  # atoms count no steps
+    def shared(indices):
+        first, *rest = indices
+        return holds[first].intersection(*[holds[i] for i in rest])
 
-    for d in range(a.n):
-        if holds(d, atoms):
-            return True, d
-    # Smallest failing atom combination, as a one-variable ep sentence.
+    common = shared(range(len(atoms))) if atoms else {0}
+    if common:
+        return True, min(common)
     for size in range(1, len(atoms) + 1):
-        for combo in itertools.combinations(atoms, size):
-            if not any(holds(d, combo) for d in range(a.n)):
-                return False, Exists((var,), conj(combo))
+        for combo in itertools.combinations(range(len(atoms)), size):
+            if not shared(combo):
+                return False, Exists((var,), conj([atoms[i] for i in combo]))
     raise AssertionError("unreachable: full atom set must fail when no diagonal exists")
 
 
@@ -511,20 +524,24 @@ def is_locally_refutable(a: FiniteStructure, include_constants: bool = True):
 
 
 def _is_p4_interpretation(a: FiniteStructure, p4: str) -> bool:
+    """Whether p4 holds all (u, v, x, y) with u = v or x = y, 2n**3 - n**2
+    of them, and no other tuple."""
     if p4 not in a.sig.relation_names or a.sig.arity(p4) != 4:
         return False
-    want = {
-        (u, v, x, y)
-        for u, v, x, y in itertools.product(range(a.n), repeat=4)
-        if u == v or x == y
-    }
-    return a.rel[p4] == want
+    tuples = a.rel[p4]
+    return (len(tuples) == 2 * a.n ** 3 - a.n ** 2
+            and all(u == v or x == y for u, v, x, y in tuples))
 
 
-def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None,
-                           budget: int = DEFAULT_BUDGET):
-    """Rewrite an ep formula into a pp formula using a 4-ary relation p4
-    interpreted as (u = v or x = y).
+def _check_nesting(depth: int):
+    if depth > MAX_NESTING:
+        raise FormulaError(f"the rewriting would nest parentheses {depth} deep, "
+                           f"over the limit of {MAX_NESTING}")
+
+
+def eliminate_disjunctions(phi, p4: str, template: FiniteStructure, budget: int = DEFAULT_BUDGET):
+    """Rewrite an ep formula into a pp formula equivalent to it on template,
+    using a 4-ary relation p4 that template interprets as (u = v or x = y).
 
     Each disjunction psi1 | psi2 is replaced, innermost first, by fresh
     copies of both disjuncts together with the selector
@@ -534,22 +551,21 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
 
     which is equivalent to (copy1 = originals) or (copy2 = originals) by
     distributivity.  A disjunct of the gadget must be independently
-    satisfiable; when a template is supplied, unsatisfiable disjuncts are
-    detected by evaluation and dropped (this mirrors the underlying
-    rewriting argument, which is relative to a fixed template), and the
-    template's interpretation of p4 is verified.  Without a template the
-    output is equivalent on every structure interpreting p4 correctly in
-    which each disjunct is satisfiable.
+    satisfiable, so disjuncts unsatisfiable on the template are detected
+    by evaluation and dropped (this mirrors the underlying rewriting
+    argument, which is relative to a fixed template), and the template's
+    interpretation of p4 is verified first.  Each gadget nests its first
+    disjunct one level deeper, so a FormulaError is raised before a
+    rewriting whose rendering would nest parentheses deeper than
+    MAX_NESTING is built: every rewriting re-parses.
     """
-    if template is not None and not _is_p4_interpretation(template, p4):
+    if not _is_p4_interpretation(template, p4):
         raise FormulaError(f"template does not interpret {p4!r} as (u=v or x=y)")
     walk = _walk(phi)
-    # In a sentence without a template, any name never bound is a constant symbol.
-    constants = set(template.sig.constants) if template is not None else walk.free
-
     if not walk.disjunctive:
         return phi
 
+    constants = set(template.sig.constants)
     fresh = _FreshNames(walk.names | constants)
     phi = _rename(phi, {}, fresh)
 
@@ -557,24 +573,24 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
         branch = _walk(psi)
         if branch.false:
             return False
-        if template is None:
-            return True
         fv = sorted(branch.free - constants)
         closed = Exists(tuple(fv), psi) if fv else psi
         return evaluate(template, closed, budget=budget)
 
-    def pad(psi):
-        # Every gadget branch needs at least one variable to hang the
-        # selector equalities on.
-        if free_names(psi) - constants:
-            return psi
+    def conjunct(psi):
+        # psi with at least one variable to hang the selector equalities
+        # on, its variables, and how deep it nests parentheses as a conjunct
+        branch = _walk(psi)
+        variables = sorted(branch.free - constants)
+        depth = branch.depth + isinstance(psi, (And, Or, Exists))
+        if variables:
+            return psi, variables, depth
         t = fresh()
-        return And((psi, Eq(t, t)))
+        return And((psi, Eq(t, t))), [t], depth + 1
 
     def gadget(psi1, psi2):
-        psi1, psi2 = pad(psi1), pad(psi2)
-        vars1 = sorted(free_names(psi1) - constants)
-        vars2 = sorted(free_names(psi2) - constants)
+        (psi1, vars1, depth1), (psi2, vars2, depth2) = conjunct(psi1), conjunct(psi2)
+        _check_nesting(max(depth1, depth2))
         copy1 = {v: fresh() for v in vars1}
         copy2 = {w: fresh() for w in vars2}
         selector = [Atom(p4, (copy1[v], v, copy2[w], w)) for v in vars1 for w in vars2]
@@ -603,13 +619,20 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure | None = None
             return result
         raise FormulaError(f"not a formula node: {node!r}")
 
-    return rewrite(phi)
+    out = rewrite(phi)
+    _check_nesting(_walk(out).depth)
+    return out
 
 
 # -- sentence text grammar --
 
 _KEYWORDS = {"exists", "false"}
 _REJECTED = {"forall", "not"}
+# The parser recurses through four calls per parenthesis level, and the
+# walkers that render, rename or evaluate a formula through at most four,
+# so this depth keeps every accepted sentence inside the interpreter's
+# default recursion limit of 1000 with room left for the caller's frames.
+MAX_NESTING = 200
 # The search skips blanks (" \t\r"), and a comment yields no token; a
 # newline starts the next line.  A word that starts with a digit, like any
 # other character outside the grammar, is reported at its first character.
@@ -640,6 +663,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -652,7 +676,9 @@ class _Parser:
         return tok
 
     def formula(self):
-        if self.peek()[0] == "exists":
+        # one loop for a run of quantifier blocks: they add no recursion
+        blocks = []
+        while self.peek()[0] == "exists":
             self.take("exists")
             names = []
             while self.peek()[0] == "name":
@@ -661,8 +687,11 @@ class _Parser:
                 tok = self.peek()
                 raise FormulaError(f"line {tok[2]} col {tok[3]}: 'exists' needs at least one variable")
             self.take(".")
-            return Exists(tuple(names), self.formula())
-        return self.disj()
+            blocks.append(tuple(names))
+        phi = self.disj()
+        for names in reversed(blocks):
+            phi = Exists(names, phi)
+        return phi
 
     def disj(self):
         parts = [self.conj()]
@@ -682,8 +711,13 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormulaError(f"line {tok[2]} col {tok[3]}: parentheses nested "
+                                   f"more than {MAX_NESTING} deep")
             inner = self.formula()
             self.take(")")
+            self.depth -= 1
             return inner
         if tok[0] == "false":
             self.take("false")
@@ -711,21 +745,16 @@ def parse_sentence(text: str):
 
 def render(phi) -> str:
     """Formula to sentence-grammar text; parse_sentence(render(phi)) == phi."""
-
-    def bracket(node):
-        text = render(node)
-        return f"({text})" if isinstance(node, (And, Or, Exists)) else text
-
     if isinstance(phi, Atom):
         return f"{phi.rel}({', '.join(phi.args)})"
     if isinstance(phi, Eq):
         return f"{phi.left} = {phi.right}"
     if isinstance(phi, Falsum):
         return "false"
-    if isinstance(phi, And):
-        return " & ".join(bracket(p) for p in phi.parts)
-    if isinstance(phi, Or):
-        return " | ".join(bracket(p) if isinstance(p, (Or, Exists)) else render(p) for p in phi.parts)
+    if isinstance(phi, (And, Or)):
+        nested = _BRACKETED[type(phi)]
+        parts = [f"({render(p)})" if type(p) in nested else render(p) for p in phi.parts]
+        return (" | " if isinstance(phi, Or) else " & ").join(parts)
     if isinstance(phi, Exists):
         body = render(phi.body)
         return f"exists {' '.join(phi.vars)} . {body}"

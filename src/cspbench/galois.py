@@ -29,8 +29,8 @@ from .structures import (
     is_int,
     power,
 )
-from .formulas import (Eq, FALSE, _assignment_meter, _check_symbols, _eval_rec, _fact_formula,
-                       _numbered_names, _walk, canonical_structure)
+from .formulas import (Eq, FALSE, FormulaError, _check_symbols, _fact_formula, _numbered_names,
+                       _walk, canonical_structure)
 from .clones import OperationTable, operation_preserves
 
 # Indicator powers: t tuples mean a power with |A|**t elements.  These caps
@@ -97,24 +97,21 @@ class PpDefinabilityCertificate:
 
 
 def relation_of_formula(a: FiniteStructure, phi, arity: int, budget: int = DEFAULT_BUDGET) -> frozenset:
-    """Extension of a formula over a; free variables are taken in
+    """Extension of a pp formula over a; free variables are taken in
     length-then-lexicographic order (so x2 precedes x10), and positions
     beyond them range over the domain.
 
-    A pp formula's extension is the set of images of its free variables
-    under the homomorphisms from its canonical database (Chandra and
+    The extension is the set of images of the free variables under the
+    homomorphisms from the formula's canonical database (Chandra and
     Merlin), built once and read off one image search under budget; with
-    false it is empty.  An ep formula is evaluated tuple by tuple, each
-    with a fresh assignment budget of the same size."""
+    false it is empty.  A formula with a disjunction raises FormulaError."""
     walk = _walk(phi, a.sig)
     var_order = sorted(walk.free.difference(a.sig.constants), key=lambda v: (len(v), v))
     if len(var_order) > arity:
         raise ValueError(f"formula has {len(var_order)} free variables, expected <= {arity}")
     _check_symbols(walk)
     if walk.disjunctive:
-        return frozenset(values for values in itertools.product(range(a.n), repeat=arity)
-                         if _eval_rec(phi, a, dict(zip(var_order, values)),
-                                      _assignment_meter(budget)))
+        raise FormulaError("relation_of_formula takes pp formulas only")
     if walk.false:
         return frozenset()
     db, elem = canonical_structure(phi, a.sig, walk)

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -608,15 +609,25 @@ def check_mix_preservation(f: LinearCnf, p: dict, q: dict) -> bool:
 # -- CNF text format --
 
 
+def _bad_rational(token: str, lineno: int, reason: str) -> CnfError:
+    """The error for a rejected token, echoing at most its first 40
+    characters and then its length."""
+    shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+    return CnfError(f"line {lineno}: bad rational {shown}: {reason}")
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     """['-'] digits ['/' digits]; Fraction(token) would also expand 1e5000000."""
     m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", token)
     if m is None:
-        raise CnfError(f"line {lineno}: bad rational {token!r}: expected ['-'] digits ['/' digits]")
-    try:  # int() refuses more digits than the interpreter's limit
+        raise _bad_rational(token, lineno, "expected ['-'] digits ['/' digits]")
+    try:
         return Fraction(int(m[1]), int(m[2] or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CnfError(f"line {lineno}: bad rational {token!r}: {exc}") from None
+    except ValueError:  # int() refuses more digits than the interpreter's limit
+        raise _bad_rational(token, lineno, f"more than {sys.get_int_max_str_digits()} "
+                                           "digits") from None
+    except ZeroDivisionError as exc:
+        raise _bad_rational(token, lineno, str(exc)) from None
 
 
 def _parse_literal(text: str, lineno: int) -> LinearLiteral:

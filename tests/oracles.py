@@ -10,9 +10,9 @@ indicator construction the library uses.  Five sections are different:
 they keep earlier library code verbatim as a reference: the Fraction
 linear-algebra kernel of linear_horn, the Q(sqrt2) field and mixing map
 with which linear_horn once decided mix preservation, the formula-layer
-code (renaming, tokenizing and the separate walkers over a formula), the
-tuple-by-tuple powers and plan compiler of structures, and the pairwise
-pp-type classes of galois.
+code (renaming, tokenizing, local refutability, the P4 check and the
+separate walkers over a formula), the tuple-by-tuple powers and plan
+compiler of structures, and the pairwise pp-type classes of galois.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from cspbench.duality import _all_tuples
 from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or,
-                               TriviallyFalseError, _FreshNames)
+                               TriviallyFalseError, _FreshNames, _numbered_names, conj)
 from cspbench.linear_horn import LinearLiteral
 from cspbench.structures import (DEFAULT_BUDGET, BudgetExceededError, FiniteStructure,
                                  Signature, encode_tuple)
@@ -661,9 +661,11 @@ def reference_critical_obstructions(a, max_vertices, max_tuples, budget=5_000_00
                   key=lambda o: (o.hyperedges, o.structure.n, exhaustive_canonical_key(o.structure)))
 
 # -- reference formula-layer code, kept verbatim: two renaming walks, a
-# recursive local refutation and a character-loop tokenizer.  Differential
-# tests hold cspbench.formulas._rename, local_refutation_value and
-# _tokenize to them. --
+# recursive local refutation, local refutability decided element by
+# element (atoms now evaluated by brute_evaluate), the P4 check that builds
+# every 4-tuple, and a character-loop tokenizer.  Differential tests hold
+# cspbench.formulas._rename, local_refutation_value, is_locally_refutable,
+# _is_p4_interpretation and _tokenize to them. --
 
 
 def substitute(phi, mapping: dict):
@@ -731,6 +733,44 @@ def local_refutation_value(a: FiniteStructure, phi) -> bool:
     if isinstance(phi, Falsum):
         return False
     raise FormulaError(f"not a formula node: {phi!r}")
+
+
+def is_locally_refutable(a: FiniteStructure):
+    """(verdict, certificate): the least element carrying every nonempty
+    relation as a loop and equal to every constant, or the first failing
+    atom combination, smallest first, as a one-variable ep sentence."""
+    (var,) = _numbered_names(1, a.sig.constants)
+    atoms = []
+    for rname, ar in a.sig.relations:
+        if a.rel[rname]:
+            atoms.append(Atom(rname, (var,) * ar))
+    for cname in a.sig.constants:
+        atoms.append(Eq(var, cname))
+
+    def holds(d, pool):
+        env = {var: d}
+        return all(brute_evaluate(a, atm, env) for atm in pool)
+
+    for d in range(a.n):
+        if holds(d, atoms):
+            return True, d
+    # Smallest failing atom combination, as a one-variable ep sentence.
+    for size in range(1, len(atoms) + 1):
+        for combo in itertools.combinations(atoms, size):
+            if not any(holds(d, combo) for d in range(a.n)):
+                return False, Exists((var,), conj(combo))
+    raise AssertionError("unreachable: full atom set must fail when no diagonal exists")
+
+
+def is_p4_interpretation(a: FiniteStructure, p4: str) -> bool:
+    if p4 not in a.sig.relation_names or a.sig.arity(p4) != 4:
+        return False
+    want = {
+        (u, v, x, y)
+        for u, v, x, y in itertools.product(range(a.n), repeat=4)
+        if u == v or x == y
+    }
+    return a.rel[p4] == want
 
 
 # Word classes of the character-loop tokenizer below.

@@ -7,7 +7,7 @@ import pytest
 import helpers
 from cspbench import FiniteStructure, Signature, cli, structures
 from cspbench.cli import ANALYZE_SECTIONS, main
-from cspbench.formulas import parse_sentence
+from cspbench.formulas import MAX_NESTING, is_pp, parse_sentence
 from cspbench.galois import PpDefinabilityCertificate, Relation
 from cspbench.structures import DEFAULT_BUDGET
 
@@ -253,6 +253,17 @@ def test_horn_rejects_rationals_outside_the_grammar(capsys, tmp_path):
     assert err.startswith("error: line 2: bad rational '1e5000000': ")
 
 
+def test_horn_cuts_long_rationals_in_errors(capsys, tmp_path):
+    # a 5,000-digit coefficient is echoed by its first 40 digits and its length
+    for text in ("1*x = " + "7" * 5000, "1*x = " + "7" * 5000 + "e1"):
+        cnf = tmp_path / "long.cnf"
+        cnf.write_text(text + "\n")
+        code, out, err = run(capsys, "horn", "classify", str(cnf))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith(f"error: line 1: bad rational '{'7' * 40}'... (")
+
+
 def test_ppdef_searches_under_the_given_budget(files, capsys, monkeypatch, tmp_path):
     # the re-evaluation of the synthesized formula uses --budget as well
     budgets = []
@@ -303,6 +314,44 @@ def test_solve_deep_chain_is_satisfied(files, capsys, tmp_path):
     doc = json.loads(out)
     assert doc["satisfied"] is True
     assert doc["witness"] == {f"x{i}": i % 2 for i in range(n)}
+
+
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--via-p4"], ["rewrite-ep"]],
+                         ids=["solve", "via-p4", "rewrite-ep"])
+def test_parentheses_nested_to_the_limit(files, capsys, tmp_path, command):
+    # the parser takes four calls per parenthesis level and refuses one more
+    # level than MAX_NESTING, so no command reaches the recursion limit
+    deep = tmp_path / "deep.txt"
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        inner = "E(x,x)"
+        for _ in range(depth):
+            inner = f"E(x,x) | ({inner})"
+        deep.write_text(f"exists x y . {inner}")
+        code, out, err = run(capsys, command[0], files["p4.json"], str(deep), *command[1:])
+        if depth == MAX_NESTING:
+            assert (code, err) == ((0, "") if command == ["rewrite-ep"] else (1, ""))
+            assert command != ["rewrite-ep"] or is_pp(parse_sentence(out))
+        else:
+            assert code == 2 and out == ""
+            # the refused parenthesis ends the prefix and MAX_NESTING + 1 levels
+            col = len("exists x y . ") + len("E(x,x) | (") * (MAX_NESTING + 1)
+            assert err == f"error: line 1 col {col}: parentheses nested more than {MAX_NESTING} deep\n"
+
+
+def test_rewrite_ep_refuses_rewritings_past_the_limit(files, capsys, tmp_path):
+    # each P4 gadget of a flat disjunction nests the previous one a level
+    # deeper: k disjuncts nest k - 2 deep, and every output re-parses
+    flat = tmp_path / "flat.txt"
+    for k in (MAX_NESTING + 2, MAX_NESTING + 3):
+        flat.write_text("exists x y . " + " | ".join(["E(y, x)", "E(x, y)"][i % 2] for i in range(k)))
+        code, out, err = run(capsys, "rewrite-ep", files["p4.json"], str(flat))
+        if k == MAX_NESTING + 2:
+            assert code == 0 and err == ""
+            assert is_pp(parse_sentence(out))
+        else:
+            assert code == 2 and out == ""
+            assert err == (f"error: the rewriting would nest parentheses {MAX_NESTING + 1} "
+                           f"deep, over the limit of {MAX_NESTING}\n")
 
 
 def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):

@@ -15,7 +15,9 @@ from cspbench.formulas import (
     FormulaError,
     Or,
     TriviallyFalseError,
+    MAX_NESTING,
     _FreshNames,
+    _is_p4_interpretation,
     _rename,
     _tokenize,
     _walk,
@@ -258,6 +260,25 @@ def test_render_round_trip():
     assert render(FALSE) == "false"
 
 
+def test_walk_depth_is_the_parenthesis_depth_of_render():
+    # grouping parentheses are those that do not open an atom's arguments
+    rng = random.Random(1603)
+    for _ in range(200):
+        phi = helpers.random_ep_sentence(rng, helpers.GRAPH, max_vars=3)
+        for _ in range(rng.randint(0, 3)):
+            other = helpers.random_ep_sentence(rng, helpers.GRAPH, max_vars=3)
+            phi = rng.choice([And, Or])(rng.sample([phi, other.body, other], 2))
+        tokens = [("start",)] + _tokenize(render(phi))
+        groups, deepest = [], 0  # groups: for each open parenthesis, whether it groups
+        for prev, tok in zip(tokens, tokens[1:]):
+            if tok[0] == "(":
+                groups.append(prev[0] != "name")
+                deepest = max(deepest, sum(groups))
+            elif tok[0] == ")":
+                groups.pop()
+        assert _walk(phi).depth == deepest
+
+
 def test_evaluate_trivial_examples():
     k2 = helpers.k2()
     assert evaluate(k2, parse_sentence("exists x y . E(x,y)"))
@@ -452,10 +473,77 @@ def test_is_locally_refutable_constants():
     sig = Signature.make({"U": 1}, constants=["c"])
     good = FiniteStructure(sig, 2, {"U": [(0,), (1,)]}, {"c": 0})
     assert is_locally_refutable(good)[0]
-    # the diagonal element must equal the constant by default
+    # the diagonal element must equal the constant
     u_only_1 = FiniteStructure(sig, 2, {"U": [(1,)]}, {"c": 0})
     assert not is_locally_refutable(u_only_1)[0]
-    assert is_locally_refutable(u_only_1, include_constants=False)[0]
+
+
+def _refutability_case(rng):
+    """A random structure with 0-3 relations of arity 1-3, some of them
+    empty, and 0-2 constants."""
+    n = rng.randint(1, 4)
+    arities = {f"R{i}": rng.randint(1, 3) for i in range(rng.randint(0, 3))}
+    constants = [f"c{i}" for i in range(rng.randint(0, 2))]
+    relations = {}
+    for rname, ar in arities.items():
+        density = rng.choice([0.0, 0.1, 0.5, 0.9])
+        relations[rname] = [t for t in itertools.product(range(n), repeat=ar)
+                            if rng.random() < density]
+    return FiniteStructure(Signature.make(arities, constants=constants), n, relations,
+                           {c: rng.randrange(n) for c in constants})
+
+
+def test_is_locally_refutable_matches_reference():
+    # the loop sets of one pass over the relations give the element-by-element
+    # verdict and the same certificate, rendered
+    rng = random.Random(1601)
+    negative = 0
+    for _ in range(4000):
+        a = _refutability_case(rng)
+        verdict, cert = is_locally_refutable(a)
+        want_verdict, want_cert = oracles.is_locally_refutable(a)
+        assert verdict == want_verdict
+        if verdict:
+            assert cert == want_cert
+        else:
+            assert render(cert) == render(want_cert)
+            negative += 1
+    assert 1000 < negative < 3000
+
+
+def test_is_locally_refutable_at_scale():
+    # one edge over 10**6 elements: the loop set is read off the one tuple
+    import time
+
+    a = FiniteStructure(helpers.GRAPH, 10 ** 6, {"E": [(0, 1)]})
+    start = time.perf_counter()
+    verdict, cert = is_locally_refutable(a)
+    assert time.perf_counter() - start < 1.0
+    assert (verdict, render(cert)) == (False, "exists x0 . E(x0, x0)")
+
+
+def test_p4_check_matches_reference():
+    # the exact P4 relation, one tuple missing, one extra, or one swapped for
+    # a tuple outside it (the count stays right), and misnamed or misshapen
+    rng = random.Random(1602)
+    positive = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        good = sorted(helpers.p4_tuples(n))
+        bad = sorted(set(itertools.product(range(n), repeat=4)).difference(good))
+        tuples = set(good)
+        roll = rng.randrange(6)
+        if roll in (1, 3):
+            tuples.remove(rng.choice(good))
+        if roll in (2, 3) and bad:
+            tuples.add(rng.choice(bad))
+        name, arity = ("Q", 4) if roll == 4 else ("P4", 2 if roll == 5 else 4)
+        tuples = {t[:arity] for t in tuples}
+        a = FiniteStructure(Signature.make({name: arity}), n, {name: tuples})
+        got = _is_p4_interpretation(a, "P4")
+        assert got == oracles.is_p4_interpretation(a, "P4")
+        positive += got
+    assert 300 < positive < 1500
 
 
 def test_eliminate_disjunctions_noop_on_pp():

@@ -18,7 +18,7 @@ from cspbench import (
     synthesize_pp_definition,
 )
 from cspbench.clones import preserves_relation
-from cspbench.formulas import FALSE, And, Exists, free_variables
+from cspbench.formulas import FALSE, And, Exists, FormulaError, free_variables, parse_sentence
 from cspbench.galois import EmptyRelationClosure, relation_of_formula
 
 
@@ -120,12 +120,12 @@ def test_synthesize_extension_equals_relation():
 
 
 def test_relation_of_formula_matches_brute_force():
-    # pp extensions come from one image search, ep ones tuple by tuple;
-    # positions beyond the free variables range over the domain
+    # pp extensions come from one image search; positions beyond the free
+    # variables range over the domain
     rng = random.Random(613)
     for i in range(80):
         a = helpers.random_structure(rng, max_n=3, max_arity=3)
-        sentence = helpers.random_ep_sentence(rng, a.sig, max_vars=4, max_disjunctions=i % 2)
+        sentence = helpers.random_pp_sentence(rng, a.sig)
         body = sentence.body if i % 7 else And((sentence.body, FALSE))
         k = rng.randint(0, len(sentence.vars))
         phi = Exists(sentence.vars[k:], body) if k < len(sentence.vars) else body
@@ -134,6 +134,13 @@ def test_relation_of_formula_matches_brute_force():
         expected = {values for values in itertools.product(range(a.n), repeat=arity)
                     if oracles.brute_evaluate(a, phi, dict(zip(free, values)))}
         assert relation_of_formula(a, phi, arity) == expected
+
+
+def test_relation_of_formula_rejects_ep():
+    a = helpers.k2()
+    for text in ("exists x y . E(x,y) | x = y", "E(x,y) | x = y & false"):
+        with pytest.raises(FormulaError, match="pp formulas only"):
+            relation_of_formula(a, parse_sentence(text), 2)
 
 
 def test_pp_type_leq_worked_examples():
