@@ -244,7 +244,7 @@ def _cmd_ppdef(args) -> int:
     tuples = doc["tuples"]
     if not isinstance(tuples, list) or not all(isinstance(t, list) for t in tuples):
         raise ValueError('"tuples" must be a list of lists')
-    r = galois.Relation.make(doc["arity"], [tuple(t) for t in tuples])
+    r = galois.Relation(doc["arity"], tuples)
     verdict, cert = galois.is_pp_definable(a, r, budget=args.budget)
     machine = {"definable": verdict}
     if verdict:
@@ -301,7 +301,7 @@ def _cmd_duality(args) -> int:
             with open(os.path.join(args.export, fname), "w", encoding="utf-8") as fh:
                 fh.write(obs.structure.to_json())
             manifest["obstructions"].append(
-                {"file": fname, "hyperedges": obs.hyperedges, "critical": obs.critical})
+                {"file": fname, "hyperedges": obs.hyperedges, "critical": True})
         with open(os.path.join(args.export, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -356,8 +356,19 @@ def _cmd_rewrite_ep(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """The --budget type: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _budget_flag(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="candidate-assignment budget per search")
 
 
@@ -398,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="fo-definability and critical obstructions")
     p.add_argument("structure")
     p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--max-vertices", type=int, default=None, dest="max_vertices",
+    p.add_argument("--max-vertices", type=int, default=duality.DEFAULT_MAX_VERTICES,
                    help="vertex bound of the evidence sweep; an fo-definable verdict "
                         "enumerates its complete obstruction set regardless")
-    p.add_argument("--max-tuples", type=int, default=None, dest="max_tuples",
+    p.add_argument("--max-tuples", type=int, default=duality.DEFAULT_MAX_TUPLES,
                    help="tuple bound of the evidence sweep; an fo-definable verdict "
                         "enumerates its complete obstruction set regardless")
     p.add_argument("--export", default=None, help="directory for the obstruction set")
@@ -410,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("horn", help="classify or solve a linear-equality CNF")
     p.add_argument("action", choices=("classify", "solve"))
     p.add_argument("cnf")
-    p.add_argument("--budget", type=int, default=linear_horn.DEFAULT_BRANCH_BUDGET,
+    p.add_argument("--budget", type=_budget, default=linear_horn.DEFAULT_BRANCH_BUDGET,
                    help="branch-node budget per satisfiability check of 'horn classify'; "
                         "'horn solve' is polynomial and does not use it")
 

@@ -16,7 +16,6 @@ Operation table serialization (JSON)::
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .structures import (
@@ -51,9 +50,6 @@ class OperationTable:
 
     def to_json_dict(self) -> dict:
         return {"domain": self.n, "arity": self.k, "values": list(self.values)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OperationTable":

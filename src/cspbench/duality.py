@@ -78,15 +78,17 @@ _MAX_CARRIED_MAPS = 16
 
 @dataclass
 class Obstruction:
+    """A critical obstruction: no homomorphism to the template, and one
+    from each structure left after deleting a single tuple."""
+
     structure: FiniteStructure
-    critical: bool
     hyperedges: int  # total number of relation tuples
 
     def verify(self, template: FiniteStructure, budget: int = DEFAULT_BUDGET) -> bool:
         t = template.relational_reduct()
         if find_homomorphism(self.structure, t, budget=budget) is not None:
             return False
-        return not self.critical or _weakenings_map(self.structure, t, budget)
+        return _weakenings_map(self.structure, t, budget)
 
 
 def _all_tuples(s: FiniteStructure):
@@ -167,12 +169,11 @@ def _carried_maps(maps, complete: bool, fresh: int, template: FiniteStructure, r
     return out, complete
 
 
-def critical_obstructions(a: FiniteStructure,
-                          max_vertices: int = DEFAULT_MAX_VERTICES,
-                          max_tuples: int = DEFAULT_MAX_TUPLES,
+def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int,
                           budget: int = DEFAULT_BUDGET):
     """All critical obstructions with at most max_vertices vertices and
-    max_tuples tuples, up to isomorphism, each verified critical.
+    max_tuples tuples, up to isomorphism, each verified critical, in order
+    of tuple count, vertex count and canonical form.
 
     Constants are not allowed in obstructions; the search runs against the
     relational reduct of the template.
@@ -203,7 +204,7 @@ def critical_obstructions(a: FiniteStructure,
                 if ext_maps:
                     next_frontier[key] = (ext, ext_maps, ext_complete)
                 elif _weakenings_map(ext, template, budget, (rname, tup)):
-                    found[key] = Obstruction(ext, True, ext.total_tuples())
+                    found[key] = Obstruction(ext, ext.total_tuples())
                 else:
                     dead.add(key)
         frontier = next_frontier.values()
@@ -244,8 +245,8 @@ class FoDefinabilityReport:
 
 
 def fo_definability_report(a: FiniteStructure, n_max: int = 3,
-                           max_vertices: int | None = None,
-                           max_tuples: int | None = None,
+                           max_vertices: int = DEFAULT_MAX_VERTICES,
+                           max_tuples: int = DEFAULT_MAX_TUPLES,
                            budget: int = DEFAULT_BUDGET) -> FoDefinabilityReport:
     """Search for a 1-tolerant polymorphism of arity 3..n_max+1.
 
@@ -256,17 +257,17 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
     complete obstruction set, from which the universal sentence is
     synthesized.  max_vertices and max_tuples never cut that sweep, which
     would drop obstructions from the set; they bound only the evidence
-    sweep.  None takes the defaults, and a bound below 1 raises ValueError
-    in either branch.  On failure the verdict is explicitly arity-bounded
-    and proves nothing; the largest critical obstruction found within
-    max_vertices and max_tuples is reported as evidence.  A budget overrun at an arity
+    sweep, and a bound below 1 raises ValueError in either branch.  On
+    failure the verdict is explicitly arity-bounded and proves nothing;
+    the largest critical obstruction found within max_vertices and
+    max_tuples is reported as evidence.  A budget overrun at an arity
     k > 3 ends the search there: the evidence is bounded by arity k-1 and
     the verdict names the overrun.  An overrun at arity 3 leaves no
     evidence and raises.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2 (1-tolerant polymorphisms are at least ternary)")
-    if any(b is not None and b < 1 for b in (max_vertices, max_tuples)):
+    if max_vertices < 1 or max_tuples < 1:
         raise ValueError("enumeration bounds must be positive")
     max_rel_arity = max((ar for _, ar in a.sig.relations), default=1)
     bound = f"up to arity {n_max + 1}"
@@ -291,12 +292,8 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
             obstructions=tuple(obs),
             universal_sentence=universal_sentence_text(obs),
         )
-    obs = critical_obstructions(
-        a,
-        max_vertices=DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices,
-        max_tuples=DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples,
-        budget=budget,
-    )
+    obs = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples,
+                                budget=budget)
     largest = max(obs, key=lambda o: o.hyperedges, default=None)
     return FoDefinabilityReport(
         fo_definable=None,

@@ -218,16 +218,6 @@ def is_pp(phi) -> bool:
     return not _walk(phi).disjunctive
 
 
-def names_in(phi) -> set:
-    """All names occurring in term positions or quantifier prefixes."""
-    return _walk(phi).names
-
-
-def free_names(phi) -> set:
-    """Names not bound by any quantifier (constants not yet separated out)."""
-    return _walk(phi).free
-
-
 def free_variables(phi, sig: Signature) -> set:
     """Free variables relative to a signature (its constants are not variables)."""
     return _walk(phi).free.difference(sig.constants)
@@ -554,7 +544,12 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure, budget: int 
     satisfiable, so disjuncts unsatisfiable on the template are detected
     by evaluation and dropped (this mirrors the underlying rewriting
     argument, which is relative to a fixed template), and the template's
-    interpretation of p4 is verified first.  Each gadget nests its first
+    interpretation of p4 is verified first.  A disjunct that is itself a
+    disjunction (under any quantifiers) is not evaluated: its rewriting is
+    FALSE or built from satisfiable disjuncts, so satisfiable by
+    construction.  A rewriting contains FALSE only when it is FALSE.  A
+    satisfiable disjunct without variables is true on the template, and
+    the disjunction is rewritten to it.  Each gadget nests its first
     disjunct one level deeper, so a FormulaError is raised before a
     rewriting whose rendering would nest parentheses deeper than
     MAX_NESTING is built: every rewriting re-parses.
@@ -570,26 +565,26 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure, budget: int 
     phi = _rename(phi, {}, fresh)
 
     def branch_satisfiable(psi):
-        branch = _walk(psi)
-        if branch.false:
-            return False
-        fv = sorted(branch.free - constants)
+        fv = sorted(free_variables(psi, template.sig))
         closed = Exists(tuple(fv), psi) if fv else psi
         return evaluate(template, closed, budget=budget)
 
+    def is_disjunction(node):
+        while isinstance(node, Exists):
+            node = node.body
+        return isinstance(node, Or)
+
     def conjunct(psi):
-        # psi with at least one variable to hang the selector equalities
-        # on, its variables, and how deep it nests parentheses as a conjunct
+        # psi's variables, and how deep it nests parentheses as a conjunct
         branch = _walk(psi)
-        variables = sorted(branch.free - constants)
-        depth = branch.depth + isinstance(psi, (And, Or, Exists))
-        if variables:
-            return psi, variables, depth
-        t = fresh()
-        return And((psi, Eq(t, t))), [t], depth + 1
+        return sorted(branch.free - constants), branch.depth + isinstance(psi, (And, Or, Exists))
 
     def gadget(psi1, psi2):
-        (psi1, vars1, depth1), (psi2, vars2, depth2) = conjunct(psi1), conjunct(psi2)
+        (vars1, depth1), (vars2, depth2) = conjunct(psi1), conjunct(psi2)
+        if not vars1 or not vars2:
+            # a satisfiable disjunct without variables holds on the
+            # template, and so does the disjunction
+            return psi2 if vars1 else psi1
         _check_nesting(max(depth1, depth2))
         copy1 = {v: fresh() for v in vars1}
         copy2 = {w: fresh() for w in vars2}
@@ -609,8 +604,9 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure, budget: int 
             body = rewrite(node.body)
             return FALSE if isinstance(body, Falsum) else Exists(node.vars, body)
         if isinstance(node, Or):
-            branches = [rewrite(p) for p in node.parts]
-            live = [b for b in branches if branch_satisfiable(b)]
+            branches = [(p, rewrite(p)) for p in node.parts]
+            live = [b for p, b in branches
+                    if (not isinstance(b, Falsum) if is_disjunction(p) else branch_satisfiable(b))]
             if not live:
                 return FALSE
             result = live[0]

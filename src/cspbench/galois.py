@@ -57,10 +57,6 @@ class Relation:
             if len(t) != self.arity:
                 raise ValueError(f"tuple {t} does not have arity {self.arity}")
 
-    @staticmethod
-    def make(arity, tuples) -> "Relation":
-        return Relation(arity, frozenset(tuple(t) for t in tuples))
-
     def check_domain(self, a: FiniteStructure):
         for t in self.tuples:
             if not all(is_int(v) and 0 <= v < a.n for v in t):

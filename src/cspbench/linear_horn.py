@@ -99,14 +99,6 @@ class LinearLiteral:
             const = const / lead
         return LinearLiteral(tuple(items), const, is_eq)
 
-    @staticmethod
-    def eq(coeffs: dict, const) -> "LinearLiteral":
-        return LinearLiteral.make(coeffs, const, True)
-
-    @staticmethod
-    def neq(coeffs: dict, const) -> "LinearLiteral":
-        return LinearLiteral.make(coeffs, const, False)
-
     @property
     def is_trivial(self) -> bool:
         return not self.coeffs
@@ -120,9 +112,6 @@ class LinearLiteral:
 
     def variables(self):
         return {v for v, _ in self.coeffs}
-
-    def as_equality(self) -> "LinearLiteral":
-        return LinearLiteral(self.coeffs, self.const, True)
 
     def holds(self, point: dict) -> bool:
         """Evaluate at a point with Fraction coordinates."""

@@ -301,9 +301,6 @@ class Homomorphism:
     target: FiniteStructure
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def verify(self) -> bool:
         """Exhaustively check preservation of every tuple and constant."""
         a, b, h = self.source, self.target, self.map
@@ -327,14 +324,6 @@ def encode_tuple(t, n: int) -> int:
     return idx
 
 
-def decode_index(idx: int, n: int, k: int) -> tuple:
-    out = []
-    for _ in range(k):
-        idx, v = divmod(idx, n)
-        out.append(v)
-    return tuple(reversed(out))
-
-
 def _shifted_sums(heads, tails, scale: int, ar: int) -> list:
     """Every tuple h * scale + t, position by position, for h in heads and
     t in tails (tuples of length ar)."""
@@ -351,8 +340,10 @@ def product(a: FiniteStructure, b: FiniteStructure, budget: int = DEFAULT_BUDGET
         raise SignatureMismatchError("product requires equal signatures")
     rels = {}
     for rname, ar in a.sig.relations:
-        if len(a.rel[rname]) * len(b.rel[rname]) > budget:
-            raise BudgetExceededError(f"product relation {rname} exceeds budget")
+        size = len(a.rel[rname]) * len(b.rel[rname])
+        if size > budget:
+            raise BudgetExceededError(f"product relation {rname} of {size} tuples "
+                                      f"exceeds budget {budget}")
         rels[rname] = frozenset(_shifted_sums(a.rel[rname], b.rel[rname], b.n, ar))
     consts = {c: a.const[c] * b.n + b.const[c] for c in a.const}
     return FiniteStructure._from_checked(a.sig, a.n * b.n, rels, consts)
@@ -368,7 +359,8 @@ def power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStr
     for rname, ar in a.sig.relations:
         base = sorted(a.rel[rname])
         if len(base) ** k > budget:
-            raise BudgetExceededError(f"power relation {rname} exceeds budget")
+            raise BudgetExceededError(f"power relation {rname} of {len(base)}^{k} tuples "
+                                      f"exceeds budget {budget}")
         level = [(0,) * ar]
         for _ in range(k):
             level = _shifted_sums(level, base, a.n, ar)
@@ -394,7 +386,8 @@ def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET)
         base = sorted(a.rel[rname])
         work = len(base) ** k + k * (len(base) ** (k - 1)) * (n ** ar)
         if work > budget:
-            raise BudgetExceededError(f"one-tolerant power relation {rname} exceeds budget")
+            raise BudgetExceededError(f"one-tolerant power relation {rname}: work {work} "
+                                      f"exceeds budget {budget}")
         levels = [[(0,) * ar]]
         for _ in range(k - 1):
             levels.append(_shifted_sums(levels[-1], base, n, ar))

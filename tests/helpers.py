@@ -66,6 +66,16 @@ def p4_structure(n=2, extra=None):
     return FiniteStructure(Signature.make(rels), n, data)
 
 
+def nested_disjunction(depth: int) -> str:
+    """exists x y . E(y,x) | (E(x,y) | (...)): depth disjunctions nested
+    one inside the next, and depth + 1 atom disjuncts."""
+    atoms = ("E(y,x)", "E(x,y)")
+    text = atoms[depth % 2]
+    for i in reversed(range(depth)):
+        text = f"{atoms[i % 2]} | ({text})"
+    return "exists x y . " + text
+
+
 def random_structure(rng, max_n=3, max_rels=2, max_arity=2, min_n=1):
     n = rng.randint(min_n, max_n)
     rels = {}
@@ -162,7 +172,7 @@ def random_satisfying_point(rng, f, tries=40):
         for clause in f.clauses:
             lit = rng.choice(clause)
             (eqs if lit.is_eq else neqs).append(lit)
-        pins = [LinearLiteral.eq({v: 1}, Fraction(rng.randint(-4, 4)))
+        pins = [LinearLiteral.make({v: 1}, Fraction(rng.randint(-4, 4)))
                 for v in variables if rng.random() < 0.6]
         for attempt in (eqs + pins, eqs):
             point = conj_sat(attempt, neqs, extra_vars=variables)

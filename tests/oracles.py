@@ -372,7 +372,7 @@ def _assume(state, lit: LinearLiteral, positive: bool):
     instead of changing a row in place.
     """
     system, avoid = state
-    eq = lit.as_equality()
+    eq = LinearLiteral(lit.coeffs, lit.const, True)
     if eq.is_trivial:  # 0 = d holds iff d = 0, and 0 != d iff d != 0
         return state if (eq.const == 0) == positive else None
     if positive:
@@ -642,7 +642,7 @@ def reference_critical_obstructions(a, max_vertices, max_tuples, budget=5_000_00
         if maps(s):
             frontier[key] = s
         else:
-            found.setdefault(key, Obstruction(s, True, 1))
+            found.setdefault(key, Obstruction(s, 1))
     tuples_used = 1
     while frontier and tuples_used < max_tuples:
         tuples_used += 1
@@ -655,7 +655,7 @@ def reference_critical_obstructions(a, max_vertices, max_tuples, budget=5_000_00
                 if maps(ext):
                     next_frontier[key] = ext
                 elif _is_connected(ext) and _weakenings_map(ext, template, budget):
-                    found[key] = Obstruction(ext, True, ext.total_tuples())
+                    found[key] = Obstruction(ext, ext.total_tuples())
         frontier = next_frontier
     return sorted(found.values(),
                   key=lambda o: (o.hyperedges, o.structure.n, exhaustive_canonical_key(o.structure)))
@@ -965,7 +965,8 @@ def power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET) -> FiniteStr
     for rname, ar in a.sig.relations:
         base = sorted(a.rel[rname])
         if len(base) ** k > budget:
-            raise BudgetExceededError(f"power relation {rname} exceeds budget")
+            raise BudgetExceededError(f"power relation {rname} of {len(base)}^{k} tuples "
+                                      f"exceeds budget {budget}")
         out = set()
         for rows in itertools.product(base, repeat=k):
             out.add(tuple(encode_tuple(tuple(rows[j][p] for j in range(k)), a.n) for p in range(ar)))
@@ -990,7 +991,8 @@ def one_tolerant_power(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET)
         base = sorted(a.rel[rname])
         work = len(base) ** k + k * (len(base) ** (k - 1)) * (a.n ** ar)
         if work > budget:
-            raise BudgetExceededError(f"one-tolerant power relation {rname} exceeds budget")
+            raise BudgetExceededError(f"one-tolerant power relation {rname}: work {work} "
+                                      f"exceeds budget {budget}")
         out = set()
 
         def add(rows):

@@ -56,7 +56,7 @@ def test_criterion_01_galois_completeness():
         definable = oracles.pp_definable_masks(a, 2)
         for target_bits in range(16):
             tuples = {pairs[i] for i in range(4) if target_bits >> i & 1}
-            verdict, cert = is_pp_definable(a, Relation.make(2, tuples))
+            verdict, cert = is_pp_definable(a, Relation(2, tuples))
             oracle = oracles.relation_mask(tuples) in definable if tuples else 0 in definable
             total += 1
             agree += verdict == oracle
@@ -79,7 +79,7 @@ def test_criterion_02_galois_soundness():
             closures = []
             for _ in range(3):
                 arity = rng.randint(1, 2)
-                r = Relation.make(arity,
+                r = Relation(arity,
                                   helpers.random_nonempty_relation(rng, a.n, arity, max_size=5))
                 closures.append((arity, pp_closure(a, r, budget=200_000)))
         except BudgetExceededError:

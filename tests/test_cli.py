@@ -136,7 +136,7 @@ def test_ppdef_certificate_with_empty_body_reparses(files, capsys, tmp_path):
     formula = json.loads(out)["formula"]
     assert formula == "exists _e0 _e1 . _e0 = _e0"
     cert = PpDefinabilityCertificate(True, formula=parse_sentence(formula))
-    assert cert.verify(a, Relation.make(0, [()]))
+    assert cert.verify(a, Relation(0, [()]))
 
 
 @pytest.mark.parametrize("constants", [["_e0"], ["x0", "y0", "v0", "w0", "_x0"]],
@@ -153,7 +153,7 @@ def test_ppdef_names_avoid_constants(constants, capsys, tmp_path):
     assert code == 0, err
     formula = parse_sentence(json.loads(out)["formula"])
     cert = PpDefinabilityCertificate(True, formula=formula)
-    assert cert.verify(a, Relation.make(1, [(1,)]))
+    assert cert.verify(a, Relation(1, [(1,)]))
 
 
 def test_consecutive_main_calls_share_no_state(files, capsys):
@@ -352,6 +352,30 @@ def test_rewrite_ep_refuses_rewritings_past_the_limit(files, capsys, tmp_path):
             assert code == 2 and out == ""
             assert err == (f"error: the rewriting would nest parentheses {MAX_NESTING + 1} "
                            f"deep, over the limit of {MAX_NESTING}\n")
+
+
+def test_rewrite_ep_of_a_disjunction_nested_198_deep(files, capsys, tmp_path):
+    # only the 199 atom disjuncts are evaluated, not the gadgets built from them
+    deep = tmp_path / "deep.txt"
+    deep.write_text(helpers.nested_disjunction(198))
+    code, out, err = run(capsys, "rewrite-ep", files["p4.json"], str(deep))
+    assert (code, err) == (0, "")
+    assert is_pp(parse_sentence(out))
+
+
+@pytest.mark.parametrize("argv", [["analyze", "k2.json"], ["solve", "k2.json", "edge.txt"],
+                                  ["ppdef", "k2.json", "rel.json"], ["types", "k2.json"],
+                                  ["duality", "k2.json"], ["horn", "classify", "horn.cnf"],
+                                  ["horn", "solve", "horn.cnf"],
+                                  ["rewrite-ep", "p4.json", "disj.txt"]],
+                         ids=lambda argv: "-".join(arg for arg in argv if "." not in arg))
+def test_negative_budget_is_an_argument_error(files, capsys, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "-1"])
+    assert exc.value.code == 2
+    assert "error: argument --budget: must be at least 0, got -1" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
 
 
 def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -25,12 +26,10 @@ from cspbench.formulas import (
     canonical_structure,
     eliminate_disjunctions,
     evaluate,
-    free_names,
     free_variables,
     is_locally_refutable,
     is_pp,
     local_refutation_value,
-    names_in,
     parse_sentence,
     render,
     witness_assignment,
@@ -134,11 +133,11 @@ def test_renaming_and_local_refutation_match_reference():
             got = _outcome(local_refutation_value, a, psi)
             assert got == _outcome(oracles.local_refutation_value, a, psi)
             values.add(got)
-            names = sorted(names_in(psi))
+            names = sorted(_walk(psi).names)
             mapping = {x: rng.choice(["u", "w", x + "_"])
                        for x in rng.sample(names, rng.randint(0, len(names)))}
             assert _rename(psi, mapping) == oracles.substitute(psi, mapping)
-        taken = names_in(phi) | set(a.sig.constants)
+        taken = _walk(phi).names | set(a.sig.constants)
         new, old = _FreshNames(taken), _FreshNames(taken)
         assert _rename(phi, {}, new) == oracles.rename_bound_apart(phi, old)
         assert new.counter == old.counter
@@ -182,8 +181,8 @@ def test_single_walk_matches_reference_walkers():
             preorder = list(oracles._subformulas(psi))
             assert walk.atoms == [node for node in preorder if isinstance(node, Atom)]
             assert walk.equalities == [node for node in preorder if isinstance(node, Eq)]
-            assert walk.names == names_in(psi) == oracles.names_in(psi)
-            assert walk.free == free_names(psi) == oracles.free_names(psi)
+            assert walk.names == oracles.names_in(psi)
+            assert walk.free == oracles.free_names(psi)
             assert free_variables(psi, a.sig) == oracles.free_variables(psi, a.sig)
             assert walk.disjunctive == (not is_pp(psi)) == (not oracles.is_pp(psi))
             assert walk.false == oracles._contains_falsum(psi)
@@ -594,6 +593,64 @@ def test_eliminate_disjunctions_drops_dead_branches():
     assert is_pp(out) and evaluate(t, out) == evaluate(t, phi) is True
     all_dead = parse_sentence("exists x y . E(x,y) | false")
     assert eliminate_disjunctions(all_dead, "P4", template=t) == FALSE
+
+
+P4E = FiniteStructure.from_json((pathlib.Path(__file__).parent / "golden" / "p4e.json").read_text())
+
+
+def _counting_evaluate(monkeypatch):
+    """The formulas the rewriter evaluates, recorded as it goes."""
+    import cspbench.formulas as formulas
+
+    calls = []
+    real = formulas.evaluate
+
+    def counting(a, phi, *args, **kwargs):
+        calls.append(phi)
+        return real(a, phi, *args, **kwargs)
+
+    monkeypatch.setattr(formulas, "evaluate", counting)
+    return calls
+
+
+def test_rewriter_searches_each_atom_disjunct_once(monkeypatch):
+    # a rewritten disjunction is FALSE or satisfiable by construction, so
+    # only the 13 atoms are evaluated, never a gadget built from them
+    calls = _counting_evaluate(monkeypatch)
+    out = eliminate_disjunctions(parse_sentence(helpers.nested_disjunction(12)), "P4", template=P4E)
+    assert is_pp(out) and not _walk(out).free
+    assert len(calls) == 13
+    assert all(isinstance(phi, Exists) and isinstance(phi.body, Atom) for phi in calls)
+
+
+def test_rewriter_skips_disjunctions_and_stays_equivalent(monkeypatch):
+    cycle = helpers.p4_structure(n=3, extra={"E": (2, {(0, 1), (1, 2), (2, 0)})})
+    # (sentence, number of disjuncts that are not disjunctions)
+    cases = [(helpers.nested_disjunction(depth), depth + 1) for depth in range(1, 7)]
+    cases += [("exists x y . E(y,x) | (exists z . E(x,z) | E(z,y))", 3),
+              ("exists x y . x = y | (exists z . (exists w . E(z,w) | E(w,w)) | E(z,z))", 4),
+              ("exists x . E(x,x) | (exists z . E(z,z) | false)", 3)]
+    calls = _counting_evaluate(monkeypatch)
+    for template in (P4E, cycle):
+        for text, leaves in cases:
+            phi = parse_sentence(text)
+            calls.clear()
+            out = eliminate_disjunctions(phi, "P4", template=template)
+            assert len(calls) == leaves, text
+            assert is_pp(out)
+            assert evaluate(template, out) == evaluate(template, phi), text
+    assert eliminate_disjunctions(parse_sentence(cases[-1][0]), "P4", template=P4E) == FALSE
+
+
+def test_rewriter_binds_every_variable_beside_a_closed_disjunct():
+    # a satisfiable disjunct without variables is true on the template, and
+    # so is the disjunction; no variable of the rewriting is left free
+    for text in ("exists x y . E(x,y) | (exists z . z = z)",
+                 "exists x y . (exists z . z = z) | E(x,y)",
+                 "exists x y . E(x,y) | (exists z . z = z) | x = y"):
+        out = eliminate_disjunctions(parse_sentence(text), "P4", template=P4E)
+        assert is_pp(out) and not _walk(out).free, text
+        assert evaluate(P4E, out) and witness_assignment(P4E, out) is not None
 
 
 def test_free_variables_ignores_constants():

@@ -28,8 +28,8 @@ def edge01():
 
 def test_pp_closure_worked_examples():
     a = edge01()
-    assert pp_closure(a, Relation.make(2, [(1, 0)])).tuples == frozenset({(1, 0)})
-    assert pp_closure(a, Relation.make(2, [(0, 0)])).tuples == frozenset({(0, 0)})
+    assert pp_closure(a, Relation(2, [(1, 0)])).tuples == frozenset({(1, 0)})
+    assert pp_closure(a, Relation(2, [(0, 0)])).tuples == frozenset({(0, 0)})
 
 
 def test_pp_closure_idempotent():
@@ -37,7 +37,7 @@ def test_pp_closure_idempotent():
     for _ in range(15):
         a = helpers.random_structure(rng, max_n=2)
         arity = rng.randint(1, 2)
-        r = Relation.make(arity, helpers.random_nonempty_relation(rng, a.n, arity))
+        r = Relation(arity, helpers.random_nonempty_relation(rng, a.n, arity))
         closed = pp_closure(a, r)
         assert r.tuples <= closed.tuples
         assert pp_closure(a, closed).tuples == closed.tuples
@@ -46,7 +46,7 @@ def test_pp_closure_idempotent():
 def test_pp_closure_empty_convention():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = pp_closure(edge01(), Relation.make(2, []))
+        out = pp_closure(edge01(), Relation(2, []))
     assert out.tuples == frozenset()
     assert any(issubclass(w.category, EmptyRelationClosure) for w in caught)
 
@@ -56,7 +56,7 @@ def test_pp_closure_preserved_by_polymorphisms():
     for _ in range(10):
         a = helpers.random_structure(rng, max_n=2)
         arity = rng.randint(1, 2)
-        r = Relation.make(arity, helpers.random_nonempty_relation(rng, a.n, arity))
+        r = Relation(arity, helpers.random_nonempty_relation(rng, a.n, arity))
         closed = pp_closure(a, r)
         for k in (1, 2, 3):
             for f in enumerate_polymorphisms(a, k):
@@ -67,7 +67,7 @@ def test_is_pp_definable_or_example():
     le = FiniteStructure(
         Signature.make({"LE": 2, "C0": 1, "C1": 1}), 2,
         {"LE": [(0, 0), (0, 1), (1, 1)], "C0": [(0,)], "C1": [(1,)]})
-    orr = Relation.make(2, [(0, 1), (1, 0), (1, 1)])
+    orr = Relation(2, [(0, 1), (1, 0), (1, 1)])
     verdict, cert = is_pp_definable(le, orr)
     assert not verdict
     assert cert.violating_tuple == (0, 0)
@@ -76,31 +76,31 @@ def test_is_pp_definable_or_example():
 
 def test_is_pp_definable_trivial_cases():
     a = edge01()
-    full = Relation.make(2, list(itertools.product(range(2), repeat=2)))
+    full = Relation(2, list(itertools.product(range(2), repeat=2)))
     verdict, cert = is_pp_definable(a, full)
     assert verdict and cert.verify(a, full)
-    own = Relation.make(2, a.rel["E"])
+    own = Relation(2, a.rel["E"])
     verdict, cert = is_pp_definable(a, own)
     assert verdict and cert.verify(a, own)
-    empty = Relation.make(2, [])
+    empty = Relation(2, [])
     verdict, cert = is_pp_definable(a, empty)
     assert verdict
 
 
 def test_synthesize_pp_definition_examples():
     a = edge01()
-    r = Relation.make(2, [(1, 0)])
+    r = Relation(2, [(1, 0)])
     phi = synthesize_pp_definition(a, r)
     assert relation_of_formula(a, phi, 2) == r.tuples
-    own = Relation.make(2, a.rel["E"])
+    own = Relation(2, a.rel["E"])
     assert relation_of_formula(a, synthesize_pp_definition(a, own), 2) == own.tuples
-    unary = Relation.make(1, [(0,), (1,)])
+    unary = Relation(1, [(0,), (1,)])
     assert relation_of_formula(a, synthesize_pp_definition(a, unary), 1) == unary.tuples
 
 
 def test_synthesize_rejects_undefinable():
     a = helpers.k2()
-    r = Relation.make(2, [(1, 0)])  # closes to the symmetric pair under the swap
+    r = Relation(2, [(1, 0)])  # closes to the symmetric pair under the swap
     with pytest.raises(ValueError):
         synthesize_pp_definition(a, r)
 
@@ -111,7 +111,7 @@ def test_synthesize_extension_equals_relation():
     while done < 10:
         a = helpers.random_structure(rng, max_n=2)
         arity = rng.randint(1, 2)
-        r = pp_closure(a, Relation.make(arity, helpers.random_nonempty_relation(rng, a.n, arity)))
+        r = pp_closure(a, Relation(arity, helpers.random_nonempty_relation(rng, a.n, arity)))
         if not r.tuples:
             continue
         phi = synthesize_pp_definition(a, r)
@@ -257,7 +257,7 @@ def test_completeness_against_coclone_oracle_sample():
         for tuples in itertools.chain.from_iterable(
                 itertools.combinations(list(itertools.product(range(2), repeat=2)), sz)
                 for sz in range(5)):
-            r = Relation.make(2, tuples)
+            r = Relation(2, tuples)
             verdict, _ = is_pp_definable(a, r)
             mask = sum(1 << (t[0] * 2 + t[1]) for t in r.tuples)
             assert verdict == (mask in definable_masks), (edges, tuples)
@@ -275,13 +275,13 @@ def test_is_pp_definable_builds_one_indicator_power(monkeypatch):
 
     monkeypatch.setattr(galois, "power", counting)
     a = helpers.k2()
-    verdict, cert = is_pp_definable(a, Relation.make(2, [(0, 1), (1, 0)]))
-    assert verdict and cert.verify(a, Relation.make(2, [(0, 1), (1, 0)]))
+    verdict, cert = is_pp_definable(a, Relation(2, [(0, 1), (1, 0)]))
+    assert verdict and cert.verify(a, Relation(2, [(0, 1), (1, 0)]))
     assert sizes == [2]
 
 
 def test_relation_rejects_booleans():
     with pytest.raises(ValueError):
-        Relation.make(True, [(1,)])
+        Relation(True, [(1,)])
     with pytest.raises(ValueError):
-        Relation.make(1, [(True,)]).check_domain(helpers.u1())
+        Relation(1, [(True,)]).check_domain(helpers.u1())

@@ -137,7 +137,7 @@ def _check_structure_certificates(a, doc: dict) -> set:
         obstructions.append(fo["largest_obstruction"])
     for o in obstructions:
         s = FiniteStructure.from_json_dict(o)
-        assert Obstruction(s, True, s.total_tuples()).verify(a)
+        assert Obstruction(s, s.total_tuples()).verify(a)
         kinds.add("obstruction")
     polymorphisms = [doc.get("essentially_unary", {}).get("certificate", {}).get("operation"),
                      fo.get("polymorphism")]
@@ -171,7 +171,7 @@ def test_golden_certificates_verify():
         elif args[0] == "ppdef":
             a = FiniteStructure.from_json(_read(args[1]))
             rel = json.loads(_read(args[2]))
-            r = Relation.make(rel["arity"], rel["tuples"])
+            r = Relation(rel["arity"], rel["tuples"])
             if doc["definable"]:
                 cert = PpDefinabilityCertificate(True, formula=parse_sentence(doc["formula"]))
             else:

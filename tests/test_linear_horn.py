@@ -47,33 +47,33 @@ def test_sqrt2_squares_to_two():
 
 
 def test_literal_normalization():
-    assert L.eq({"x": 2, "y": -2}, 4) == L.eq({"x": 1, "y": -1}, 2)
-    assert L.eq({"x": 0}, 0).is_trivial
-    assert L.eq({}, 0).trivially_true
-    assert not L.eq({}, 1).trivially_true
-    assert L.neq({}, 1).trivially_true
+    assert L.make({"x": 2, "y": -2}, 4) == L.make({"x": 1, "y": -1}, 2)
+    assert L.make({"x": 0}, 0).is_trivial
+    assert L.make({}, 0).trivially_true
+    assert not L.make({}, 1).trivially_true
+    assert L.make({}, 1, False).trivially_true
 
 
 def test_cnf_deduplicates_clause_literals():
-    f = LinearCnf([(L.eq({"x": 1}, 0), L.eq({"x": 2}, 0))])
+    f = LinearCnf([(L.make({"x": 1}, 0), L.make({"x": 2}, 0))])
     assert len(f.clauses[0]) == 1
 
 
 def test_conj_sat_worked_examples():
-    p = conj_sat([L.eq({"x": 1, "y": 1}, 1), L.eq({"x": 1, "y": -1}, 0)], [])
+    p = conj_sat([L.make({"x": 1, "y": 1}, 1), L.make({"x": 1, "y": -1}, 0)], [])
     assert p == {"x": Fr(1, 2), "y": Fr(1, 2)}
-    assert conj_sat([L.eq({"x": 1}, 1), L.eq({"x": 1}, 0)], []) is None
-    p2 = conj_sat([L.eq({"x": 1, "y": 1}, 1)], [L.neq({"x": 1, "y": -1}, 0)])
+    assert conj_sat([L.make({"x": 1}, 1), L.make({"x": 1}, 0)], []) is None
+    p2 = conj_sat([L.make({"x": 1, "y": 1}, 1)], [L.make({"x": 1, "y": -1}, 0, False)])
     assert p2 is not None and p2["x"] + p2["y"] == 1 and p2["x"] != p2["y"]
 
 
 def test_conj_sat_entailed_disequality():
-    assert conj_sat([L.eq({"x": 1, "y": 1}, 2), L.eq({"x": 1, "y": -1}, 0)],
-                    [L.neq({"x": 1}, 1)]) is None
+    assert conj_sat([L.make({"x": 1, "y": 1}, 2), L.make({"x": 1, "y": -1}, 0)],
+                    [L.make({"x": 1}, 1, False)]) is None
 
 
 def test_conj_sat_many_disequalities():
-    neqs = [L.neq({"x": 1}, k) for k in range(10)] + [L.neq({"x": 1, "y": -1}, 0)]
+    neqs = [L.make({"x": 1}, k, False) for k in range(10)] + [L.make({"x": 1, "y": -1}, 0, False)]
     p = conj_sat([], neqs)
     assert p is not None
     for lit in neqs:
@@ -81,12 +81,12 @@ def test_conj_sat_many_disequalities():
 
 
 def test_cnf_sat_worked_examples():
-    f = LinearCnf([(L.eq({"x": 1, "y": -1}, 0), L.eq({"u": 1, "v": -1}, 0))])
+    f = LinearCnf([(L.make({"x": 1, "y": -1}, 0), L.make({"u": 1, "v": -1}, 0))])
     p = cnf_sat(f)
     assert p is not None and f.holds(p)
-    assert cnf_sat(LinearCnf([(L.eq({"x": 1}, 0),), (L.neq({"x": 1}, 0),)])) is None
-    f3 = LinearCnf([(L.eq({"x": 1}, 1), L.eq({"y": 1}, 1)),
-                    (L.neq({"x": 1}, 1),), (L.neq({"y": 1}, 1),)])
+    assert cnf_sat(LinearCnf([(L.make({"x": 1}, 0),), (L.make({"x": 1}, 0, False),)])) is None
+    f3 = LinearCnf([(L.make({"x": 1}, 1), L.make({"y": 1}, 1)),
+                    (L.make({"x": 1}, 1, False),), (L.make({"y": 1}, 1, False),)])
     assert cnf_sat(f3) is None
 
 
@@ -142,7 +142,7 @@ def _dense_rational(rng):
 
 
 def _dense_equalities(rng, names, count):
-    return [L.eq({v: _dense_rational(rng) for v in names}, _dense_rational(rng))
+    return [L.make({v: _dense_rational(rng) for v in names}, _dense_rational(rng))
             for _ in range(count)]
 
 
@@ -176,7 +176,7 @@ def test_dense_systems_match_fraction_reference():
         base = _dense_equalities(rng, names, rng.randint(n - 6, n - 2))
         eqs = base + [_combination(rng, base) for _ in range(3)]
         rng.shuffle(eqs)
-        neqs = [L.neq({v: _dense_rational(rng) for v in names}, _dense_rational(rng))
+        neqs = [L.make({v: _dense_rational(rng) for v in names}, _dense_rational(rng), False)
                 for _ in range(4)]
         system, reference = linear_horn._EqSystem(names), oracles._EqSystem(names)
         for lit in eqs:

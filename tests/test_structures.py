@@ -24,7 +24,6 @@ from cspbench.structures import (
     _hom_maps,
     _images,
     canonical_form,
-    decode_index,
     encode_tuple,
 )
 
@@ -54,9 +53,10 @@ def test_structure_validation():
 
 
 def test_encoding_round_trip():
+    # the product in lexicographic order is encoded as 0, 1, ..., n**k - 1
     for n, k in [(2, 3), (3, 2), (5, 1)]:
-        for t in itertools.product(range(n), repeat=k):
-            assert decode_index(encode_tuple(t, n), n, k) == t
+        codes = [encode_tuple(t, n) for t in itertools.product(range(n), repeat=k)]
+        assert codes == list(range(n ** k))
 
 
 def test_product_k2_with_loop_is_k2():
@@ -170,6 +170,26 @@ def test_power_exponents_reject_booleans():
         power(k2, True)
     with pytest.raises(ValueError):
         one_tolerant_power(k2, True)
+
+
+# K3 has 6 edges; each budget below admits the domain but not the relation.
+def test_power_relation_budget_message():
+    with pytest.raises(BudgetExceededError) as err:
+        power(helpers.k3(), 2, budget=20)
+    assert str(err.value) == "power relation E of 6^2 tuples exceeds budget 20"
+
+
+def test_one_tolerant_power_relation_budget_message():
+    with pytest.raises(BudgetExceededError) as err:
+        one_tolerant_power(helpers.k3(), 3, budget=200)
+    # 6**3 tuples with every coordinate in E, and 3 * 6**2 * 3**2 with one free
+    assert str(err.value) == "one-tolerant power relation E: work 1188 exceeds budget 200"
+
+
+def test_product_relation_budget_message():
+    with pytest.raises(BudgetExceededError) as err:
+        product(helpers.k3(), helpers.k3(), budget=10)
+    assert str(err.value) == "product relation E of 36 tuples exceeds budget 10"
 
 
 def _small_structure(rng, max_n=3):
@@ -363,7 +383,7 @@ CLOSURE_THRESHOLDS = [
 @pytest.mark.parametrize("name,make,tuples,threshold,count", CLOSURE_THRESHOLDS,
                          ids=[case[0] for case in CLOSURE_THRESHOLDS])
 def test_image_question_budget_threshold_is_exact(name, make, tuples, threshold, count):
-    a, r = make(), Relation.make(len(tuples[0]), tuples)
+    a, r = make(), Relation(len(tuples[0]), tuples)
     with pytest.raises(BudgetExceededError):
         pp_closure(a, r, budget=threshold - 1)
     assert len(pp_closure(a, r, budget=threshold).tuples) == count
