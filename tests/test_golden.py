@@ -70,6 +70,12 @@ CASES = [
     # more vertices
     "duality k2.json --max-vertices 5 --max-tuples 5",
     "duality nae.json --n-max 2 --max-vertices 3 --max-tuples 2",
+    # sweeps over templates with nontrivial automorphisms, whose frontier
+    # classes are symmetric too: K2 to six tuples, K2 with U = {1}, which
+    # breaks its swap, and NAE to three tuples
+    "duality k2.json --max-vertices 6 --max-tuples 6",
+    "duality k2u.json --n-max 2 --max-vertices 4 --max-tuples 6",
+    "duality nae.json --n-max 2 --max-vertices 3 --max-tuples 3",
     "ppdef k2.json rel_edge.json",
     "ppdef k2.json rel_arc.json",
     "solve k2.json edge.txt",
