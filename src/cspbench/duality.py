@@ -18,7 +18,12 @@ maps to the template whenever the whole one maps or is critical.  Each
 isomorphism class is decided once per level: the level remembers the
 classes that map (the next frontier), the critical ones and the ones that
 do neither, so a repeat skips both its homomorphism search and its
-criticality check.
+criticality check.  Two prunings also skip canonical forms.  An
+extension by a tuple that an automorphism of the parent, fixing the new
+vertices, maps to a lexicographically smaller tuple repeats the class of
+that earlier extension (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  At the last level, an extension whose carried maps
+are nonempty maps, and no frontier follows, so its class is not needed.
 
 Each frontier class carries homomorphisms to the template, in
 lexicographic order and at most _MAX_CARRIED_MAPS of them; the root
@@ -35,8 +40,9 @@ criticality check skips the newest tuple, because deleting it leaves the
 parent with isolated vertices, which maps.  The budget bounds each
 search the sweep runs, fallbacks and criticality checks alike; filtering
 carried maps runs no search and is not counted.  Since the sweep runs a
-subset of the searches it would run without carried maps, they can
-remove a budget overrun but never add one.
+subset of the searches and canonical forms it would run without carried
+maps and prunings, they can remove a budget or leaf-cap overrun but
+never add one.
 
 A homomorphism from the one-tolerant k-th power to the template is a
 k-ary 1-tolerant polymorphism.  Finding one of arity n+1 certifies that
@@ -131,9 +137,13 @@ def has_one_tolerant_polymorphism(a: FiniteStructure, k: int,
 
 
 def _extensions(s: FiniteStructure, max_vertices: int):
-    """All structures obtained by adding one new tuple that contains an
-    existing vertex; its other entries may be new vertices, each used.
-    Yields (structure, rname, tup)."""
+    """(rname, tup, n) for each new tuple that contains an existing vertex
+    of s; its other entries may be new vertices, each used, and n counts
+    the vertices with them.  A tuple that an automorphism of s, fixing the
+    new vertices, maps to a lexicographically smaller one is left out: that
+    one came earlier and gives an isomorphic extension."""
+    fixed = tuple(range(s.n, max_vertices))
+    automorphisms = [g + fixed for g in s._automorphisms or ()]
     for rname, ar in s.sig.relations:
         room = min(ar - 1, max_vertices - s.n)
         for fresh in range(room + 1):
@@ -141,9 +151,10 @@ def _extensions(s: FiniteStructure, max_vertices: int):
             for tup in itertools.product(range(n), repeat=ar):
                 if min(tup) >= s.n or set(range(s.n, n)) - set(tup):
                     continue  # touch the structure and use every new vertex
-                if tup in s.rel[rname]:
+                if tup in s.rel[rname] or any(tuple([g[v] for v in tup]) < tup
+                                              for g in automorphisms):
                     continue
-                yield _add_tuple(s, rname, tup, n), rname, tup
+                yield rname, tup, n
 
 
 def _carried_maps(maps, complete: bool, fresh: int, template: FiniteStructure, rname, tup):
@@ -187,16 +198,19 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
     frontier = [(FiniteStructure(template.sig, 1),
                  [(v,) for v in range(min(template.n, _MAX_CARRIED_MAPS))],
                  template.n <= _MAX_CARRIED_MAPS)]
-    for _ in range(max_tuples):
+    for level in range(1, max_tuples + 1):
         next_frontier = {}
         dead = set()  # classes of this level that neither map nor are critical
         for s, maps, complete in frontier:
-            for ext, rname, tup in _extensions(s, max_vertices):
+            for rname, tup, n in _extensions(s, max_vertices):
+                ext_maps, ext_complete = _carried_maps(maps, complete, n - s.n,
+                                                       template, rname, tup)
+                if ext_maps and level == max_tuples:
+                    continue  # it maps, and no frontier follows
+                ext = _add_tuple(s, rname, tup, n)
                 key = canonical_form(ext)
                 if key in found or key in next_frontier or key in dead:
                     continue
-                ext_maps, ext_complete = _carried_maps(maps, complete, ext.n - s.n,
-                                                       template, rname, tup)
                 if not ext_maps and not ext_complete:
                     h = find_homomorphism(ext, template, budget=budget)
                     if h is not None:

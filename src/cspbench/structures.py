@@ -50,7 +50,9 @@ splits the domain by the relations, positions and colours each element
 occurs with, iterated to stability; each member of the first cell left
 with two or more elements is individualized in turn and the colours
 refined again, and the discrete colourings at the leaves of that tree are
-the relabellings.  More than 8! leaves raise BudgetExceededError.
+the relabellings.  More than 8! leaves raise BudgetExceededError.  As the
+tree is not pruned, the relabellings that tie with the least key differ
+by exactly the automorphisms, and canonical_form keeps up to 24 of them.
 
 Structure file format (JSON, strict -- unknown fields are rejected)::
 
@@ -82,6 +84,8 @@ DEFAULT_BUDGET = 5_000_000
 # relabelling tries at 8 elements.
 _EXHAUSTIVE_DOMAIN = 3
 _MAX_LEAVES = 40_320
+# canonical_form keeps at most this many automorphisms per structure
+_MAX_AUTOMORPHISMS = 24
 
 
 def is_int(v) -> bool:
@@ -154,10 +158,12 @@ class FiniteStructure:
 
     Treated as immutable after construction; all operations in this package
     return new structures.  Equality and hashing ignore the optional name
-    and the caches (canonical form, relation projections).
+    and the caches: the canonical form, the automorphisms canonical_form
+    found (maps as tuples, the identity left out) and relation projections.
     """
 
-    __slots__ = ("sig", "n", "rel", "const", "name", "_canon", "_projections")
+    __slots__ = ("sig", "n", "rel", "const", "name", "_canon", "_automorphisms",
+                 "_projections")
 
     def __init__(self, sig: Signature, n: int, relations=None, constants=None, name=None):
         if not is_int(n) or n < 1:
@@ -190,8 +196,7 @@ class FiniteStructure:
         self.rel = rel
         self.const = const
         self.name = name
-        self._canon = None
-        self._projections = None
+        self._canon = self._automorphisms = self._projections = None
 
     @classmethod
     def _from_checked(cls, sig: Signature, n: int, rel: dict, const: dict) -> "FiniteStructure":
@@ -201,7 +206,7 @@ class FiniteStructure:
         const each constant to an element."""
         s = cls.__new__(cls)
         s.sig, s.n, s.rel, s.const, s.name = sig, n, rel, const, None
-        s._canon = s._projections = None
+        s._canon = s._automorphisms = s._projections = None
         return s
 
     def _projection(self, rname: str, positions: tuple):
@@ -598,7 +603,7 @@ def _refinement_leaves(a: FiniteStructure):
             for p, v in enumerate(t):
                 occurrences[v].append((p, r, pattern, t))
     names = [tuple([i for i, c in enumerate(a.sig.constants) if a.const[c] == v])
-             for v in range(n)]
+             for v in range(n)] if a.const else [()] * n
     ranks = {s: i for i, s in enumerate(sorted(set(names)))}
     stack = [([ranks[s] for s in names], len(ranks))]
     leaves = 0
@@ -626,7 +631,10 @@ def canonical_form(a: FiniteStructure):
     permutation up to _EXHAUSTIVE_DOMAIN elements, beyond that the leaves
     of individualization-refinement (McKay and Piperno, "Practical graph
     isomorphism, II", J. Symb. Comp. 2014) without automorphism pruning;
-    more than _MAX_LEAVES leaves raise BudgetExceededError.
+    more than _MAX_LEAVES leaves raise BudgetExceededError.  Every
+    relabelling that ties with the first least one, p0, gives the
+    automorphism p0^-1 . p; up to _MAX_AUTOMORPHISMS of them other than the
+    identity are kept in a._automorphisms.
     """
     if a._canon is not None:
         return a._canon
@@ -637,7 +645,7 @@ def canonical_form(a: FiniteStructure):
         labellings = itertools.permutations(range(n))
     else:
         labellings = _refinement_leaves(a)
-    best = None
+    best = ties = None
     for perm in labellings:
         key = []
         for tuples in rel_tuples:
@@ -651,7 +659,11 @@ def canonical_form(a: FiniteStructure):
         key.append(tuple(perm[v] for v in const_elems))
         key = tuple(key)
         if best is None or key < best:
-            best = key
+            best, ties = key, [perm]
+        elif key == best and len(ties) <= _MAX_AUTOMORPHISMS:
+            ties.append(perm)
+    inverse = sorted(range(n), key=ties[0].__getitem__)
+    a._automorphisms = tuple([tuple([inverse[p[v]] for v in range(n)]) for p in ties[1:]])
     a._canon = (a.sig, a.n, best)
     return a._canon
 

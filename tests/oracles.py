@@ -559,6 +559,15 @@ def exhaustive_canonical_key(a):
     return (a.sig, a.n, best)
 
 
+def brute_automorphisms(a):
+    """Aut(a) by trying all n! permutations g, each as the tuple
+    (g(0), ..., g(n-1)): g must map every relation onto itself and fix
+    every constant."""
+    return {g for g in itertools.permutations(range(a.n))
+            if all(g[x] == x for x in a.const.values())
+            and all({tuple(g[v] for v in t) for t in ts} == ts for ts in a.rel.values())}
+
+
 def _seed_structures(sig):
     """Single-tuple structures up to isomorphism: one per pattern of
     repeated positions (restricted-growth tuples)."""

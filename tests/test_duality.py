@@ -163,6 +163,18 @@ def test_sweep_differential_on_more_templates():
     cases += [(helpers.nae(), 3, 3), (helpers.p4_structure(), 4, 2)]
     # more elements than the root carries maps
     cases += [(helpers.graph(17, [(0, 1), (1, 0)]), 4, 4)]
+    # templates with nontrivial automorphisms, whose frontier classes the
+    # sweep extends once per orbit, each under a seeded relabelling
+    k2u = FiniteStructure(Signature.make({"E": 2, "U": 1}), 2,
+                          {"E": [(0, 1), (1, 0)], "U": [(1,)]})
+    for a, max_vertices, max_tuples in [(helpers.k2(), 5, 6), (helpers.k3(), 4, 5),
+                                        (helpers.cycle(5), 5, 5), (helpers.nae(), 3, 3),
+                                        (k2u, 4, 5)]:
+        perm = list(range(a.n))
+        rng.shuffle(perm)
+        cases.append((FiniteStructure(a.sig, a.n, {r: {tuple(perm[v] for v in t) for t in ts}
+                                                   for r, ts in a.rel.items()}),
+                      max_vertices, max_tuples))
     for a, max_vertices, max_tuples in cases:
         got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
         want = oracles.reference_critical_obstructions(a, max_vertices, max_tuples)
@@ -232,10 +244,8 @@ def test_sweep_capped_maps_match_reference(monkeypatch):
     that follows finds nothing; on the full edge relation with U = {(2,)},
     the carried maps send the new tuple outside U and the search finds a
     map.  The obstructions match the reference either way."""
-    full_edge = FiniteStructure(Signature.make({"E": 2, "U": 1}), 3,
-                                {"E": itertools.product(range(3), repeat=2), "U": [(2,)]})
     cases = [(helpers.k3(), 5, 5, False), (helpers.cycle(5), 5, 5, False),
-             (full_edge, 4, 4, True)]
+             (_full_edge_with_u(), 4, 4, True)]
     wants = [oracles.reference_critical_obstructions(a, v, t) for a, v, t, _ in cases]
     searched, _, _ = _spy_on_sweep(monkeypatch)
     for (a, max_vertices, max_tuples, finds), want in zip(cases, wants):
@@ -246,6 +256,66 @@ def test_sweep_capped_maps_match_reference(monkeypatch):
         assert all(is_isomorphic(g.structure, w.structure) for g, w in zip(got, want))
         assert searched
         assert all((h is not None) == finds for _, h in searched)
+
+
+def _full_edge_with_u():
+    return FiniteStructure(Signature.make({"E": 2, "U": 1}), 3,
+                           {"E": itertools.product(range(3), repeat=2), "U": [(2,)]})
+
+
+@pytest.mark.parametrize("make, max_vertices, max_tuples, finds, calls, parent_calls", [
+    (helpers.k2, 5, 5, False, 549, 1112),
+    (helpers.k3, 5, 5, False, 403, 1323),
+    (_full_edge_with_u, 4, 4, True, 129, 571),
+], ids=["K2", "K3", "full edge and U"])
+def test_sweep_canonizes_one_extension_per_orbit(monkeypatch, make, max_vertices, max_tuples,
+                                                 finds, calls, parent_calls):
+    """The sweep canonizes no last-level extension whose carried maps show
+    that it maps, and no two extensions of one parent that an automorphism
+    of the parent, fixing the new vertices, carries onto each other.  A
+    canonized last-level extension maps only where a cut-off list of
+    carried maps came out empty (finds, on the full edge relation with U).  calls
+    counts every canonical_form call of the sweep, the final sort's
+    included; parent_calls is the count before either pruning."""
+    a = make()
+    template = a.relational_reduct()
+    built, canonized, carried = {}, [], []
+    add_tuple, canonize, carry = duality._add_tuple, duality.canonical_form, duality._carried_maps
+
+    def spying_carry(*args):
+        carried.append(carry(*args))
+        return carried[-1]
+
+    def spying_add_tuple(s, rname, tup, n):
+        ext = add_tuple(s, rname, tup, n)
+        built[id(ext)] = (s, rname, tup, n, ext, carried[-1][0])
+        return ext
+
+    def spying_canonize(s):
+        canonized.append(s)
+        return canonize(s)
+
+    monkeypatch.setattr(duality, "_carried_maps", spying_carry)
+    monkeypatch.setattr(duality, "_add_tuple", spying_add_tuple)
+    monkeypatch.setattr(duality, "canonical_form", spying_canonize)
+    obs = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
+    assert len(canonized) == calls < parent_calls
+    by_parent, fallbacks = {}, 0
+    for s in canonized:
+        if id(s) not in built:
+            assert any(s is o.structure for o in obs)  # the final sort
+            continue
+        parent, rname, tup, n, ext, maps = built[id(s)]
+        if ext.total_tuples() == max_tuples:
+            assert maps == []
+            fallbacks += find_homomorphism(ext, template) is not None
+        by_parent.setdefault(id(parent), (parent, []))[1].append((rname, tup, n))
+    for parent, added in by_parent.values():
+        for g in oracles.brute_automorphisms(parent):
+            for rname, tup, n in added:
+                moved = tuple(g[v] if v < parent.n else v for v in tup)
+                assert moved == tup or (rname, moved, n) not in added
+    assert (fallbacks > 0) == finds
 
 
 def test_carried_maps_are_capped_and_lexicographic():

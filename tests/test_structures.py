@@ -17,6 +17,7 @@ from cspbench import (
     power,
     product,
 )
+from cspbench import structures
 from cspbench.galois import Relation, pp_closure
 from cspbench.structures import (
     Homomorphism,
@@ -565,6 +566,54 @@ def test_canonical_form_matches_exhaustive_oracle():
     assert all(len(refs) == 1 for refs in classes.values())
     assert len(classes) == len(set(reference))
     assert len(classes) < len(pool)  # the pool does hold isomorphic pairs
+
+
+def _automorphism_pool(rng):
+    """Random structures with constants of 1 to 6 elements, both sides of
+    _EXHAUSTIVE_DOMAIN, plus C6 and two triangles, undirected and directed,
+    whose automorphism groups have 6 to 72 elements."""
+    pool = [_random_structure_with_constants(rng) for _ in range(150)]
+    for symmetric in (True, False):
+        pool += [helpers.cycle(6, symmetric=symmetric),
+                 helpers.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                               symmetric=symmetric)]
+    return pool
+
+
+def _recorded_automorphisms(a):
+    canonical_form(a)
+    return a._automorphisms
+
+
+def test_canonical_form_records_every_automorphism(monkeypatch):
+    """With room for all of them, the automorphisms canonical_form keeps,
+    plus the identity, are Aut(a)."""
+    monkeypatch.setattr(structures, "_MAX_AUTOMORPHISMS", 40_320)
+    pool = _automorphism_pool(random.Random(1998))
+    assert {a.n for a in pool} == set(range(1, 7))
+    sizes = set()
+    for a in pool:
+        recorded = _recorded_automorphisms(a)
+        aut = oracles.brute_automorphisms(a)
+        assert len(recorded) == len(set(recorded)) == len(aut) - 1
+        assert set(recorded) | {tuple(range(a.n))} == aut
+        sizes.add(len(aut))
+    assert {6, 12, 18, 72} <= sizes
+
+
+def test_canonical_form_keeps_a_bounded_subset_of_automorphisms():
+    pool = _automorphism_pool(random.Random(1998))
+    bounded = 0
+    for a in pool:
+        recorded = _recorded_automorphisms(a)
+        aut = oracles.brute_automorphisms(a)
+        assert len(set(recorded)) == min(len(aut) - 1, structures._MAX_AUTOMORPHISMS)
+        assert set(recorded) <= aut - {tuple(range(a.n))}
+        bounded += len(aut) - 1 > structures._MAX_AUTOMORPHISMS
+    assert bounded
+    # an empty 8-element structure has 8! automorphisms, all of them leaves
+    assert len(_recorded_automorphisms(FiniteStructure(helpers.GRAPH, 8, {"E": []}))) == \
+        structures._MAX_AUTOMORPHISMS
 
 
 def test_canonical_form_beyond_eight_elements():
