@@ -31,6 +31,12 @@ from . import clones, duality, formulas, galois, linear_horn, structures
 from .structures import BudgetExceededError, DEFAULT_BUDGET, FiniteStructure
 
 
+# Default bounds of the obstruction listing that `duality` prints when it
+# finds no 1-tolerant polymorphism; deep sweeps (e.g. all obstructions of
+# K2 up to C5) should pass explicit bounds.
+DEFAULT_MAX_VERTICES = 4
+DEFAULT_MAX_TUPLES = 6
+
 # The sections of an analyze report, in report order: (machine key, text
 # title).  Section k is computed by _section_k(inputs, report), which may
 # read the sections before it in report.
@@ -189,8 +195,6 @@ def _section_fo_definability(inputs, report):
         doc["sentence"] = rep.universal_sentence
         doc["polymorphism"] = rep.polymorphism.to_json_dict()
         doc["obstructions"] = [o.structure.to_json_dict() for o in rep.obstructions]
-    elif rep.largest_obstruction is not None:
-        doc["largest_obstruction"] = rep.largest_obstruction.structure.to_json_dict()
     return doc
 
 
@@ -286,17 +290,20 @@ def _cmd_types(args) -> int:
 
 def _cmd_duality(args) -> int:
     a = _load_structure(args.structure)
-    rep = duality.fo_definability_report(a, n_max=args.n_max,
-                                         max_vertices=args.max_vertices,
-                                         max_tuples=args.max_tuples,
-                                         budget=args.budget)
+    if args.max_vertices < 1 or args.max_tuples < 1:
+        raise ValueError("enumeration bounds must be positive")
+    rep = duality.fo_definability_report(a, n_max=args.n_max, budget=args.budget)
+    obstructions = rep.obstructions
+    if not rep.fo_definable:  # list the bounded evidence
+        obstructions = duality.critical_obstructions(a, args.max_vertices, args.max_tuples,
+                                                     budget=args.budget)
     if args.export:
         import os
 
         os.makedirs(args.export, exist_ok=True)
         manifest = {"template": args.structure, "template_hash": _file_hash(args.structure),
                     "verdict": rep.verdict, "obstructions": []}
-        for i, obs in enumerate(rep.obstructions):
+        for i, obs in enumerate(obstructions):
             fname = f"obstruction_{i:03d}.json"
             with open(os.path.join(args.export, fname), "w", encoding="utf-8") as fh:
                 fh.write(obs.structure.to_json())
@@ -309,7 +316,7 @@ def _cmd_duality(args) -> int:
         lines = [rep.verdict]
         if rep.universal_sentence:
             lines.append(f"universal sentence: {rep.universal_sentence}")
-        for obs in rep.obstructions:
+        for obs in obstructions:
             lines.append(f"  obstruction ({obs.hyperedges} tuples): {obs.structure.to_json_dict()}")
         return "\n".join(lines)
 
@@ -318,7 +325,7 @@ def _cmd_duality(args) -> int:
         "fo_definable": rep.fo_definable,
         "polymorphism_arity": rep.polymorphism_arity,
         "universal_sentence": rep.universal_sentence,
-        "obstructions": [o.structure.to_json_dict() for o in rep.obstructions],
+        "obstructions": [o.structure.to_json_dict() for o in obstructions],
     }
     _emit(args, text, machine)
     return 0
@@ -356,19 +363,22 @@ def _cmd_rewrite_ep(args) -> int:
     return 0
 
 
-def _budget(text: str) -> int:
-    """The --budget type: an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _at_least(low: int):
+    """The argparse type of an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _budget_flag(p):
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
                    help="candidate-assignment budget per search")
 
 
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis report for a template")
     p.add_argument("structure")
     p.add_argument("--max-arity", type=int, default=3, dest="max_arity")
-    p.add_argument("--types-n", type=int, default=1, dest="types_n")
+    p.add_argument("--types-n", type=_at_least(1), default=1, dest="types_n")
     p.add_argument("--duality-n", type=int, default=3, dest="duality_n")
     _budget_flag(p)
 
@@ -403,25 +413,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("types", help="maximal pp-type counts")
     p.add_argument("structure")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_at_least(1), default=2)
     _budget_flag(p)
 
     p = sub.add_parser("duality", help="fo-definability and critical obstructions")
     p.add_argument("structure")
     p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--max-vertices", type=int, default=duality.DEFAULT_MAX_VERTICES,
-                   help="vertex bound of the evidence sweep; an fo-definable verdict "
-                        "enumerates its complete obstruction set regardless")
-    p.add_argument("--max-tuples", type=int, default=duality.DEFAULT_MAX_TUPLES,
-                   help="tuple bound of the evidence sweep; an fo-definable verdict "
-                        "enumerates its complete obstruction set regardless")
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+                   help="vertex bound of the obstruction listing printed when no "
+                        "1-tolerant polymorphism is found; an fo-definable verdict "
+                        "lists its complete obstruction set regardless")
+    p.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES,
+                   help="tuple bound of the obstruction listing printed when no "
+                        "1-tolerant polymorphism is found; an fo-definable verdict "
+                        "lists its complete obstruction set regardless")
     p.add_argument("--export", default=None, help="directory for the obstruction set")
     _budget_flag(p)
 
     p = sub.add_parser("horn", help="classify or solve a linear-equality CNF")
     p.add_argument("action", choices=("classify", "solve"))
     p.add_argument("cnf")
-    p.add_argument("--budget", type=_budget, default=linear_horn.DEFAULT_BRANCH_BUDGET,
+    p.add_argument("--budget", type=_at_least(0), default=linear_horn.DEFAULT_BRANCH_BUDGET,
                    help="branch-node budget per satisfiability check of 'horn classify'; "
                         "'horn solve' is polynomial and does not use it")
 

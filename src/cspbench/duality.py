@@ -51,7 +51,9 @@ at most n tuples, which makes the set of critical obstructions within
 that bound a complete obstruction set; the corresponding universal
 sentence is emitted as text (one negated canonical query per
 obstruction).  Failure to find one up to a bound certifies nothing and
-is always reported as bounded evidence.
+is always reported as bounded.  The report decides and runs no other
+sweep; a caller that wants bounded evidence lists the critical
+obstructions within its own bounds.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ from .structures import (
 )
 from .formulas import canonical_query, render
 from .clones import OperationTable
-
-# Default bounds for negative-evidence enumeration; deep sweeps (e.g. all
-# obstructions of K2 up to C5) should pass explicit bounds.
-DEFAULT_MAX_VERTICES = 4
-DEFAULT_MAX_TUPLES = 6
 
 # Each frontier class of the obstruction sweep carries at most this many
 # homomorphisms to the template; beyond it, extensions whose carried maps
@@ -249,18 +246,15 @@ def universal_sentence_text(obstructions) -> str:
 
 @dataclass
 class FoDefinabilityReport:
-    fo_definable: bool | None  # None means: unknown, bounded negative evidence
+    fo_definable: bool | None  # None means: unknown within the arity bound
     verdict: str
     polymorphism_arity: int | None = None
     polymorphism: OperationTable | None = None
     obstructions: tuple = ()
     universal_sentence: str | None = None
-    largest_obstruction: Obstruction | None = None
 
 
 def fo_definability_report(a: FiniteStructure, n_max: int = 3,
-                           max_vertices: int = DEFAULT_MAX_VERTICES,
-                           max_tuples: int = DEFAULT_MAX_TUPLES,
                            budget: int = DEFAULT_BUDGET) -> FoDefinabilityReport:
     """Search for a 1-tolerant polymorphism of arity 3..n_max+1.
 
@@ -269,20 +263,16 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
     obstructions with that many tuples (and n * max-arity vertices, at
     least as many as a connected n-tuple structure can use) yields a
     complete obstruction set, from which the universal sentence is
-    synthesized.  max_vertices and max_tuples never cut that sweep, which
-    would drop obstructions from the set; they bound only the evidence
-    sweep, and a bound below 1 raises ValueError in either branch.  On
-    failure the verdict is explicitly arity-bounded and proves nothing;
-    the largest critical obstruction found within max_vertices and
-    max_tuples is reported as evidence.  A budget overrun at an arity
-    k > 3 ends the search there: the evidence is bounded by arity k-1 and
-    the verdict names the overrun.  An overrun at arity 3 leaves no
-    evidence and raises.
+    synthesized.  On failure the verdict is explicitly arity-bounded and
+    proves nothing, and the report holds no obstructions: the report only
+    decides, and a caller that wants bounded evidence runs
+    critical_obstructions within its own bounds.  A budget overrun at an
+    arity k > 3 ends the search there: the verdict is bounded by arity k-1
+    and names the overrun.  An overrun at arity 3 leaves no verdict and
+    raises.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2 (1-tolerant polymorphisms are at least ternary)")
-    if max_vertices < 1 or max_tuples < 1:
-        raise ValueError("enumeration bounds must be positive")
     max_rel_arity = max((ar for _, ar in a.sig.relations), default=1)
     bound = f"up to arity {n_max + 1}"
     for k in range(3, n_max + 2):
@@ -306,13 +296,8 @@ def fo_definability_report(a: FiniteStructure, n_max: int = 3,
             obstructions=tuple(obs),
             universal_sentence=universal_sentence_text(obs),
         )
-    obs = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples,
-                                budget=budget)
-    largest = max(obs, key=lambda o: o.hyperedges, default=None)
     return FoDefinabilityReport(
         fo_definable=None,
         verdict=(f"no 1-tolerant polymorphism {bound} "
                  "(bounded evidence; certifies nothing beyond the bound)"),
-        obstructions=tuple(obs),
-        largest_obstruction=largest,
     )

@@ -378,6 +378,19 @@ def test_negative_budget_is_an_argument_error(files, capsys, argv):
     assert cli.build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
 
 
+@pytest.mark.parametrize("argv, flag", [(["analyze", "k2.json"], "--types-n"),
+                                        (["types", "k2.json"], "--n")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_type_arity_below_one_is_an_argument_error(files, capsys, argv, flag, value):
+    argv = [files.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv + [flag, "1"])
+    assert vars(args)[flag[2:].replace("-", "_")] == 1
+
+
 def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):
     # End(A) of 3,000 elements, 2,998 of them isolated, is far too large to
     # list: the enumeration stops once the maps it keeps hold more than the

@@ -15,8 +15,8 @@ from cspbench import (
     is_isomorphic,
     obstruction_set_decides,
 )
-from cspbench import duality
-from cspbench.structures import BudgetExceededError, canonical_form
+from cspbench import cli, duality
+from cspbench.structures import DEFAULT_BUDGET, BudgetExceededError, canonical_form
 from cspbench.duality import universal_sentence_text
 
 
@@ -105,12 +105,14 @@ def test_fo_report_uv_decides_csp():
 
 
 def test_fo_report_k2_bounded_negative():
-    rep = fo_definability_report(helpers.k2(), n_max=3, max_vertices=5, max_tuples=10)
+    k2 = helpers.k2()
+    rep = fo_definability_report(k2, n_max=3)
     assert rep.fo_definable is None
     assert "bounded" in rep.verdict
-    assert rep.largest_obstruction is not None
-    assert rep.largest_obstruction.hyperedges == 5  # an orientation of C5
-    assert rep.largest_obstruction.structure.n == 5
+    assert rep.obstructions == ()
+    largest = max(critical_obstructions(k2, 5, 10), key=lambda o: o.hyperedges)
+    assert largest.hyperedges == 5  # an orientation of C5
+    assert largest.structure.n == 5
 
 
 def test_fo_report_total_loop():
@@ -336,20 +338,19 @@ def test_carried_maps_are_capped_and_lexicographic():
     assert duality._carried_maps(parent, False, 0, k3, "E", (2, 0)) == (maps, False)
 
 
-def test_fo_report_rejects_bounds_below_one():
-    for kw in ({"max_vertices": 0}, {"max_tuples": 0}, {"max_vertices": -1}):
-        with pytest.raises(ValueError, match="bounds must be positive"):
-            fo_definability_report(helpers.k2(), n_max=2, **kw)
-        # the fo-definable branch never runs the evidence sweep
-        with pytest.raises(ValueError, match="bounds must be positive"):
-            fo_definability_report(helpers.uv(), n_max=2, **kw)
+def test_critical_obstructions_rejects_bounds_below_one():
+    for max_vertices, max_tuples in ((0, 3), (3, 0), (-1, 3)):
+        for a in (helpers.k2(), helpers.uv()):
+            with pytest.raises(ValueError, match="bounds must be positive"):
+                critical_obstructions(a, max_vertices, max_tuples)
 
 
 def test_fo_report_t3_sweeps_past_max_vertices():
     """The fo-definable branch enumerates every obstruction within its
-    tuple bound, whatever the evidence bounds say."""
+    tuple bound, with as many vertices as they need: here a path on 4
+    vertices over a 3-element template."""
     t3 = helpers.graph(3, [(0, 1), (0, 2), (1, 2)])
-    rep = fo_definability_report(t3, n_max=3, max_vertices=3)
+    rep = fo_definability_report(t3, n_max=3)
     assert rep.fo_definable
     path = helpers.graph(4, [(0, 1), (1, 2), (2, 3)])
     assert find_homomorphism(path, t3) is None
@@ -360,11 +361,34 @@ def test_fo_report_t3_sweeps_past_max_vertices():
 def test_fo_report_overrun_beyond_arity_3():
     k2 = helpers.k2()
     # at budget 100 the arity-3 search finishes and the arity-4 power does not
-    rep = fo_definability_report(k2, n_max=3, max_vertices=3, max_tuples=3, budget=100)
+    rep = fo_definability_report(k2, n_max=3, budget=100)
     assert rep.fo_definable is None
     assert rep.verdict.startswith("no 1-tolerant polymorphism up to arity 3; "
                                   "arity 4 exceeded the budget")
-    assert _by_oracle_key(rep.obstructions) == _by_oracle_key(
-        critical_obstructions(k2, max_vertices=3, max_tuples=3))
     with pytest.raises(BudgetExceededError):
-        fo_definability_report(k2, n_max=3, max_vertices=3, max_tuples=3, budget=50)
+        fo_definability_report(k2, n_max=3, budget=50)
+
+
+@pytest.mark.parametrize("make, sweeps", [
+    (helpers.k2, []),
+    (helpers.nae, []),
+    # a ternary 1-tolerant polymorphism: every obstruction has at most
+    # 2 tuples, on at most 2 * 1 vertices
+    (helpers.uv, [(2, 2)]),
+])
+def test_analyze_sweeps_only_complete_obstruction_sets(monkeypatch, tmp_path, make, sweeps):
+    """The fo section of analyze runs the obstruction sweep only for a
+    complete set, never as bounded evidence."""
+    calls = []
+    sweep = duality.critical_obstructions
+
+    def spy(a, max_vertices, max_tuples, budget):
+        calls.append((max_vertices, max_tuples))
+        return sweep(a, max_vertices, max_tuples, budget)
+
+    monkeypatch.setattr(duality, "critical_obstructions", spy)
+    path = tmp_path / "template.json"
+    path.write_text(make().to_json())
+    report = cli._analyze(make(), str(path), 2, 1, 3, DEFAULT_BUDGET)
+    assert "error" not in report["fo_definability"]
+    assert calls == sweeps

@@ -56,6 +56,12 @@ CASES = [
     "--format text analyze uv.json",
     "--format text analyze uv.json --budget 16",
     "--format text analyze k2.json --budget 1",
+    # templates without a 1-tolerant polymorphism: the fo section only
+    # decides, and runs no obstruction sweep
+    "analyze nae.json --duality-n 2",
+    "analyze p4e.json --max-arity 2 --duality-n 2",
+    "--format text analyze nae.json --duality-n 2",
+    "--format text analyze p4e.json --max-arity 2 --duality-n 2",
     "types k2.json",
     "types k3.json",
     "types c5.json",
@@ -139,8 +145,6 @@ def _check_structure_certificates(a, doc: dict) -> set:
     obstructions = list(doc.get("obstructions", []))
     fo = doc.get("fo_definability", {})
     obstructions += fo.get("obstructions", [])
-    if "largest_obstruction" in fo:
-        obstructions.append(fo["largest_obstruction"])
     for o in obstructions:
         s = FiniteStructure.from_json_dict(o)
         assert Obstruction(s, s.total_tuples()).verify(a)
