@@ -27,15 +27,9 @@ import json
 import sys
 from types import SimpleNamespace
 
-from . import clones, duality, formulas, galois, linear_horn, structures
+from . import clones, duality, formulas, galois, linear_horn
 from .structures import BudgetExceededError, DEFAULT_BUDGET, FiniteStructure
 
-
-# Default bounds of the obstruction listing that `duality` prints when it
-# finds no 1-tolerant polymorphism; deep sweeps (e.g. all obstructions of
-# K2 up to C5) should pass explicit bounds.
-DEFAULT_MAX_VERTICES = 4
-DEFAULT_MAX_TUPLES = 6
 
 # The sections of an analyze report, in report order: (machine key, text
 # title).  Section k is computed by _section_k(inputs, report), which may
@@ -115,19 +109,11 @@ def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
     then each section of ANALYZE_SECTIONS, computed in report order."""
     # Each polymorphism set is enumerated once and shared by the sections
     # that read it; a section still fails on its own when an arity it asks
-    # for overran the budget.  End(A) is the arity-1 set: power(a, 1) is a.
-    endomorphisms = _once(lambda s: structures.enumerate_homomorphisms(s, s, budget=budget))
-
-    def enumerate_arity(k):
-        if k > 1:
-            return clones.enumerate_polymorphisms(a, k, budget=budget)
-        # End(A), behind the size checks that building power(a, 1) makes
-        structures.power(a, 1, budget=budget)
-        return [clones.OperationTable(a.n, 1, h.map) for h in endomorphisms(a)]
-
+    # for overran the budget.  End(A) is the arity-1 set: power(a, 1) has
+    # exactly a's tuples and constants.
+    polymorphisms = _once(lambda k: clones.enumerate_polymorphisms(a, k, budget=budget))
     inputs = SimpleNamespace(a=a, max_arity=max_arity, types_n=types_n, duality_n=duality_n,
-                             budget=budget, endomorphisms=endomorphisms,
-                             polymorphisms=_once(enumerate_arity))
+                             budget=budget, polymorphisms=polymorphisms)
     report = {"template_name": path, "file_hash": _file_hash(path)}
     for key, _ in ANALYZE_SECTIONS:
         report[key] = _section(globals()["_section_" + key], inputs, report)
@@ -135,10 +121,11 @@ def _analyze(a: FiniteStructure, path: str, max_arity: int, types_n: int,
 
 
 def _section_core(inputs, report):
-    cert = clones.first_non_embedding(inputs.endomorphisms(inputs.a))
+    # a core iff every endomorphism is injective (see clones.is_core)
+    cert = next((f for f in inputs.polymorphisms(1) if len(set(f.values)) < inputs.a.n), None)
     doc = {"verdict": cert is None}
     if cert is not None:
-        doc["certificate"] = {"non_embedding_endomorphism": list(cert.map)}
+        doc["certificate"] = {"non_embedding_endomorphism": list(cert.values)}
     return doc
 
 
@@ -289,12 +276,13 @@ def _cmd_types(args) -> int:
 
 
 def _cmd_duality(args) -> int:
+    listing = args.max_vertices is not None
+    if listing != (args.max_tuples is not None):
+        raise ValueError("--max-vertices and --max-tuples must be given together")
     a = _load_structure(args.structure)
-    if args.max_vertices < 1 or args.max_tuples < 1:
-        raise ValueError("enumeration bounds must be positive")
     rep = duality.fo_definability_report(a, n_max=args.n_max, budget=args.budget)
     obstructions = rep.obstructions
-    if not rep.fo_definable:  # list the bounded evidence
+    if not rep.fo_definable and listing:  # list the bounded evidence
         obstructions = duality.critical_obstructions(a, args.max_vertices, args.max_tuples,
                                                      budget=args.budget)
     if args.export:
@@ -393,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis report for a template")
     p.add_argument("structure")
-    p.add_argument("--max-arity", type=int, default=3, dest="max_arity")
+    p.add_argument("--max-arity", type=_at_least(2), default=3, dest="max_arity")
     p.add_argument("--types-n", type=_at_least(1), default=1, dest="types_n")
-    p.add_argument("--duality-n", type=int, default=3, dest="duality_n")
+    p.add_argument("--duality-n", type=_at_least(2), default=3, dest="duality_n")
     _budget_flag(p)
 
     p = sub.add_parser("solve", help="decide a pp/ep sentence on a template")
@@ -418,15 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality", help="fo-definability and critical obstructions")
     p.add_argument("structure")
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+    p.add_argument("--n-max", type=_at_least(2), default=3, dest="n_max")
+    p.add_argument("--max-vertices", type=_at_least(1), default=None,
                    help="vertex bound of the obstruction listing printed when no "
-                        "1-tolerant polymorphism is found; an fo-definable verdict "
-                        "lists its complete obstruction set regardless")
-    p.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES,
-                   help="tuple bound of the obstruction listing printed when no "
-                        "1-tolerant polymorphism is found; an fo-definable verdict "
-                        "lists its complete obstruction set regardless")
+                        "1-tolerant polymorphism is found, given with --max-tuples; "
+                        "an fo-definable verdict lists its complete obstruction set "
+                        "regardless")
+    p.add_argument("--max-tuples", type=_at_least(1), default=None,
+                   help="tuple bound of that listing, given with --max-vertices")
     p.add_argument("--export", default=None, help="directory for the obstruction set")
     _budget_flag(p)
 
@@ -451,7 +438,7 @@ def main(argv=None) -> int:
     try:
         # by name at each call: the parser is built once and holds no command function
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (OSError, ValueError, BudgetExceededError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, BudgetExceededError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must never read as a negative verdict

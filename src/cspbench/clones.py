@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .structures import (
     DEFAULT_BUDGET,
     FiniteStructure,
-    Homomorphism,
     encode_tuple,
     enumerate_homomorphisms,
     is_int,
@@ -74,18 +73,16 @@ class OperationTable:
 class EssentialityWitness:
     """Witness that an operation depends on two disjoint coordinate sets.
 
-    Evaluating the operation on base[X := sub] and base[X := sub2] gives
-    different values, and likewise for the Y triple.
+    The operation depends on X: its values at base and at base[X := other]
+    differ, and likewise for the Y pair.
     """
 
     x_coords: tuple[int, ...]
     y_coords: tuple[int, ...]
     x_base: tuple[int, ...]
-    x_sub: tuple[int, ...]
-    x_sub2: tuple[int, ...]
+    x_other: tuple[int, ...]
     y_base: tuple[int, ...]
-    y_sub: tuple[int, ...]
-    y_sub2: tuple[int, ...]
+    y_other: tuple[int, ...]
 
     def verify(self, f: OperationTable) -> bool:
         if not self.x_coords or not self.y_coords:
@@ -99,10 +96,8 @@ class EssentialityWitness:
                 t[c] = repl[c]
             return tuple(t)
 
-        x_ok = f.apply(subst(self.x_base, self.x_coords, self.x_sub)) != \
-            f.apply(subst(self.x_base, self.x_coords, self.x_sub2))
-        y_ok = f.apply(subst(self.y_base, self.y_coords, self.y_sub)) != \
-            f.apply(subst(self.y_base, self.y_coords, self.y_sub2))
+        x_ok = f.apply(self.x_base) != f.apply(subst(self.x_base, self.x_coords, self.x_other))
+        y_ok = f.apply(self.y_base) != f.apply(subst(self.y_base, self.y_coords, self.y_other))
         return x_ok and y_ok
 
 
@@ -158,7 +153,7 @@ def is_essentially_unary(f: OperationTable):
 
     Returns (True, (beta, g_values)) or (False, EssentialityWitness); the
     witness consists of two singleton coordinate sets with their two
-    substitution triples.
+    substitution pairs.
     """
     essential = _essential_coordinates(f)
     if len(essential) <= 1:
@@ -168,8 +163,8 @@ def is_essentially_unary(f: OperationTable):
     (i, (ti, si)), (j, (tj, sj)) = sorted(essential.items())[:2]
     witness = EssentialityWitness(
         x_coords=(i,), y_coords=(j,),
-        x_base=ti, x_sub=ti, x_sub2=si,
-        y_base=tj, y_sub=tj, y_sub2=sj,
+        x_base=ti, x_other=si,
+        y_base=tj, y_other=sj,
     )
     assert witness.verify(f)
     return False, witness
@@ -211,23 +206,17 @@ def all_polymorphisms_essentially_unary(a: FiniteStructure, max_arity: int,
         lambda k: enumerate_polymorphisms(a, k, budget=budget), max_arity)
 
 
-def _is_embedding(h: Homomorphism) -> bool:
-    """Is the endomorphism h an embedding?  On a finite structure that is
-    injectivity: an injective endomorphism is a bijection that maps each
-    relation R injectively into R, so onto R, and hence reflects it."""
-    return len(set(h.map)) == h.source.n
-
-
-def first_non_embedding(endomorphisms):
-    """The first of the given endomorphisms that is not an embedding, or None."""
-    return next((h for h in endomorphisms if not _is_embedding(h)), None)
-
-
 def is_core(a: FiniteStructure, budget: int = DEFAULT_BUDGET):
     """True iff every endomorphism is an embedding (injective and reflecting
     every relation); returns (verdict, certificate) where the certificate is
-    the lex-least non-embedding endomorphism when the verdict is false."""
-    h = first_non_embedding(enumerate_homomorphisms(a, a, budget=budget))
+    the lex-least non-embedding endomorphism when the verdict is false.
+
+    On a finite structure an endomorphism is an embedding iff it is
+    injective: an injective endomorphism is a bijection that maps each
+    relation R injectively into R, so onto R, and hence reflects it.
+    """
+    h = next((h for h in enumerate_homomorphisms(a, a, budget=budget)
+              if len(set(h.map)) < a.n), None)
     return h is None, h
 
 

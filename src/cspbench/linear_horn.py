@@ -191,7 +191,6 @@ class _EqSystem:
         self.vars = sorted(variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
         self.rows = []
-        self.inconsistent = False
 
     def copy(self) -> "_EqSystem":
         """A copy that add() can extend without changing this system: the
@@ -199,7 +198,6 @@ class _EqSystem:
         other = _EqSystem.__new__(_EqSystem)
         other.vars, other.index = self.vars, self.index
         other.rows = list(self.rows)
-        other.inconsistent = self.inconsistent
         return other
 
     def _vector(self, lit: LinearLiteral):
@@ -241,15 +239,12 @@ class _EqSystem:
         return self.reduce(*self._vector(lit))
 
     def add(self, lit: LinearLiteral) -> bool:
-        """Add the literal read as an equality; returns False when it makes
-        the system inconsistent."""
+        """Add the literal read as an equality; returns False, and leaves the
+        system as it was, when the equality contradicts it."""
         vec, rhs = self.residual(lit)
         pivot = next((i for i, c in enumerate(vec) if c), None)
         if pivot is None:
-            if rhs != 0:
-                self.inconsistent = True
-                return False
-            return True
+            return rhs == 0
         g = gcd(*vec, rhs)
         if vec[pivot] < 0:
             g = -g
@@ -273,8 +268,6 @@ class _EqSystem:
 
     def entails(self, lit: LinearLiteral) -> bool:
         """Is the literal's equality a linear consequence of the system?"""
-        if self.inconsistent:
-            return True
         vec, rhs = self.residual(lit)
         return _is_zero(vec, rhs)
 
@@ -288,7 +281,6 @@ class _EqSystem:
         integer parameter values alone; each pivot variable is then
         (rhs - sum of the row over the free columns) / pivot entry.
         """
-        assert not self.inconsistent
         pivots = {pivot for _, _, pivot in self.rows}
         free = [i for i in range(len(self.vars)) if i not in pivots]
         last = len(residuals) * max(1, len(free)) + 1
@@ -513,9 +505,8 @@ def classify_horn(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> HornVerd
         if p is None or q is None:
             raise AssertionError("irreducible clause literals must be independently satisfiable")
         # align both points on the full variable set
-        variables = irr.variables() | f.variables()
         for point in (p, q):
-            for v in variables:
+            for v in f.variables():
                 point.setdefault(v, Fraction(0))
         if not (f.holds(p) and f.holds(q)) or check_mix_preservation(irr, p, q):
             raise AssertionError("the witness pair does not certify that the CNF is non-Horn")
@@ -534,8 +525,7 @@ def horn_solve(f: LinearCnf):
     """
     if not f.is_horn():
         raise CnfError("horn_solve requires a Horn CNF")
-    variables = f.variables()
-    system = _EqSystem(variables)
+    system = _EqSystem(f.variables())
 
     pending = True
     while pending:
@@ -567,8 +557,6 @@ def horn_solve(f: LinearCnf):
                 if not _is_zero(*residual):
                     avoid[lit] = residual
     point = system.point_avoiding(list(avoid.values()))
-    for v in variables:
-        point.setdefault(v, Fraction(0))
     assert f.holds(point)
     return True, point
 

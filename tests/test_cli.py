@@ -73,6 +73,14 @@ def test_solve(files, capsys):
     assert code == 1 and "unsatisfied" in out
 
 
+def test_solve_rejects_free_variables(files, capsys, tmp_path):
+    free = tmp_path / "free.txt"
+    free.write_text("exists x . E(x,y)")
+    code, out, err = run(capsys, "solve", files["k2.json"], str(free))
+    assert (code, out) == (2, "")
+    assert err == "error: sentence has free variables: ['y']\n"
+
+
 def test_solve_via_p4_agrees(files, capsys, tmp_path):
     rng = random.Random(127)
     t = helpers.p4_structure(extra={"E": (2, {(0, 1), (1, 0)})})
@@ -225,12 +233,15 @@ def test_duality_one_tolerant_overrun_reports_bounded_evidence(files, capsys):
     assert code == 2 and "budget" in err
 
 
-def test_duality_rejects_bounds_below_one(files, capsys):
+def test_duality_bounds_are_given_together(files, capsys):
+    # one bound alone is refused before the template is read
     for flag in ("--max-vertices", "--max-tuples"):
-        for template in ("k2.json", "uv.json"):
-            code, out, err = run(capsys, "duality", files[template], "--n-max", "2", flag, "0")
-            assert code == 2 and out == ""
-            assert "bounds must be positive" in err
+        code, out, err = run(capsys, "duality", "missing.json", flag, "3")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-vertices and --max-tuples must be given together\n"
+    # without bounds a template with no 1-tolerant polymorphism lists nothing
+    code, out, _ = run(capsys, "--format", "machine", "duality", files["k2.json"], "--n-max", "2")
+    assert code == 0 and json.loads(out)["obstructions"] == []
 
 
 def test_horn_commands(files, capsys):
@@ -242,6 +253,19 @@ def test_horn_commands(files, capsys):
     assert doc["complexity"] == "CSP NP-complete" and len(doc["witness_pair"]) == 2
     code, out, _ = run(capsys, "horn", "solve", files["horn.cnf"])
     assert code == 0 and "satisfiable" in out
+
+
+def test_horn_solve_reads_literals_without_variables(capsys, tmp_path):
+    cnf = tmp_path / "trivial.cnf"
+    # 0 = 1 can never hold: the clause is a conflict
+    cnf.write_text("0*x = 1\n")
+    code, out, _ = run(capsys, "horn", "solve", str(cnf))
+    assert (code, out) == (1, "unsatisfiable\n")
+    # 0 = 0 always holds: the clause is satisfied and never fires, and the
+    # point still avoids y = 0, as for every negated equality
+    cnf.write_text("0*x = 0 | ~1*y = 0\n")
+    code, out, _ = run(capsys, "--format", "machine", "horn", "solve", str(cnf))
+    assert code == 0 and json.loads(out) == {"satisfiable": True, "point": {"y": "1"}}
 
 
 def test_horn_rejects_rationals_outside_the_grammar(capsys, tmp_path):
@@ -378,17 +402,33 @@ def test_negative_budget_is_an_argument_error(files, capsys, argv):
     assert cli.build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
 
 
+# the least value of each bounded flag: arities of pp-types and obstruction
+# bounds start at 1, polymorphism arities at 2 (1-tolerant ones at 3)
+_FLAG_LEAST = {"--types-n": 1, "--n": 1, "--max-vertices": 1, "--max-tuples": 1,
+               "--max-arity": 2, "--duality-n": 2, "--n-max": 2}
+
+
 @pytest.mark.parametrize("argv, flag", [(["analyze", "k2.json"], "--types-n"),
-                                        (["types", "k2.json"], "--n")])
+                                        (["types", "k2.json"], "--n"),
+                                        (["analyze", "k2.json"], "--max-arity"),
+                                        (["analyze", "k2.json"], "--duality-n"),
+                                        (["duality", "k2.json"], "--n-max"),
+                                        (["duality", "k2.json"], "--max-vertices"),
+                                        (["duality", "k2.json"], "--max-tuples")])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_type_arity_below_one_is_an_argument_error(files, capsys, argv, flag, value):
+    """Every bounded flag is refused by argparse, before any work, below its
+    least value, and accepted at it."""
     argv = [files.get(arg, arg) for arg in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, value])
-    assert exc.value.code == 2
-    assert f"error: argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
-    args = cli.build_parser().parse_args(argv + [flag, "1"])
-    assert vars(args)[flag[2:].replace("-", "_")] == 1
+    least = _FLAG_LEAST[flag]
+    for below in sorted({value, str(least - 1)}):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, below])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be at least {least}, got {below}" \
+            in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv + [flag, str(least)])
+    assert vars(args)[flag[2:].replace("-", "_")] == least
 
 
 def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):

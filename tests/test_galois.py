@@ -143,6 +143,13 @@ def test_relation_of_formula_rejects_ep():
             relation_of_formula(a, parse_sentence(text), 2)
 
 
+def test_relation_of_formula_rejects_more_free_variables_than_the_arity():
+    phi = parse_sentence("exists z . E(x,z) & E(z,y)")
+    assert relation_of_formula(helpers.k2(), phi, 2) == {(0, 0), (1, 1)}
+    with pytest.raises(ValueError, match=r"^formula has 2 free variables, expected <= 1$"):
+        relation_of_formula(helpers.k2(), phi, 1)
+
+
 def test_pp_type_leq_worked_examples():
     u = helpers.u1()
     assert pp_type_leq(u, (0,), (1,))

@@ -268,6 +268,8 @@ def test_find_homomorphism_examples():
     for s in (k2, helpers.k3(), helpers.u1()):
         ident = find_homomorphism(s, s)
         assert ident is not None and ident.verify()
+    with pytest.raises(SignatureMismatchError, match="requires equal signatures"):
+        find_homomorphism(k2, helpers.u1())
 
 
 def test_hom_search_matches_brute_force():
@@ -316,6 +318,10 @@ def test_pinned_search():
     h = find_homomorphism(k2, k2, pinned={0: 1})
     assert h.map == (1, 0)
     assert find_homomorphism(helpers.u1(), helpers.u1(), pinned={1: 0}) is None
+    for pin in ({2: 0}, {0: 2}, {-1: 0}):
+        (x, v), = pin.items()
+        with pytest.raises(ValueError, match=f"^pin {x}->{v} out of range$"):
+            find_homomorphism(k2, k2, pinned=pin)
 
 
 def test_budget_exceeded_search():
