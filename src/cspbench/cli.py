@@ -59,7 +59,7 @@ def _verdict_line(doc: dict) -> str:
 
 
 def _load_structure(path: str) -> FiniteStructure:
-    return FiniteStructure.from_json(_read_text(path), name=path)
+    return FiniteStructure.from_json_dict(_read_json(path))
 
 
 def _file_hash(path: str) -> str:
@@ -70,6 +70,14 @@ def _file_hash(path: str) -> str:
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_json(path: str):
+    """The JSON document in a file; nesting too deep to decode is an input error."""
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _section(fn, *args):
@@ -214,7 +222,7 @@ def _cmd_solve(args) -> int:
     a = _load_structure(args.structure)
     phi = formulas.parse_sentence(_read_text(args.sentence))
     if args.via_p4:
-        phi = formulas.eliminate_disjunctions(phi, args.p4_name, template=a, budget=args.budget)
+        phi = formulas.eliminate_disjunctions(phi, "P4", template=a, budget=args.budget)
     free = sorted(formulas.free_variables(phi, a.sig))
     if free:
         raise formulas.FormulaError(f"sentence has free variables: {free}")
@@ -229,7 +237,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ppdef(args) -> int:
     a = _load_structure(args.structure)
-    doc = json.loads(_read_text(args.relation))
+    doc = _read_json(args.relation)
     if not isinstance(doc, dict) or set(doc) != {"arity", "tuples"}:
         raise ValueError('relation document needs exactly the fields "arity" and "tuples"')
     tuples = doc["tuples"]
@@ -346,7 +354,7 @@ def _cmd_horn(args) -> int:
 def _cmd_rewrite_ep(args) -> int:
     a = _load_structure(args.structure)
     phi = formulas.parse_sentence(_read_text(args.sentence))
-    out = formulas.eliminate_disjunctions(phi, args.p4_name, template=a, budget=args.budget)
+    out = formulas.eliminate_disjunctions(phi, "P4", template=a, budget=args.budget)
     _emit(args, lambda: formulas.render(out), {"sentence": formulas.render(out)})
     return 0
 
@@ -391,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sentence")
     p.add_argument("--via-p4", action="store_true", dest="via_p4",
                    help="route ep sentences through the disjunction rewriter")
-    p.add_argument("--p4-name", default="P4", dest="p4_name")
     _budget_flag(p)
 
     p = sub.add_parser("ppdef", help="pp-definability certificate for a relation")
@@ -427,10 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rewrite-ep", help="eliminate disjunctions via a P4 relation")
     p.add_argument("structure")
     p.add_argument("sentence")
-    p.add_argument("--p4-name", default="P4", dest="p4_name")
     _budget_flag(p)
 
     return parser
+
+
+def _fail(message: str) -> int:
+    """Print message on stderr and return exit code 2, also when stderr is a
+    closed pipe (often stdout's), which would otherwise escape as exit 1."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+    return 2
 
 
 def main(argv=None) -> int:
@@ -439,11 +455,9 @@ def main(argv=None) -> int:
         # by name at each call: the parser is built once and holds no command function
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError, BudgetExceededError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}")
     except Exception as exc:  # a crash must never read as a negative verdict
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .structures import (
     DEFAULT_BUDGET,
     FiniteStructure,
+    Homomorphism,
+    _hom_maps,
     encode_tuple,
     enumerate_homomorphisms,
     is_int,
@@ -213,11 +215,11 @@ def is_core(a: FiniteStructure, budget: int = DEFAULT_BUDGET):
 
     On a finite structure an endomorphism is an embedding iff it is
     injective: an injective endomorphism is a bijection that maps each
-    relation R injectively into R, so onto R, and hence reflects it.
+    relation R injectively into R, so onto R, and hence reflects it.  The
+    scan keeps no endomorphism and stops at the first non-injective one.
     """
-    h = next((h for h in enumerate_homomorphisms(a, a, budget=budget)
-              if len(set(h.map)) < a.n), None)
-    return h is None, h
+    m = next((m for m in _hom_maps(a, a, budget=budget) if len(set(m)) < a.n), None)
+    return m is None, None if m is None else Homomorphism(a, a, m)
 
 
 def is_epc_finite(a: FiniteStructure, budget: int = DEFAULT_BUDGET) -> bool:

@@ -15,10 +15,9 @@ spanning tree of a connected structure's tuples (two tuples adjacent when
 they share a vertex), deleting a leaf tuple and the vertices only it uses
 leaves a connected structure that the leaf touches, and that structure
 maps to the template whenever the whole one maps or is critical.  Each
-isomorphism class is decided once per level: the level remembers the
-classes that map (the next frontier), the critical ones and the ones that
-do neither, so a repeat skips both its homomorphism search and its
-criticality check.  Two prunings also skip canonical forms.  An
+isomorphism class is decided once per level: the level remembers every
+class key it decided, so a repeat skips both its homomorphism search and
+its criticality check.  Two prunings also skip canonical forms.  An
 extension by a tuple that an automorphism of the parent, fixing the new
 vertices, maps to a lexicographically smaller tuple repeats the class of
 that earlier extension (McKay, "Isomorph-free exhaustive generation",
@@ -190,14 +189,14 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
     if max_vertices < 1 or max_tuples < 1:
         raise ValueError("enumeration bounds must be positive")
 
-    found = {}
+    found = []
     # (structure, carried maps, complete); the root maps to every element
     frontier = [(FiniteStructure(template.sig, 1),
                  [(v,) for v in range(min(template.n, _MAX_CARRIED_MAPS))],
                  template.n <= _MAX_CARRIED_MAPS)]
     for level in range(1, max_tuples + 1):
-        next_frontier = {}
-        dead = set()  # classes of this level that neither map nor are critical
+        next_frontier = []
+        seen = set()  # keys decided at this level; a key fixes its tuple count
         for s, maps, complete in frontier:
             for rname, tup, n in _extensions(s, max_vertices):
                 ext_maps, ext_complete = _carried_maps(maps, complete, n - s.n,
@@ -206,21 +205,20 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
                     continue  # it maps, and no frontier follows
                 ext = _add_tuple(s, rname, tup, n)
                 key = canonical_form(ext)
-                if key in found or key in next_frontier or key in dead:
+                if key in seen:
                     continue
+                seen.add(key)
                 if not ext_maps and not ext_complete:
                     h = find_homomorphism(ext, template, budget=budget)
                     if h is not None:
                         ext_maps = [h.map]
                 if ext_maps:
-                    next_frontier[key] = (ext, ext_maps, ext_complete)
+                    next_frontier.append((ext, ext_maps, ext_complete))
                 elif _weakenings_map(ext, template, budget, (rname, tup)):
-                    found[key] = Obstruction(ext, ext.total_tuples())
-                else:
-                    dead.add(key)
-        frontier = next_frontier.values()
+                    found.append(Obstruction(ext, ext.total_tuples()))
+        frontier = next_frontier
 
-    out = sorted(found.values(), key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))
+    out = sorted(found, key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))
     return out
 
 

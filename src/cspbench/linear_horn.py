@@ -24,7 +24,7 @@ and its list of equalities to avoid, kept reduced against that system,
 by its one literal, testing only what that literal can change, and only
 a leaf builds a witness point.  The search tree, its node count (the
 budget) and the rows at every leaf are those of deciding each node's
-whole path from scratch with conj_sat, so the witnesses are the same.
+whole path from scratch as one conjunction, so the witnesses are the same.
 
 A CNF is preserved by the mixing map e(x, y) = (1 - sqrt2)*x + sqrt2*y
 when e(p, q), taken coordinate-wise, satisfies it for every two
@@ -63,7 +63,6 @@ CNF text format, one clause per line, '#' starts a comment::
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -210,15 +209,15 @@ class _EqSystem:
             vec[self.index[v]] = c.numerator * (den // c.denominator)
         return vec, const.numerator * (den // const.denominator)
 
-    def reduce(self, vec, rhs):
-        """A positive multiple of (vec, rhs) minus a combination of the rows
-        that is zero at every pivot column.
-
-        The rows are reduced, so subtracting one of them leaves vec alone at
-        every other pivot: each factor is read off the input vector, and
-        the whole combination is taken over the lcm of the pivot entries it
-        uses, which keeps it integral without cross-multiplying row by row.
-        """
+    def residual(self, lit: LinearLiteral):
+        """The literal's equality reduced against the system: a positive
+        multiple of it minus the combination of rows that clears every pivot
+        column, so zero exactly when the system entails it, and at a solution
+        a positive multiple of the equality's defect.  The rows are reduced,
+        so each factor is read off the input vector, and the combination is
+        taken over the lcm of the pivot entries it uses, which keeps it
+        integral without cross-multiplying row by row."""
+        vec, rhs = self._vector(lit)
         used = [row for row in self.rows if vec[row[2]]]
         if not used:
             return vec, rhs
@@ -230,13 +229,6 @@ class _EqSystem:
             out = [c - k * r for c, r in zip(out, rvec)]
             rhs -= k * rrhs
         return out, rhs
-
-    def residual(self, lit: LinearLiteral):
-        """The literal's equality reduced against the system: zero exactly
-        when the system entails it, and at a solution of the system a
-        positive multiple of the equality's defect, since it is zero at
-        every pivot column."""
-        return self.reduce(*self._vector(lit))
 
     def add(self, lit: LinearLiteral) -> bool:
         """Add the literal read as an equality; returns False, and leaves the
@@ -370,18 +362,13 @@ def conj_sat(eqs, neqs, extra_vars=()):
     disequalities' underlying equalities (finitely many proper affine
     subspaces cannot cover the solution space over Q).  Literals are used
     by position: each member of eqs is read as an equality and each member
-    of neqs as a disequality, whatever its polarity flag says.
+    of neqs as a disequality, whatever its polarity flag says.  Decided by
+    cnf_sat over one unit clause per literal, in that order: a search that
+    never branches visits the root and at most one node per literal.
     """
-    variables = set(extra_vars)
-    for lit in itertools.chain(eqs, neqs):
-        variables |= lit.variables()
-    state = (_EqSystem(variables), [])
-    for lit, positive in [(lit, True) for lit in eqs] + [(lit, False) for lit in neqs]:
-        state = _assume(state, lit, positive)
-        if state is None:
-            return None
-    system, avoid = state
-    return system.point_avoiding(avoid)
+    units = [(LinearLiteral(lit.coeffs, lit.const, True),) for lit in eqs]
+    units += [(LinearLiteral(lit.coeffs, lit.const, False),) for lit in neqs]
+    return cnf_sat(LinearCnf(units), extra_vars, budget=len(units) + 1)
 
 
 def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
@@ -548,15 +535,13 @@ def horn_solve(f: LinearCnf):
                 return False, None
             pending = True
 
-    # deduped; point_avoiding is linear in the number of equalities to dodge
-    avoid = {}
-    for clause in f.clauses:
-        for lit in clause:
-            if not lit.is_eq and not lit.is_trivial and lit not in avoid:
-                residual = system.residual(lit)
-                if not _is_zero(*residual):
-                    avoid[lit] = residual
-    point = system.point_avoiding(list(avoid.values()))
+    # the negated equalities to dodge, deduped: point_avoiding is linear in
+    # their number; _assume adds nothing for a trivial one and refuses an
+    # entailed one
+    state = (system, [])
+    for lit in dict.fromkeys(lit for clause in f.clauses for lit in clause if not lit.is_eq):
+        state = _assume(state, lit, False) or state
+    point = system.point_avoiding(state[1])
     assert f.holds(point)
     return True, point
 

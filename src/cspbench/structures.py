@@ -157,15 +157,14 @@ class FiniteStructure:
     """A finite relational structure over a Signature.
 
     Treated as immutable after construction; all operations in this package
-    return new structures.  Equality and hashing ignore the optional name
-    and the caches: the canonical form, the automorphisms canonical_form
-    found (maps as tuples, the identity left out) and relation projections.
+    return new structures.  Equality and hashing ignore the caches: the
+    canonical form, the automorphisms canonical_form found (maps as tuples,
+    the identity left out) and relation projections.
     """
 
-    __slots__ = ("sig", "n", "rel", "const", "name", "_canon", "_automorphisms",
-                 "_projections")
+    __slots__ = ("sig", "n", "rel", "const", "_canon", "_automorphisms", "_projections")
 
-    def __init__(self, sig: Signature, n: int, relations=None, constants=None, name=None):
+    def __init__(self, sig: Signature, n: int, relations=None, constants=None):
         if not is_int(n) or n < 1:
             raise ValueError(f"domain size must be a positive integer, got {n!r}")
         relations = dict(relations or {})
@@ -195,7 +194,6 @@ class FiniteStructure:
         self.n = n
         self.rel = rel
         self.const = const
-        self.name = name
         self._canon = self._automorphisms = self._projections = None
 
     @classmethod
@@ -205,7 +203,7 @@ class FiniteStructure:
         to a frozenset of tuples of the right length over range(n), and
         const each constant to an element."""
         s = cls.__new__(cls)
-        s.sig, s.n, s.rel, s.const, s.name = sig, n, rel, const, None
+        s.sig, s.n, s.rel, s.const = sig, n, rel, const
         s._canon = s._automorphisms = s._projections = None
         return s
 
@@ -227,26 +225,18 @@ class FiniteStructure:
     def total_tuples(self) -> int:
         return sum(len(ts) for ts in self.rel.values())
 
-    def key(self):
-        return (
-            self.sig,
-            self.n,
-            tuple((r, tuple(sorted(self.rel[r]))) for r, _ in self.sig.relations),
-            tuple(sorted(self.const.items())),
-        )
-
     def __eq__(self, other):
-        return isinstance(other, FiniteStructure) and self.key() == other.key()
+        return isinstance(other, FiniteStructure) and (
+            (self.sig, self.n, self.rel, self.const) == (other.sig, other.n, other.rel, other.const))
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.sig, self.n, frozenset(self.rel.items()), frozenset(self.const.items())))
 
     def __repr__(self):
-        label = self.name or "structure"
-        return f"<{label}: n={self.n}, {self.total_tuples()} tuples>"
+        return f"<structure: n={self.n}, {self.total_tuples()} tuples>"
 
     def relational_reduct(self) -> "FiniteStructure":
-        return FiniteStructure(self.sig.relational_part(), self.n, self.rel, {}, self.name)
+        return FiniteStructure._from_checked(self.sig.relational_part(), self.n, self.rel, {})
 
     # -- JSON structure file format (shared; owned here) --
 
@@ -265,7 +255,7 @@ class FiniteStructure:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json_dict(doc: dict, name=None) -> "FiniteStructure":
+    def from_json_dict(doc: dict) -> "FiniteStructure":
         if not isinstance(doc, dict):
             raise ValueError("structure document must be a JSON object")
         extra = set(doc) - {"signature", "domain", "relations", "constants"}
@@ -291,11 +281,11 @@ class FiniteStructure:
         if not isinstance(doc["constants"], dict):
             raise ValueError('"constants" must be an object of constant values')
         sig = Signature.make(sig_doc["relations"], sig_consts)
-        return FiniteStructure(sig, doc["domain"], relations, doc["constants"], name)
+        return FiniteStructure(sig, doc["domain"], relations, doc["constants"])
 
     @staticmethod
-    def from_json(text: str, name=None) -> "FiniteStructure":
-        return FiniteStructure.from_json_dict(json.loads(text), name)
+    def from_json(text: str) -> "FiniteStructure":
+        return FiniteStructure.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import io
 import itertools
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -395,10 +398,11 @@ def test_rewrite_ep_of_a_disjunction_nested_198_deep(files, capsys, tmp_path):
                          ids=lambda argv: "-".join(arg for arg in argv if "." not in arg))
 def test_negative_budget_is_an_argument_error(files, capsys, argv):
     argv = [files.get(arg, arg) for arg in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--budget", "-1"])
-    assert exc.value.code == 2
-    assert "error: argument --budget: must be at least 0, got -1" in capsys.readouterr().err
+    for value, message in (("-1", "must be at least 0, got -1"), ("abc", "invalid int value: 'abc'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", value])
+        assert exc.value.code == 2
+        assert f"error: argument --budget: {message}" in capsys.readouterr().err
     assert cli.build_parser().parse_args(argv + ["--budget", "0"]).budget == 0
 
 
@@ -490,6 +494,39 @@ def test_unexpected_exception_exits_2(files, capsys, monkeypatch, exc):
     code, out, err = run(capsys, "solve", files["k2.json"], files["edge.txt"])
     assert code == 2 and out == ""
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["--format", "machine", "analyze", "k2.json"],
+                                  ["analyze", "missing.json"]], ids=["output", "error"])
+def test_closed_stdout_and_stderr_exit_2(files, monkeypatch, argv):
+    # writing the report fails, and so does writing the error it raises: a
+    # closed pipe on both streams still exits 2, never 1
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    paths = dict(files, **{"missing.json": os.path.join(files["dir"], "missing.json")})
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+
+
+def test_deeply_nested_json_is_an_input_error(files, capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (["analyze", str(deep)], ["ppdef", files["k2.json"], str(deep)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {deep}: JSON nested too deeply to decode\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "rewrite-ep"])
+def test_p4_name_flag_is_refused(files, capsys, command):
+    # the P4 relation is always the one named P4
+    with pytest.raises(SystemExit) as exc:
+        main([command, files["p4.json"], files["disj.txt"], "--p4-name", "P4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --p4-name P4" in capsys.readouterr().err
 
 
 def test_json_booleans_rejected(files, capsys, tmp_path):

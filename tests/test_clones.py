@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 from cspbench import (
     FiniteStructure,
     OperationTable,
+    Relation,
     Signature,
     all_polymorphisms_essentially_unary,
     enumerate_homomorphisms,
@@ -15,9 +17,12 @@ from cspbench import (
     is_core,
     is_epc_finite,
     is_essentially_unary,
+    is_pp_definable,
     operation_preserves,
 )
-from cspbench.clones import EssentialityWitness
+from cspbench.clones import EssentialityWitness, preserves_relation
+from cspbench.duality import critical_obstructions
+from cspbench.structures import Homomorphism
 
 
 def op(n, k, fn):
@@ -214,6 +219,15 @@ def test_is_core_matches_the_embedding_definition():
         assert is_core(a)[0] == all(embeds(h) for h in oracles.brute_homs(a, a))
 
 
+def test_is_core_stops_at_the_first_non_injective_endomorphism():
+    # End(A) of nine isolated points has 9**9 maps, far more than the budget
+    # lets an enumeration keep, but the first, everything to 0, collapses
+    a = FiniteStructure(Signature.make({"E": 2}), 9)
+    verdict, cert = is_core(a)
+    assert verdict is False and cert.map == (0,) * 9 and cert.verify()
+    assert not is_epc_finite(a)
+
+
 def test_is_epc_equals_is_core():
     assert is_epc_finite(helpers.k2())
     assert not is_epc_finite(helpers.graph(3, [(0, 1)], symmetric=True))
@@ -222,3 +236,61 @@ def test_is_epc_equals_is_core():
     for _ in range(20):
         a = helpers.random_structure(rng, max_n=3)
         assert is_epc_finite(a) == is_core(a)[0]
+
+
+def _edge_plus_point_to_k2(**changes):
+    # the isolated point 2 is in no tuple, so only the range checks see it
+    a = helpers.graph(3, [(0, 1)], symmetric=True)
+    return replace(Homomorphism(a, helpers.k2(), (1, 0, 0)), **changes).verify()
+
+
+def _xor_witness(**changes):
+    xor = op(2, 2, lambda x, y: x ^ y)
+    witness = is_essentially_unary(xor)[1]  # coordinates 0 and 1
+    return replace(witness, **changes).verify(xor)
+
+
+def _k2_one_not_pp(**changes):
+    # {1} is not pp-definable in K2: the swap sends the row (1,) to (0,);
+    # a corruption that puts the identity in its place is consistent but
+    # for the one part changed
+    k2, r = helpers.k2(), Relation(1, [(1,)])
+    verdict, cert = is_pp_definable(k2, r)
+    return not verdict and replace(cert, **changes).verify(k2, r)
+
+
+def _k2_loop_obstruction(**changes):
+    k2 = helpers.k2()
+    return replace(critical_obstructions(k2, 1, 1)[0], **changes).verify(k2)
+
+
+K2_EDGES = {(0, 1), (1, 0)}
+IDENTITY = op(2, 1, lambda x: x)
+# each certificate checker: (a valid certificate's check, the same check on
+# a corrupted certificate that only the branch named rejects)
+CORRUPTIONS = {
+    "homomorphism-wrong-length": (_edge_plus_point_to_k2,
+                                  lambda: _edge_plus_point_to_k2(map=(1, 0))),
+    "homomorphism-value-out-of-range": (_edge_plus_point_to_k2,
+                                        lambda: _edge_plus_point_to_k2(map=(1, 0, 2))),
+    "relation-not-preserved": (lambda: preserves_relation(op(2, 1, lambda x: 1 - x), K2_EDGES, 2),
+                               lambda: preserves_relation(op(2, 1, lambda x: 0), K2_EDGES, 2)),
+    "operation-wrong-domain": (lambda: operation_preserves(op(2, 1, lambda x: 1 - x), helpers.k2()),
+                               lambda: operation_preserves(op(3, 1, lambda x: x), helpers.k2())),
+    "witness-empty-coordinates": (_xor_witness, lambda: _xor_witness(x_coords=())),
+    # the y pair changes coordinate 0 as the x pair does, and coordinate 1 not at all
+    "witness-overlapping-coordinates": (_xor_witness, lambda: _xor_witness(
+        y_coords=(0, 1), y_base=(0, 0), y_other=(1, 0))),
+    "pp-violating-tuple-in-relation": (_k2_one_not_pp, lambda: _k2_one_not_pp(
+        violating_operation=IDENTITY, violating_tuple=(1,))),
+    "pp-input-row-outside-relation": (_k2_one_not_pp, lambda: _k2_one_not_pp(
+        violating_operation=IDENTITY, input_rows=((0,),))),
+    "obstruction-that-maps": (_k2_loop_obstruction,
+                              lambda: _k2_loop_obstruction(structure=helpers.graph(2, [(0, 1)]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_certificate_checkers_reject_corruptions(name):
+    valid, corrupt = CORRUPTIONS[name]
+    assert valid() and not corrupt()

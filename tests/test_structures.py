@@ -481,6 +481,23 @@ def test_json_round_trip():
     assert FiniteStructure.from_json(s.to_json()) == s
 
 
+def test_equal_structures_hash_equal():
+    sig = Signature.make({"E": 2, "U": 1}, constants=["c"])
+    edges = [(0, 1), (1, 2), (2, 0), (1, 1)]
+    a = FiniteStructure(sig, 3, {"E": edges, "U": [(2,), (0,)]}, {"c": 1})
+    b = FiniteStructure(sig, 3, {"U": [(0,), (2,)], "E": edges[::-1]}, {"c": 1})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for other in (FiniteStructure(sig, 3, {"E": edges[1:], "U": [(2,), (0,)]}, {"c": 1}),
+                  FiniteStructure(sig, 3, {"E": edges, "U": [(2,), (0,)]}, {"c": 0}),
+                  FiniteStructure(sig, 4, {"E": edges, "U": [(2,), (0,)]}, {"c": 1}),
+                  a.relational_reduct()):
+        assert other != a and len({a, other}) == 2
+    # the caches a canonical form fills take no part
+    canonical_form(a)
+    copy = FiniteStructure.from_json(a.to_json())
+    assert copy == a and hash(copy) == hash(a) and copy._canon is None
+
+
 def test_json_rejects_unknown_fields():
     doc = helpers.k2().to_json_dict()
     doc["comment"] = "nope"
