@@ -46,6 +46,13 @@ class OperationTable:
         if not all(is_int(v) and 0 <= v < self.n for v in self.values):
             raise ValueError("table values must lie in the domain")
 
+    @classmethod
+    def _from_checked(cls, n: int, k: int, values: tuple) -> "OperationTable":
+        """An unchecked table, read off a search from n**k into n elements."""
+        f = cls.__new__(cls)
+        f.__dict__.update(n=n, k=k, values=values)
+        return f
+
     def apply(self, args) -> int:
         return self.values[encode_tuple(args, self.n)]
 
@@ -125,7 +132,8 @@ def operation_preserves(f: OperationTable, a: FiniteStructure) -> bool:
 def enumerate_polymorphisms(a: FiniteStructure, k: int, budget: int = DEFAULT_BUDGET):
     """All k-ary polymorphisms of a, i.e. Hom(power(a, k), a), in canonical order."""
     pw = power(a, k, budget=budget)
-    return [OperationTable(a.n, k, h.map) for h in enumerate_homomorphisms(pw, a, budget=budget)]
+    return [OperationTable._from_checked(a.n, k, h.map)
+            for h in enumerate_homomorphisms(pw, a, budget=budget)]
 
 
 def _essential_coordinates(f: OperationTable):

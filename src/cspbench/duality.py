@@ -8,21 +8,11 @@ properly contains another obstruction, and its tuples all live in one
 connected component, so enumeration grows connected structures only,
 through the homomorphic ones: it starts from one vertex and no tuples,
 and each step adds one tuple that contains an existing vertex (its other
-entries may be new vertices).  A state is an isomorphism class of
-connected structures mapping to the template, and every extension that
-stops mapping is tested for criticality.  The growth is complete: in a
-spanning tree of a connected structure's tuples (two tuples adjacent when
-they share a vertex), deleting a leaf tuple and the vertices only it uses
+entries may be new vertices).  The growth is complete: in a spanning
+tree of a connected structure's tuples (two tuples adjacent when they
+share a vertex), deleting a leaf tuple and the vertices only it uses
 leaves a connected structure that the leaf touches, and that structure
-maps to the template whenever the whole one maps or is critical.  Each
-isomorphism class is decided once per level: the level remembers every
-class key it decided, so a repeat skips both its homomorphism search and
-its criticality check.  Two prunings also skip canonical forms.  An
-extension by a tuple that an automorphism of the parent, fixing the new
-vertices, maps to a lexicographically smaller tuple repeats the class of
-that earlier extension (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  At the last level, an extension whose carried maps
-are nonempty maps, and no frontier follows, so its class is not needed.
+maps to the template whenever the whole one maps or is critical.
 
 Each frontier class carries homomorphisms to the template, in
 lexicographic order and at most _MAX_CARRIED_MAPS of them; the root
@@ -31,17 +21,32 @@ parent's, each extended by every assignment of the new vertices and kept
 when they send the added tuple into the template.  When the parent's
 list is complete (no map was ever cut off at the cap), the result is all
 of them, so an empty result means the extension does not map, without a
-search.  Only an empty result from an incomplete list runs a first-only
-homomorphism search; a map it finds starts a new, incomplete list.  The
-cap keeps memory and filtering time bounded: Hom(s, T) grows
-exponentially with the vertices of s on templates with many tuples.  A
-criticality check skips the newest tuple, because deleting it leaves the
-parent with isolated vertices, which maps.  The budget bounds each
-search the sweep runs, fallbacks and criticality checks alike; filtering
-carried maps runs no search and is not counted.  Since the sweep runs a
-subset of the searches and canonical forms it would run without carried
-maps and prunings, they can remove a budget or leaf-cap overrun but
-never add one.
+search.  The cap keeps memory and filtering time bounded: Hom(s, T)
+grows exponentially with the vertices of s on templates with many tuples.
+
+Each extension is decided cheapest first.  At the last level, one with
+carried maps is dropped: it maps, and no frontier follows.  One with
+carried maps or an empty cut-off list is canonized and deduplicated in the
+level's set of class keys, and a cut-off list runs a first-only search,
+whose map starts a new, incomplete list; so each frontier class is
+canonized once and keeps its automorphisms.  A frontier class also carries
+its parent's maps when they are complete.  Deleting the parent's newest
+tuple from an extension leaves the grandparent plus the added tuple, so
+when none of those maps extends over it, an extension that does not map is
+not critical, with no search.  Else the criticality check decides; it
+skips the newest tuple, whose deletion leaves the parent with isolated
+vertices, which maps.  Only a critical extension is canonized and
+deduplicated: criticality is an isomorphism invariant, so each class keeps
+its first critical extension in generation order.  An extension by a tuple
+that an automorphism of the parent, fixing the new vertices, maps to a
+lexicographically smaller tuple repeats that earlier class and is not
+generated (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998).  The budget bounds each search, fallbacks and criticality checks
+alike; filtering maps runs none.  The plain sweep, with no carried maps,
+prunings or class keys, searches and canonizes every extension and checks
+each that does not map; this one runs a subset of its searches and
+canonical forms, so it can remove a budget or leaf-cap overrun but never
+add one.
 
 A homomorphism from the one-tolerant k-th power to the template is a
 k-ary 1-tolerant polymorphism.  Finding one of arity n+1 certifies that
@@ -129,7 +134,7 @@ def has_one_tolerant_polymorphism(a: FiniteStructure, k: int,
     operation table, or None (the search is exhaustive)."""
     otp = one_tolerant_power(a, k, budget=budget)
     h = find_homomorphism(otp, a, budget=budget)
-    return OperationTable(a.n, k, h.map) if h is not None else None
+    return OperationTable._from_checked(a.n, k, h.map) if h is not None else None
 
 
 def _extensions(s: FiniteStructure, max_vertices: int):
@@ -176,6 +181,15 @@ def _carried_maps(maps, complete: bool, fresh: int, template: FiniteStructure, r
     return out, complete
 
 
+def _critical(ext, template, budget: int, rname, tup, up_maps) -> bool:
+    """Criticality of ext, an extension by tup with no map: False with no
+    search when no map in up_maps, all of the grandparent's, extends over tup."""
+    if up_maps is not None and _carried_maps(up_maps, True, ext.n - len(up_maps[0]), template,
+                                             rname, tup) == ([], True):
+        return False
+    return _weakenings_map(ext, template, budget, (rname, tup))
+
+
 def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int,
                           budget: int = DEFAULT_BUDGET):
     """All critical obstructions with at most max_vertices vertices and
@@ -190,20 +204,23 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
         raise ValueError("enumeration bounds must be positive")
 
     found = []
-    # (structure, carried maps, complete); the root maps to every element
+    # (structure, carried maps, complete, parent's maps if complete); the root has no parent
     frontier = [(FiniteStructure(template.sig, 1),
                  [(v,) for v in range(min(template.n, _MAX_CARRIED_MAPS))],
-                 template.n <= _MAX_CARRIED_MAPS)]
+                 template.n <= _MAX_CARRIED_MAPS, None)]
     for level in range(1, max_tuples + 1):
         next_frontier = []
-        seen = set()  # keys decided at this level; a key fixes its tuple count
-        for s, maps, complete in frontier:
+        seen = set()  # keys canonized at this level; a key fixes its tuple count
+        for s, maps, complete, up_maps in frontier:
             for rname, tup, n in _extensions(s, max_vertices):
                 ext_maps, ext_complete = _carried_maps(maps, complete, n - s.n,
                                                        template, rname, tup)
                 if ext_maps and level == max_tuples:
                     continue  # it maps, and no frontier follows
                 ext = _add_tuple(s, rname, tup, n)
+                if not ext_maps and ext_complete and not _critical(ext, template, budget,
+                                                                   rname, tup, up_maps):
+                    continue  # it does not map, and it is not critical
                 key = canonical_form(ext)
                 if key in seen:
                     continue
@@ -213,13 +230,12 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
                     if h is not None:
                         ext_maps = [h.map]
                 if ext_maps:
-                    next_frontier.append((ext, ext_maps, ext_complete))
-                elif _weakenings_map(ext, template, budget, (rname, tup)):
-                    found.append(Obstruction(ext, ext.total_tuples()))
+                    next_frontier.append((ext, ext_maps, ext_complete, maps if complete else None))
+                elif ext_complete or _critical(ext, template, budget, rname, tup, up_maps):
+                    found.append(Obstruction(ext, ext.total_tuples()))  # complete: checked above
         frontier = next_frontier
 
-    out = sorted(found, key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))
-    return out
+    return sorted(found, key=lambda o: (o.hyperedges, o.structure.n, canonical_form(o.structure)))
 
 
 def obstruction_set_decides(obstructions, instance: FiniteStructure,

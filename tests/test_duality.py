@@ -219,17 +219,137 @@ def _spy_on_sweep(monkeypatch):
     return searched, checked, canonized
 
 
-def test_sweep_decides_each_class_once(monkeypatch):
+def _spy_on_decisions(monkeypatch):
+    """Record what the sweep builds and how it decides criticality: built
+    maps id(ext) to (parent, rname, tup, ext, (carried maps, complete)) for
+    each extension, decided lists (ext, the maps handed down from its
+    parent's parent or None, the verdict) for each criticality decision,
+    and refuted the extensions among them whose grandparent filter found no
+    map."""
+    built, decided, refuted, carried, deciding = {}, [], [], [], []
+    add_tuple, carry, critical = duality._add_tuple, duality._carried_maps, duality._critical
+
+    def spying_carry(*args):
+        result = carry(*args)
+        if not deciding:
+            carried.append(result)
+        elif result == ([], True):
+            refuted.append(deciding[-1])
+        return result
+
+    def spying_add_tuple(s, rname, tup, n):
+        ext = add_tuple(s, rname, tup, n)
+        built[id(ext)] = (s, rname, tup, ext, carried[-1])
+        return ext
+
+    def spying_critical(ext, template, budget, rname, tup, up_maps):
+        deciding.append(ext)
+        try:
+            verdict = critical(ext, template, budget, rname, tup, up_maps)
+        finally:
+            deciding.pop()
+        decided.append((ext, up_maps, verdict))
+        return verdict
+
+    monkeypatch.setattr(duality, "_carried_maps", spying_carry)
+    monkeypatch.setattr(duality, "_add_tuple", spying_add_tuple)
+    monkeypatch.setattr(duality, "_critical", spying_critical)
+    return built, decided, refuted
+
+
+def _is_critical(s, template):
+    return not oracles.brute_homs(s, template) and all(
+        oracles.brute_homs(duality._delete_tuple(s, rname, tup), template)
+        for rname, tup in duality._all_tuples(s))
+
+
+def test_sweep_canonizes_only_what_it_keeps(monkeypatch):
     """On K2 every connected structure that maps has at most two maps, so
     the carried maps decide every extension: the sweep runs no search
-    outside criticality checks, and checks each class at most once."""
-    searched, checked, _ = _spy_on_sweep(monkeypatch)
+    outside criticality checks.  It canonizes an extension only when it
+    maps, when its carried maps were cut off, or when it is critical; it
+    reports each class once; and it checks no extension for criticality
+    that the grandparent filter refuted."""
+    searched, checked, canonized = _spy_on_sweep(monkeypatch)
+    built, _, refuted = _spy_on_decisions(monkeypatch)
     obs = critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
+    monkeypatch.undo()
     assert len(obs) == 7
     assert searched == []
-    checked = [canonical_form(s) for s in checked]
-    assert checked
-    assert len(set(checked)) == len(checked)
+    k2 = helpers.k2()
+    swept = [s for s in canonized if id(s) in built]  # not the final sort
+    assert swept
+    for s in swept:
+        _, _, _, _, (_, complete) = built[id(s)]
+        assert oracles.brute_homs(s, k2) or not complete or _is_critical(s, k2)
+    keys = [canonical_form(o.structure) for o in obs]
+    assert len(set(keys)) == len(keys)
+    assert refuted
+    assert not {id(s) for s in refuted} & {id(s) for s in checked}
+
+
+def _k2u_relabelled(seed=26):
+    """K2 with U = {1}, its elements relabelled by a seeded permutation."""
+    perm = [0, 1]
+    random.Random(seed).shuffle(perm)
+    return FiniteStructure(Signature.make({"E": 2, "U": 1}), 2,
+                           {"E": [(0, 1), (1, 0)], "U": [(perm[1],)]})
+
+
+@pytest.mark.parametrize("make, max_vertices, max_tuples", [
+    (helpers.k2, 6, 6),
+    (helpers.nae, 4, 4),
+    (_k2u_relabelled, 4, 5),
+], ids=["K2", "NAE", "K2 and U relabelled"])
+def test_grandparent_refutations_are_sound(monkeypatch, make, max_vertices, max_tuples):
+    """Every extension that the grandparent filter refutes stops mapping
+    when its parent's newest tuple is deleted, so it is not critical, and
+    no criticality check runs on it."""
+    a = make()
+    template = a.relational_reduct()
+    _, checked, _ = _spy_on_sweep(monkeypatch)
+    built, decided, refuted = _spy_on_decisions(monkeypatch)
+    critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
+    monkeypatch.undo()
+    checked = {id(s) for s in checked}
+    skipped = [ext for ext, _, verdict in decided if not verdict and id(ext) not in checked]
+    assert skipped
+    assert [id(s) for s in skipped] == [id(s) for s in refuted]
+    for ext in skipped:
+        parent = built[id(ext)][0]
+        _, rname, tup, _, _ = built[id(parent)]
+        assert find_homomorphism(duality._delete_tuple(ext, rname, tup), template) is None
+
+
+def test_sweep_checks_criticality_below_cut_off_lists(monkeypatch):
+    """On K3 and C5 at 5/5 some frontier lists are cut off at
+    _MAX_CARRIED_MAPS, and an extension whose grandparent's list was cut
+    off is not refuted by it: the criticality check still runs."""
+    for a in (helpers.k3(), helpers.cycle(5)):
+        _, checked, _ = _spy_on_sweep(monkeypatch)
+        built, decided, refuted = _spy_on_decisions(monkeypatch)
+        critical_obstructions(a, max_vertices=5, max_tuples=5)
+        monkeypatch.undo()
+        blind = [ext for ext, up_maps, _ in decided
+                 if up_maps is None and id(built[id(ext)][0]) in built]
+        assert blind
+        checked = {id(s) for s in checked}
+        assert all(id(ext) in checked for ext in blind)
+        assert not {id(s) for s in refuted} & checked
+
+
+def test_sweep_counts_on_k2(monkeypatch):
+    """K2 at 6/6: the sweep's canonical forms, criticality checks and
+    homomorphism searches (those inside criticality checks included), each
+    no more than before the grandparent filter: 3,099, 1,574 and 2,046."""
+    counts = dict.fromkeys(["canonical_form", "_weakenings_map", "find_homomorphism"], 0)
+    for name in counts:
+        def counting(*args, _call=getattr(duality, name), _name=name, **kw):
+            counts[_name] += 1
+            return _call(*args, **kw)
+        monkeypatch.setattr(duality, name, counting)
+    assert len(critical_obstructions(helpers.k2(), max_vertices=6, max_tuples=6)) == 7
+    assert counts == {"canonical_form": 633, "_weakenings_map": 532, "find_homomorphism": 843}
 
 
 def test_sweep_searches_connected_structures_only(monkeypatch):
@@ -265,53 +385,39 @@ def _full_edge_with_u():
                            {"E": itertools.product(range(3), repeat=2), "U": [(2,)]})
 
 
-@pytest.mark.parametrize("make, max_vertices, max_tuples, finds, calls, parent_calls", [
-    (helpers.k2, 5, 5, False, 549, 1112),
-    (helpers.k3, 5, 5, False, 403, 1323),
-    (_full_edge_with_u, 4, 4, True, 129, 571),
+@pytest.mark.parametrize("make, max_vertices, max_tuples, finds, calls, before, parent_calls", [
+    (helpers.k2, 5, 5, False, 147, 549, 1112),
+    (helpers.k3, 5, 5, False, 346, 403, 1323),
+    (_full_edge_with_u, 4, 4, True, 129, 129, 571),
 ], ids=["K2", "K3", "full edge and U"])
 def test_sweep_canonizes_one_extension_per_orbit(monkeypatch, make, max_vertices, max_tuples,
-                                                 finds, calls, parent_calls):
+                                                 finds, calls, before, parent_calls):
     """The sweep canonizes no last-level extension whose carried maps show
     that it maps, and no two extensions of one parent that an automorphism
     of the parent, fixing the new vertices, carries onto each other.  A
     canonized last-level extension maps only where a cut-off list of
     carried maps came out empty (finds, on the full edge relation with U).  calls
     counts every canonical_form call of the sweep, the final sort's
-    included; parent_calls is the count before either pruning."""
+    included; before is the count when every extension not pruned was
+    canonized before its criticality check, and parent_calls the count
+    before either pruning."""
     a = make()
     template = a.relational_reduct()
-    built, canonized, carried = {}, [], []
-    add_tuple, canonize, carry = duality._add_tuple, duality.canonical_form, duality._carried_maps
-
-    def spying_carry(*args):
-        carried.append(carry(*args))
-        return carried[-1]
-
-    def spying_add_tuple(s, rname, tup, n):
-        ext = add_tuple(s, rname, tup, n)
-        built[id(ext)] = (s, rname, tup, n, ext, carried[-1][0])
-        return ext
-
-    def spying_canonize(s):
-        canonized.append(s)
-        return canonize(s)
-
-    monkeypatch.setattr(duality, "_carried_maps", spying_carry)
-    monkeypatch.setattr(duality, "_add_tuple", spying_add_tuple)
-    monkeypatch.setattr(duality, "canonical_form", spying_canonize)
+    built, _, _ = _spy_on_decisions(monkeypatch)
+    _, _, canonized = _spy_on_sweep(monkeypatch)
     obs = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
-    assert len(canonized) == calls < parent_calls
+    monkeypatch.undo()
+    assert len(canonized) == calls <= before < parent_calls
     by_parent, fallbacks = {}, 0
     for s in canonized:
         if id(s) not in built:
             assert any(s is o.structure for o in obs)  # the final sort
             continue
-        parent, rname, tup, n, ext, maps = built[id(s)]
+        parent, rname, tup, ext, (maps, _) = built[id(s)]
         if ext.total_tuples() == max_tuples:
             assert maps == []
             fallbacks += find_homomorphism(ext, template) is not None
-        by_parent.setdefault(id(parent), (parent, []))[1].append((rname, tup, n))
+        by_parent.setdefault(id(parent), (parent, []))[1].append((rname, tup, ext.n))
     for parent, added in by_parent.values():
         for g in oracles.brute_automorphisms(parent):
             for rname, tup, n in added:
