@@ -90,10 +90,11 @@ class LinearLiteral:
 
     @staticmethod
     def make(coeffs: dict, const, is_eq: bool = True) -> "LinearLiteral":
-        items = sorted([(v, f) for v, c in coeffs.items() if (f := Fraction(c)) != 0])
-        const = Fraction(const)
-        if items:
-            lead = items[0][1]
+        items = sorted([(v, f) for v, c in coeffs.items()
+                        if (f := c if isinstance(c, Fraction) else Fraction(c)) != 0])
+        if not isinstance(const, Fraction):
+            const = Fraction(const)
+        if items and (lead := items[0][1]) != 1:
             items = [(v, c / lead) for v, c in items]
             const = const / lead
         return LinearLiteral(tuple(items), const, is_eq)
@@ -419,7 +420,11 @@ def make_irreducible(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> Linea
     in C is removed when (F minus C) and L and not(C minus L) is
     unsatisfiable.  The scan is clause-major, literal-minor, restarted
     after every change; the output is equivalent to the input, which is
-    re-verified by mutual entailment before returning.
+    re-verified by mutual entailment before returning.  A clause that
+    contains every literal of some clause on the other side is entailed
+    by it (literals are normalized, so they compare exactly), so an
+    _entails search proves only a clause with no such subset: at most
+    the clauses the transform changed.
     """
     clauses = [list(c) for c in f.clauses]
     changed = True
@@ -443,8 +448,11 @@ def make_irreducible(f: LinearCnf, budget: int = DEFAULT_BRANCH_BUDGET) -> Linea
 
     out = LinearCnf([tuple(c) for c in clauses])
     for src, dst in ((f, out), (out, f)):
-        if not all(_entails(src.clauses, clause, budget) for clause in dst.clauses):
-            raise AssertionError("irreducibility transform changed the CNF's meaning")
+        subsumers = [frozenset(c) for c in src.clauses]
+        for clause in dst.clauses:
+            lits = frozenset(clause)
+            if not (any(s <= lits for s in subsumers) or _entails(src.clauses, clause, budget)):
+                raise AssertionError("irreducibility transform changed the CNF's meaning")
     return out
 
 
@@ -578,13 +586,16 @@ def _bad_rational(token: str, lineno: int, reason: str) -> CnfError:
     return CnfError(f"line {lineno}: bad rational {shown}: {reason}")
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     """['-'] digits ['/' digits]; Fraction(token) would also expand 1e5000000."""
-    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", token)
+    m = _RATIONAL.fullmatch(token)
     if m is None:
         raise _bad_rational(token, lineno, "expected ['-'] digits ['/' digits]")
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
+        return Fraction(int(m[1])) if m[2] is None else Fraction(int(m[1]), int(m[2]))
     except ValueError:  # int() refuses more digits than the interpreter's limit
         raise _bad_rational(token, lineno, f"more than {sys.get_int_max_str_digits()} "
                                            "digits") from None
@@ -613,7 +624,7 @@ def _parse_literal(text: str, lineno: int) -> LinearLiteral:
                 ch.isalnum() or ch == "_" for ch in var):
             raise CnfError(f"line {lineno}: bad variable name {var!r}")
         c = _parse_rational(coef.strip(), lineno)
-        coeffs[var] = coeffs.get(var, Fraction(0)) + c
+        coeffs[var] = coeffs[var] + c if var in coeffs else c
     return LinearLiteral.make(coeffs, const, is_eq)
 
 

@@ -159,6 +159,15 @@ def random_horn_cnf(rng, max_vars=6, max_clauses=8, max_literals=3):
     return LinearCnf(clauses)
 
 
+def chain_cnf(n: int) -> str:
+    """The n-clause chain family as CNF text: x0 = 0, then n - 2 links
+    (x_i = 0 and y_i = i mod 3) -> x_{i+1} = 0, then the entailed clause
+    x0 = 0 -> x_{n-2} = 0.  Its irreducible form is Horn, with n - 1
+    clauses."""
+    links = [f"~1*x{i} = 0 | 1*x{i + 1} = 0 | ~1*y{i} = {i % 3}" for i in range(n - 2)]
+    return "\n".join(["1*x0 = 0", *links, f"~1*x0 = 0 | 1*x{n - 2} = 0"])
+
+
 def random_satisfying_point(rng, f, tries=40):
     """A satisfying rational point of a CNF, varied by pinning variables to
     random small values; None when the sampler gives up."""

@@ -258,6 +258,14 @@ def test_horn_commands(files, capsys):
     assert code == 0 and "satisfiable" in out
 
 
+def test_horn_classify_ends_on_the_chain_family(capsys, tmp_path):
+    # the 18-clause chain once overran the default branching budget
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text(helpers.chain_cnf(18))
+    code, out, _ = run(capsys, "--format", "machine", "horn", "classify", str(cnf))
+    assert code == 0 and json.loads(out)["horn"] is True
+
+
 def test_horn_solve_reads_literals_without_variables(capsys, tmp_path):
     cnf = tmp_path / "trivial.cnf"
     # 0 = 1 can never hold: the clause is a conflict

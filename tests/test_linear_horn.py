@@ -236,6 +236,53 @@ def test_make_irreducible_equivalence_random():
             assert irr.holds(p)
 
 
+def _entails_spy(monkeypatch, lie_about=None):
+    """Record every linear_horn._entails call; answer the first question
+    about the clause lie_about (a list of literals) wrongly."""
+    calls, real = [], linear_horn._entails
+
+    def spy(clauses, clause, budget):
+        calls.append(list(clause))
+        answer = real(clauses, clause, budget)
+        return not answer if calls[-1] == lie_about and calls.count(lie_about) == 1 else answer
+
+    monkeypatch.setattr(linear_horn, "_entails", spy)
+    return calls
+
+
+def test_make_irreducible_postcondition_rejects_wrong_transforms(monkeypatch):
+    # a clause question: x = 0 is not entailed by y = 0, yet the scan is
+    # told it is and deletes it
+    f = parse_cnf("1*x = 0\n1*y = 0")
+    _entails_spy(monkeypatch, lie_about=list(f.clauses[0]))
+    with pytest.raises(AssertionError, match="changed the CNF's meaning"):
+        make_irreducible(f)
+    # a literal question: x = 0 is not redundant in x = 0 | y = 0, yet the
+    # scan is told it is and deletes it
+    g = parse_cnf("1*x = 0 | 1*y = 0")
+    x, y = g.clauses[0]
+    _entails_spy(monkeypatch, lie_about=[x.negate(), y])
+    with pytest.raises(AssertionError, match="changed the CNF's meaning"):
+        make_irreducible(g)
+
+
+def test_make_irreducible_postcondition_searches_only_changed_clauses(monkeypatch):
+    # on an irreducible CNF the scan asks one question per clause and one
+    # per literal, and the postcondition proves every clause by subsumption
+    rng = random.Random(109)
+    for f in [parse_cnf(helpers.chain_cnf(10))] + [helpers.random_cnf(rng) for _ in range(20)]:
+        irr = make_irreducible(f)
+        calls = _entails_spy(monkeypatch)
+        assert make_irreducible(irr) == irr
+        assert len(calls) == sum(1 + len(clause) for clause in irr.clauses)
+        monkeypatch.undo()
+
+
+def test_classify_horn_chain_within_default_budget():
+    v = classify_horn(parse_cnf(helpers.chain_cnf(34)))
+    assert v.is_horn and len(v.irreducible.clauses) == 33
+
+
 def test_classify_horn_p4_clause():
     v = classify_horn(parse_cnf("1*x + -1*y = 0 | 1*u + -1*v = 0"))
     assert not v.is_horn and v.complexity == "CSP NP-complete"
@@ -356,6 +403,54 @@ def test_horn_preservation_random():
                 point.setdefault(v, Fr(0))
         assert check_mix_preservation(f, p, q)
         done += 1
+
+
+def _reference_parse_literal(text):
+    """The literal normalization of the original parser: every coefficient
+    and the constant through Fraction, a repeated variable summed onto
+    Fraction(0), every coefficient divided by the lead one."""
+    is_eq = not text.startswith("~")
+    lhs, rhs = text.lstrip("~").split("=")
+    coeffs = {}
+    for term in lhs.split("+"):
+        coef, var = term.split("*")
+        num, _, den = coef.strip().partition("/")
+        coeffs[var.strip()] = coeffs.get(var.strip(), Fr(0)) + Fr(int(num), int(den or 1))
+    num, _, den = rhs.strip().partition("/")
+    items = sorted([(v, Fr(c)) for v, c in coeffs.items() if Fr(c) != 0])
+    const = Fr(Fr(int(num), int(den or 1)))
+    if items:
+        lead = items[0][1]
+        items = [(v, c / lead) for v, c in items]
+        const = const / lead
+    return L(tuple(items), const, is_eq)
+
+
+def test_parse_cnf_matches_reference_normalization_random():
+    rng = random.Random(113)
+
+    def rational():
+        num = rng.choice(["0", "-0", "1", "-1", "1", str(rng.randint(-12, 12))])
+        return num if rng.random() < 0.5 else f"{num}/{rng.randint(1, 6)}"
+
+    for _ in range(300):
+        clauses = []
+        for _ in range(rng.randint(1, 3)):
+            lits = []
+            for _ in range(rng.randint(1, 3)):
+                terms = [(rational(), rng.choice(["x", "y", "z", "_w1"]))
+                         for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.3:  # a term that cancels an earlier one
+                    coef, var = rng.choice(terms)
+                    terms.append((coef[1:] if coef.startswith("-") else "-" + coef, var))
+                lhs = " + ".join(f"{coef}*{var}" for coef, var in terms)
+                lits.append(f"{rng.choice(['', '~'])}{lhs} = {rational()}")
+            clauses.append(lits)
+        f = parse_cnf("\n".join(" | ".join(lits) for lits in clauses))
+        assert f == LinearCnf([[_reference_parse_literal(lit) for lit in lits]
+                               for lits in clauses])
+        for lit in (lit for clause in f.clauses for lit in clause):
+            assert type(lit.const) is Fr and all(type(c) is Fr for _, c in lit.coeffs)
 
 
 def test_parse_cnf_round_trip_and_errors():
