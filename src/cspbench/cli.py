@@ -375,7 +375,7 @@ def _at_least(low: int):
 
 def _budget_flag(p):
     p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
-                   help="candidate-assignment budget per search")
+                   help="candidate assignments per search; disjunct branches per ep sentence")
 
 
 @functools.cache

@@ -94,8 +94,6 @@ class EssentialityWitness:
     y_other: tuple[int, ...]
 
     def verify(self, f: OperationTable) -> bool:
-        if not self.x_coords or not self.y_coords:
-            return False
         if set(self.x_coords) & set(self.y_coords):
             return False
 

@@ -15,13 +15,13 @@ reads each formula once and asks the walk, never a walker of its own, so
 a certificate with thousands of atoms is traversed once per use.
 
 Evaluation of a pp formula reduces to homomorphism search from its
-canonical database (equalities merged by union-find); ep formulas are
-evaluated by structural recursion with quantifiers ranging over the
-domain, each assignment of a quantifier block counted against the
-budget.  One renaming walk, _rename, serves disjunction elimination both
-for replacing free names and for giving every quantifier fresh variables,
-and separates the variables of a pp formula that quantifies a name twice
-before its canonical database is built.
+canonical database (equalities merged by union-find); an ep formula holds
+when one disjunct of its disjunctive normal form does, and _ep_search
+decides each branch of its disjunctions by one such search, each branch
+one step of the budget.  One renaming walk, _rename, serves disjunction
+elimination both for replacing free names and for giving every
+quantifier fresh variables, and separates the variables of a formula
+that quantifies a name twice before its databases are built.
 
 Sentence text grammar (used by the CLI; '#' starts a comment)::
 
@@ -42,15 +42,17 @@ nested more than MAX_NESTING deep.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
 
 from .structures import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     FiniteStructure,
     Signature,
-    budget_meter,
+    _images,
     find_homomorphism,
     is_int,
 )
@@ -323,8 +325,14 @@ def canonical_structure(phi, sig: Signature, walk: _Walk | None = None):
     _check_symbols(walk)
     if not walk.clean:
         walk = _walk(_rename(phi, {}, _apart_names(walk, sig.constants)))
+    return _database(sig, walk.names, walk.atoms, walk.equalities)
 
-    nodes = sorted(walk.names.difference(sig.constants)) + list(sig.constants)
+
+def _database(sig: Signature, names: set, atoms, equalities):
+    """The database of names (constants aside) and the constants of sig,
+    equalities merged by union-find, with one tuple per atom: (structure,
+    name -> element map)."""
+    nodes = sorted(names.difference(sig.constants)) + list(sig.constants)
     if not nodes:
         raise FormulaError("a formula without names or constants has no canonical database")
     parent = {x: x for x in nodes}
@@ -335,7 +343,7 @@ def canonical_structure(phi, sig: Signature, walk: _Walk | None = None):
             x = parent[x]
         return x
 
-    for eq in walk.equalities:
+    for eq in equalities:
         rx, ry = find(eq.left), find(eq.right)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
@@ -343,7 +351,7 @@ def canonical_structure(phi, sig: Signature, walk: _Walk | None = None):
     rank = {r: i for i, r in enumerate(sorted({find(x) for x in nodes}))}
     elem = {x: rank[find(x)] for x in nodes}
     relations = {rname: set() for rname, _ in sig.relations}
-    for atom in walk.atoms:
+    for atom in atoms:
         relations[atom.rel].add(tuple([elem[x] for x in atom.args]))
     db = FiniteStructure._from_checked(
         sig, len(rank), {rname: frozenset(ts) for rname, ts in relations.items()},
@@ -354,43 +362,8 @@ def canonical_structure(phi, sig: Signature, walk: _Walk | None = None):
 # -- evaluation --
 
 
-def _resolve(name, a, env):
-    if name in a.const:
-        return a.const[name]
-    if name in env:
-        return env[name]
-    raise FormulaError(f"unbound free variable {name!r}")
-
-
-def _assignment_meter(budget: int):
-    return budget_meter(budget, f"ep evaluation exceeded budget of {budget} quantifier assignments")
-
-
-def _eval_rec(phi, a, env, step):
-    """Truth of phi in a under env by structural recursion; step (see
-    budget_meter) is called once per quantifier assignment tried."""
-    if isinstance(phi, Atom):
-        return tuple(_resolve(x, a, env) for x in phi.args) in a.rel[phi.rel]
-    if isinstance(phi, Eq):
-        return _resolve(phi.left, a, env) == _resolve(phi.right, a, env)
-    if isinstance(phi, And):
-        return all(_eval_rec(p, a, env, step) for p in phi.parts)
-    if isinstance(phi, Or):
-        return any(_eval_rec(p, a, env, step) for p in phi.parts)
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Exists):
-        for values in itertools.product(range(a.n), repeat=len(phi.vars)):
-            step()
-            inner = dict(env)
-            inner.update(zip(phi.vars, values))
-            if _eval_rec(phi.body, a, inner, step):
-                return True
-        return False
-    raise FormulaError(f"not a formula node: {phi!r}")
-
-
 def _checked_env(a: FiniteStructure, free: set, assignment) -> dict:
+    """The assignment's values of the free names, every value checked."""
     env = dict(assignment or {})
     missing = free - set(env)
     if missing:
@@ -398,39 +371,98 @@ def _checked_env(a: FiniteStructure, free: set, assignment) -> dict:
     for v, value in env.items():
         if not (is_int(value) and 0 <= value < a.n):
             raise FormulaError(f"assignment value {v}={value!r} outside the domain")
-    return env
+    return {v: env[v] for v in free}
+
+
+def _pinned_search(a: FiniteStructure, db, elem, env: dict, budget: int):
+    """The lexicographically least homomorphism db -> a sending each name of
+    env to its value, or None (also when two merged names differ)."""
+    pinned = {}
+    for v, value in env.items():
+        if pinned.setdefault(elem[v], value) != value:
+            return None
+    return find_homomorphism(db, a, pinned=pinned, budget=budget)
 
 
 def _pp_search(a: FiniteStructure, phi, budget: int, walk: _Walk, assignment=None):
-    """Canonical database of a pp formula without false and one search over
-    it: (elem, h), with h the lexicographically least homomorphism from the
-    database to a sending each free variable's element to its value under
-    assignment (checked once the database is built), or None."""
+    """(elem, h) for a pp formula without false: its canonical database's
+    element map, and _pinned_search's h under assignment (checked then)."""
     db, elem = canonical_structure(phi, a.sig, walk)
-    free = walk.free.difference(a.sig.constants)
-    env = _checked_env(a, free, assignment)
-    pinned = {}
-    for v in free:
-        if pinned.setdefault(elem[v], env[v]) != env[v]:
-            return elem, None  # two merged free variables assigned differently
-    return elem, find_homomorphism(db, a, pinned=pinned, budget=budget)
+    env = _checked_env(a, walk.free.difference(a.sig.constants), assignment)
+    return elem, _pinned_search(a, db, elem, env, budget)
+
+
+def _split(phi):
+    """(atoms, equalities and false; disjunctions) of phi outside its disjunctions."""
+    literals, disjunctions, stack = [], [], [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Exists)):
+            stack.extend(reversed(node.parts) if isinstance(node, And) else [node.body])
+        else:
+            (disjunctions if isinstance(node, Or) else literals).append(node)
+    return literals, tuple(disjunctions)
+
+
+def _ep_search(a: FiniteStructure, phi, walk: _Walk, budget: int, keep, key):
+    """Decide an ep formula by one search per branch of its disjunctions.
+
+    Renamed apart (walk is phi's), each name is one variable, so every
+    quantifier moves to the front.  A node holds the literals outside the
+    disjunctions it has not expanded, and those disjunctions; expanding it
+    replaces the first by each alternative in turn.  key(db, elem) reads a
+    node's database, over the names of its literals and of keep: None
+    drops the node and all below it, and more literals never lower a key.
+    Popped least key first, ties to the newest, the first node without
+    disjunctions carries the least key of any disjunct, which is returned
+    (else None).  Each node is one step against budget.
+    """
+    if not walk.clean:
+        phi = _rename(phi, {}, _apart_names(walk, a.sig.constants))
+    heap, steps = [], itertools.count(1)
+
+    def push(literals, disjunctions):
+        step = next(steps)
+        if step > budget:
+            raise BudgetExceededError(f"ep evaluation exceeded budget of {budget} disjunct branches")
+        atoms = [x for x in literals if isinstance(x, Atom)]
+        equalities = [x for x in literals if isinstance(x, Eq)]
+        names = set(keep).union(*[x.args for x in atoms], *[(x.left, x.right) for x in equalities])
+        # one isolated element stands for a node without names or constants
+        found = None if FALSE in literals else key(*_database(a.sig, names or {"_"}, atoms, equalities))
+        if found is not None:
+            heapq.heappush(heap, (found, -step, literals, disjunctions))
+
+    push(*_split(phi))
+    while heap:
+        found, _, literals, disjunctions = heapq.heappop(heap)
+        if not disjunctions:
+            return found
+        for alternative in disjunctions[0].parts:
+            more, inner = _split(alternative)
+            push(literals + more, inner + disjunctions[1:])
+    return None
 
 
 def evaluate(a: FiniteStructure, phi, assignment=None, budget: int = DEFAULT_BUDGET) -> bool:
     """Tarskian truth of phi in a under an assignment of its free variables.
 
     For sentences this is the CSP decision.  The pp fragment is decided by
-    one homomorphism search from the canonical database, with free
-    variables pinned through the assignment; a formula containing false is
-    false; ep formulas are evaluated recursively.  Faults are reported in
-    the order: symbol fault, canonical-database fault, assignment fault.
+    one search from the canonical database, free variables pinned through
+    the assignment (false makes it false), and ep formulas by one such
+    search per branch of _ep_search.  Faults are reported in the order:
+    symbol fault, canonical-database fault, assignment fault.
     """
     walk = _walk(phi, a.sig)
     _check_symbols(walk)
-    if walk.disjunctive or walk.false:
-        env = _checked_env(a, walk.free.difference(a.sig.constants), assignment)
-        return walk.disjunctive and _eval_rec(phi, a, env, _assignment_meter(budget))
-    return _pp_search(a, phi, budget, walk, assignment)[1] is not None
+    if not walk.disjunctive and not walk.false:
+        return _pp_search(a, phi, budget, walk, assignment)[1] is not None
+    env = _checked_env(a, walk.free.difference(a.sig.constants), assignment)
+
+    def holds(db, elem):
+        return None if _pinned_search(a, db, elem, env, budget) is None else ()
+
+    return walk.disjunctive and _ep_search(a, phi, walk, budget, env, holds) is not None
 
 
 def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
@@ -439,9 +471,10 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
     pp sentences report values for all their variables, read off the
     homomorphism from the canonical database that decided truth (a name
     quantified more than once reports its first binding in preorder); ep
-    sentences report the first assignment, in lexicographic order, of the
-    outermost existential block under which the body holds, found by the
-    one scan of that block that decides truth.
+    sentences report the lexicographically least assignment of the
+    outermost existential block under which the body holds (a name the
+    block lists twice counts at its last place): the least first image of
+    that block over the branches of _ep_search.
     """
     walk = _walk(phi, a.sig)
     _check_symbols(walk)
@@ -453,14 +486,14 @@ def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
         if h is None:
             return None
         return {v: h.map[e] for v, e in elem.items() if v in walk.names and v not in a.sig.constants}
-    block, body = (phi.vars, phi.body) if isinstance(phi, Exists) else ((), phi)
-    step = _assignment_meter(budget)
-    for values in itertools.product(range(a.n), repeat=len(block)):
-        step()
-        env = dict(zip(block, values))
-        if _eval_rec(body, a, env, step):
-            return env
-    return None
+    block = tuple(reversed(dict.fromkeys(reversed(phi.vars)))) if isinstance(phi, Exists) else ()
+
+    def least_image(db, elem):
+        return next(_images(db, a, [elem[v] for v in block], budget), (None,))[0]
+
+    # a block listing a name twice has the same names, free names and cleanness
+    values = _ep_search(a, Exists(block, phi.body) if block else phi, walk, budget, block, least_image)
+    return None if values is None else dict(zip(block, values))
 
 
 # -- local refutability --
@@ -625,7 +658,7 @@ def eliminate_disjunctions(phi, p4: str, template: FiniteStructure, budget: int 
 _KEYWORDS = {"exists", "false"}
 _REJECTED = {"forall", "not"}
 # The parser recurses through four calls per parenthesis level, and the
-# walkers that render, rename or evaluate a formula through at most four,
+# walkers that render or rename a formula through at most four,
 # so this depth keeps every accepted sentence inside the interpreter's
 # default recursion limit of 1000 with room left for the caller's frames.
 MAX_NESTING = 200

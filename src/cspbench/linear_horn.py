@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .structures import budget_meter
+from .structures import BudgetExceededError
 
 DEFAULT_BRANCH_BUDGET = 200_000
 
@@ -388,8 +388,9 @@ def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
     """
     clauses = sorted(f.clauses, key=len)
     variables = set(f.variables()) | set(extra_vars)
-    step = budget_meter(budget, f"cnf_sat exceeded branching budget {budget}")
-    step()  # the root
+    if budget < 1:  # the root is the first node
+        raise BudgetExceededError(f"cnf_sat exceeded branching budget {budget}")
+    nodes = 1
     state = (_EqSystem(variables), [])
     if not clauses:
         return state[0].point_avoiding(state[1])
@@ -402,7 +403,9 @@ def cnf_sat(f: LinearCnf, extra_vars=(), budget: int = DEFAULT_BRANCH_BUDGET):
         if lit is None:
             stack.pop()
             continue
-        step()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"cnf_sat exceeded branching budget {budget}")
         child = _assume(state, lit, lit.is_eq)
         if child is None:
             continue

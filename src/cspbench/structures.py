@@ -98,18 +98,6 @@ class BudgetExceededError(RuntimeError):
     """A search or construction exceeded its candidate-assignment budget."""
 
 
-def budget_meter(budget: int, message: str):
-    """A step function: each call counts one step, and the call beyond
-    budget raises BudgetExceededError(message)."""
-    steps = itertools.count(1)
-
-    def step():
-        if next(steps) > budget:
-            raise BudgetExceededError(message)
-
-    return step
-
-
 class SignatureMismatchError(ValueError):
     """Two structures that must share a signature do not."""
 
@@ -543,15 +531,18 @@ def _images(source, target, elements, budget: int = DEFAULT_BUDGET):
     a homomorphism source -> target sends elements to; least() maps the least
     such map back, on request only.  One search: the source is relabelled with
     the distinct elements first, in order of first occurrence, the rest
-    ascending, so each image's first completion is the least map with it."""
+    ascending, so each image's first completion is the least map with it.
+    When they come first already, the source itself is searched."""
     head = list(dict.fromkeys(elements))
     label = [0] * source.n
     for new, old in enumerate(head + [x for x in range(source.n) if x not in head]):
         label[old] = new
-    rel = {r: frozenset(zip(*[map(label.__getitem__, col) for col in zip(*ts)]))  # by columns
-           for r, ts in source.rel.items()}
-    relabelled = FiniteStructure._from_checked(source.sig, source.n, rel,
-                                               {c: label[x] for c, x in source.const.items()})
+    relabelled = source
+    if head != list(range(len(head))):
+        rel = {r: frozenset(zip(*[map(label.__getitem__, col) for col in zip(*ts)]))  # by columns
+               for r, ts in source.rel.items()}
+        relabelled = FiniteStructure._from_checked(source.sig, source.n, rel,
+                                                   {c: label[x] for c, x in source.const.items()})
     at = [label[x] for x in elements]
     for m in _hom_maps(relabelled, target, None, budget, prefix=len(head)):
         yield tuple([m[x] for x in at]), lambda m=m: tuple([m[x] for x in label])

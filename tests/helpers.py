@@ -76,6 +76,22 @@ def nested_disjunction(depth: int) -> str:
     return "exists x y . " + text
 
 
+def k4_path_sentence(n: int) -> str:
+    """exists x0 ... x{n-1} . a K4 on x0..x3, a path from x3 to x{n-1},
+    and one disjunction joining x{n-1} to x0 or x1: false on K3, as K4 is
+    not 3-colourable."""
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(i, i + 1) for i in range(3, n - 1)]
+    atoms = [f"E(x{i}, x{j})" for i, j in edges] + [f"(E(x{n - 1}, x0) | E(x{n - 1}, x1))"]
+    return f"exists {' '.join(f'x{i}' for i in range(n))} . " + " & ".join(atoms)
+
+
+def odd_cycle_sentence(n: int) -> str:
+    """exists x0 ... x{n-1} . the cycle x0 x1 ... x{n-1} x0 and
+    (E(x0, x2) | x0 = x2): true on K3."""
+    atoms = [f"E(x{i}, x{(i + 1) % n})" for i in range(n)] + ["(E(x0, x2) | x0 = x2)"]
+    return f"exists {' '.join(f'x{i}' for i in range(n))} . " + " & ".join(atoms)
+
+
 def random_structure(rng, max_n=3, max_rels=2, max_arity=2, min_n=1):
     n = rng.randint(min_n, max_n)
     rels = {}

@@ -105,6 +105,18 @@ def brute_evaluate(a, phi, env=None):
     return rec(phi, env)
 
 
+def brute_witness(a, phi):
+    """The least assignment, in lexicographic order, of the outermost
+    existential block under which the body holds by brute_evaluate, or
+    None; a name the block lists twice takes its value at its last place."""
+    block, body = (phi.vars, phi.body) if isinstance(phi, Exists) else ((), phi)
+    for values in itertools.product(range(a.n), repeat=len(block)):
+        env = dict(zip(block, values))
+        if brute_evaluate(a, body, env):
+            return env
+    return None
+
+
 def essential_coordinate_count(table, n, k):
     """Number of coordinates the operation really depends on."""
 

@@ -10,7 +10,7 @@ import pytest
 import helpers
 from cspbench import FiniteStructure, Signature, cli, structures
 from cspbench.cli import ANALYZE_SECTIONS, main
-from cspbench.formulas import MAX_NESTING, is_pp, parse_sentence
+from cspbench.formulas import MAX_NESTING, evaluate, is_pp, parse_sentence
 from cspbench.galois import PpDefinabilityCertificate, Relation
 from cspbench.structures import DEFAULT_BUDGET
 
@@ -461,17 +461,56 @@ def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):
 
 
 def test_ep_solve_is_bounded_by_the_budget(files, capsys, tmp_path):
-    # a false ep sentence over 200 elements has 200**3 assignments to scan
-    template = tmp_path / "t200.json"
-    template.write_text(FiniteStructure(Signature.make({"E": 2}), 200, {"E": [(0, 1), (1, 0)]}).to_json())
+    # 15 disjunctions U(x) | U(x) and a last V(x) | V(x): every branch holds
+    # until the last disjunction, so each of the 2**16 leaves is searched
+    uv = tmp_path / "uv.json"
+    uv.write_text(helpers.uv().to_json())
+    tied = tmp_path / "tied.txt"
+    tied.write_text("exists x . " + " & ".join(["(U(x) | U(x))"] * 15 + ["(V(x) | V(x))"]))
+    code, out, err = run(capsys, "solve", str(uv), str(tied), "--budget", "1000")
+    assert code == 2 and out == ""
+    assert "ep evaluation exceeded budget of 1000 disjunct branches" in err
+    # one search of a branch tries the 3,000 values of y
+    template = tmp_path / "t3000.json"
+    template.write_text(FiniteStructure(Signature.make({"E": 2}), 3000, {"E": [(0, 2999)]}).to_json())
+    code, out, err = run(capsys, "solve", str(template), files["disj.txt"], "--budget", "1000")
+    assert code == 2 and out == ""
+    assert "homomorphism search exceeded budget of 1000 candidate assignments" in err
     sentence = tmp_path / "ep.txt"
     sentence.write_text("exists x y z . E(x, x) | E(y, z) & E(z, z)")
-    code, out, err = run(capsys, "solve", str(template), str(sentence), "--budget", "1000")
-    assert code == 2 and out == ""
-    assert "ep evaluation exceeded budget of 1000 quantifier assignments" in err
-    # over K2 the scan takes 2**3 = 8 assignments
+    # over K2 three branches refute it, no search trying more than 8 values
     code, out, _ = run(capsys, "solve", files["k2.json"], str(sentence), "--budget", "8")
     assert code == 1 and "unsatisfied" in out
+
+
+def test_ep_solve_decides_many_disjunctions(files, capsys, tmp_path):
+    # U(x0) rules out the 2**39 assignments with x0 = 0 that a scan of the
+    # block tries first; each disjunction is one expansion, and evaluate,
+    # whose branches all tie, reaches a true one by expanding the newest
+    text = (f"exists {' '.join(f'x{i}' for i in range(40))} . U(x0) & "
+            + " & ".join(f"(U(x{i}) | V(x{i}))" for i in range(40)))
+    sentence = tmp_path / "many.txt"
+    sentence.write_text(text)
+    code, out, _ = run(capsys, "--format", "machine", "solve", files["uv.json"], str(sentence))
+    assert code == 0
+    assert json.loads(out) == {"satisfied": True, "witness": {f"x{i}": int(i == 0) for i in range(40)}}
+    assert evaluate(helpers.uv(), parse_sentence(text), budget=1000)
+
+
+def test_ep_solve_on_k3_within_a_budget_of_10000(capsys, tmp_path):
+    # a brute-force scan of the quantifier block needs 3**15 assignments
+    # for the cycle and 3**40 for the refutation
+    k3 = tmp_path / "k3.json"
+    k3.write_text(helpers.k3().to_json())
+    refuted, cycle = tmp_path / "k4path.txt", tmp_path / "cycle.txt"
+    refuted.write_text(helpers.k4_path_sentence(40))
+    cycle.write_text(helpers.odd_cycle_sentence(15))
+    code, out, err = run(capsys, "solve", str(k3), str(refuted), "--budget", "10000")
+    assert (code, out, err) == (1, "unsatisfied\n", "")
+    code, out, err = run(capsys, "solve", str(k3), str(cycle), "--budget", "10000")
+    assert (code, err) == (0, "")
+    assert out == ('satisfied  witness: {"x0": 0, "x1": 1, "x10": 0, "x11": 1, "x12": 0, "x13": 1, '
+                   '"x14": 2, "x2": 0, "x3": 1, "x4": 0, "x5": 1, "x6": 0, "x7": 1, "x8": 0, "x9": 1}\n')
 
 
 def test_large_domain_pp_solve(capsys, tmp_path):

@@ -277,7 +277,9 @@ CORRUPTIONS = {
                                lambda: preserves_relation(op(2, 1, lambda x: 0), K2_EDGES, 2)),
     "operation-wrong-domain": (lambda: operation_preserves(op(2, 1, lambda x: 1 - x), helpers.k2()),
                                lambda: operation_preserves(op(3, 1, lambda x: x), helpers.k2())),
+    # an empty coordinate set leaves its base as it is, so the values agree
     "witness-empty-coordinates": (_xor_witness, lambda: _xor_witness(x_coords=())),
+    "witness-empty-y-coordinates": (_xor_witness, lambda: _xor_witness(y_coords=())),
     # the y pair changes coordinate 0 as the x pair does, and coordinate 1 not at all
     "witness-overlapping-coordinates": (_xor_witness, lambda: _xor_witness(
         y_coords=(0, 1), y_base=(0, 0), y_other=(1, 0))),

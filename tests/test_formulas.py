@@ -236,6 +236,53 @@ def test_evaluation_error_precedence_matches_reference():
         assert _outcome(evaluate, helpers.k2(), psi)[1] == _reference_symbol_error(psi, graph)
 
 
+def test_ep_decisions_match_brute_force():
+    """evaluate, witness_assignment and local_refutation_value against the
+    brute-force oracles on decorated ep sentences, some listing a name
+    twice in their outermost block or conjoining false to a disjunct, and
+    evaluate on their bodies under random assignments."""
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(500):
+        a = _structure_with_constants(rng)
+        phi = _decorated_sentence(rng, a.sig)
+        block, body = list(phi.vars), phi.body
+        if rng.random() < 0.3:
+            block.insert(rng.randrange(len(block) + 1), rng.choice(block))
+        if rng.random() < 0.1:
+            body = Or((And((body, FALSE)), body))
+        phi = Exists(tuple(block), body)
+        fault = _reference_symbol_error(phi, a.sig)
+        truth = None if fault else oracles.brute_evaluate(a, phi)
+        assert _outcome(evaluate, a, phi) == (("error", fault) if fault else ("ok", truth))
+        witness = _outcome(witness_assignment, a, phi)
+        if fault or not is_pp(phi):
+            assert witness == (("error", fault) if fault else ("ok", oracles.brute_witness(a, phi)))
+        else:  # a pp witness reports every variable
+            assert (witness[1] is not None) == truth
+        assert _outcome(local_refutation_value, a, phi) == \
+            _outcome(oracles.local_refutation_value, a, phi)
+        env = {v: rng.randrange(a.n) for v in block}
+        fault = _reference_symbol_error(body, a.sig)
+        assert _outcome(evaluate, a, body, env) == \
+            (("error", fault) if fault else ("ok", oracles.brute_evaluate(a, body, env)))
+        kinds.add((is_pp(phi), len(set(block)) < len(block), truth))
+    assert {(p, r, t) for p in (True, False) for r in (True, False) for t in (True, False)} <= kinds
+
+
+def test_ep_witness_takes_the_last_place_of_a_repeated_block_name():
+    # the block (z, y, z) binds the body's z at its last place, so the
+    # least assignment orders y before z: y = 0, z = 1, not z = 0, y = 1
+    k2, uv = helpers.k2(), helpers.uv()
+    cases = [(k2, "exists z y z . E(y, z) & (E(z, y) | y = z)", {"z": 1, "y": 0}),
+             (uv, "exists y y . U(y) | U(y) & V(y)", {"y": 1}),
+             (uv, "exists y y . V(y) & U(y) | false", None)]
+    for a, text, want in cases:
+        phi = parse_sentence(text)
+        assert witness_assignment(a, phi) == oracles.brute_witness(a, phi) == want
+        assert evaluate(a, phi) == (want is not None)
+
+
 def test_rebound_names_are_separate_variables():
     uv, k2 = helpers.uv(), helpers.k2()
     siblings = parse_sentence("(exists x . U(x)) & (exists x . V(x))")
