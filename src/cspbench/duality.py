@@ -29,24 +29,36 @@ carried maps is dropped: it maps, and no frontier follows.  One with
 carried maps or an empty cut-off list is canonized and deduplicated in the
 level's set of class keys, and a cut-off list runs a first-only search,
 whose map starts a new, incomplete list; so each frontier class is
-canonized once and keeps its automorphisms.  A frontier class also carries
-its parent's maps when they are complete.  Deleting the parent's newest
-tuple from an extension leaves the grandparent plus the added tuple, so
-when none of those maps extends over it, an extension that does not map is
-not critical, with no search.  Else the criticality check decides; it
-skips the newest tuple, whose deletion leaves the parent with isolated
-vertices, which maps.  Only a critical extension is canonized and
-deduplicated: criticality is an isomorphism invariant, so each class keeps
-its first critical extension in generation order.  An extension by a tuple
-that an automorphism of the parent, fixing the new vertices, maps to a
-lexicographically smaller tuple repeats that earlier class and is not
-generated (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-1998).  The budget bounds each search, fallbacks and criticality checks
-alike; filtering maps runs none.  The plain sweep, with no carried maps,
-prunings or class keys, searches and canonizes every extension and checks
-each that does not map; this one runs a subset of its searches and
-canonical forms, so it can remove a budget or leaf-cap overrun but never
-add one.
+canonized once and keeps its automorphisms.  An extension that a
+complete list shows not to map is canonized and deduplicated only when
+it is critical: criticality is an isomorphism invariant, so each class
+keeps its first critical extension in generation order.  An extension by
+a tuple that an automorphism of the parent, fixing the new vertices, maps
+to a lexicographically smaller tuple repeats that earlier class and is
+not generated (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 1998).
+
+Criticality is decided from extras: for each tuple u of a frontier
+class, the maps of the class without u that send u outside the template
+(at most _MAX_CARRIED_MAPS, with a completeness flag).  Deleting u from an
+extension that does not map leaves a structure whose maps are u's extras
+extended over the added tuple, and deleting the added tuple leaves the
+class, which maps; so the extension is critical iff some extra of every
+tuple extends.  A search settles a tuple only when its list was cut off
+and no carried extra extends, in tuple order up to the first deletion
+with no map.  Extras are filtered down the tree as carried maps are; the
+added tuple's are the class's maps, extended over the new vertices, that
+send it outside.  A class keeps only the entry of a tuple whose extras
+come out complete and empty: no extension below it that does not map is
+critical.  A class builds its extras when taken from the frontier, so
+only classes with children waiting hold them.
+
+The budget bounds each search, fallbacks and deletions alike; filtering
+maps runs none.  The plain sweep, with no carried maps, extras, prunings
+or class keys, searches and canonizes every extension and checks each
+that does not map, deletion by deletion in tuple order up to the first
+with no map; this one runs a subset of its searches and canonical
+forms, so it can remove a budget or leaf-cap overrun but never add one.
 
 A homomorphism from the one-tolerant k-th power to the template is a
 k-ary 1-tolerant polymorphism.  Finding one of arity n+1 certifies that
@@ -78,8 +90,8 @@ from .formulas import canonical_query, render
 from .clones import OperationTable
 
 # Each frontier class of the obstruction sweep carries at most this many
-# homomorphisms to the template; beyond it, extensions whose carried maps
-# all fail fall back to a search.
+# homomorphisms to the template, and as many extras per tuple; beyond it,
+# what the carried ones leave open falls back to a search.
 _MAX_CARRIED_MAPS = 16
 
 
@@ -110,14 +122,11 @@ def _delete_tuple(s: FiniteStructure, rname: str, tup) -> FiniteStructure:
     return FiniteStructure._from_checked(s.sig, s.n, rel, s.const)
 
 
-def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int,
-                    newest=None) -> bool:
+def _weakenings_map(s: FiniteStructure, template: FiniteStructure, budget: int) -> bool:
     """Criticality of an obstruction s: does every structure obtained by
-    deleting one tuple of s map to the template?  The sweep passes the
-    (rname, tup) it added last as newest, which is not deleted: what
-    deleting it leaves is the parent with isolated vertices, which maps."""
+    deleting one tuple of s map to the template?"""
     return all(find_homomorphism(_delete_tuple(s, rname, tup), template, budget=budget) is not None
-               for rname, tup in _all_tuples(s) if (rname, tup) != newest)
+               for rname, tup in _all_tuples(s))
 
 
 def _add_tuple(s: FiniteStructure, rname: str, tup, n: int) -> FiniteStructure:
@@ -137,57 +146,59 @@ def has_one_tolerant_polymorphism(a: FiniteStructure, k: int,
     return OperationTable._from_checked(a.n, k, h.map) if h is not None else None
 
 
-def _extensions(s: FiniteStructure, max_vertices: int):
+def _extensions(s: FiniteStructure, max_vertices: int, candidates: dict):
     """(rname, tup, n) for each new tuple that contains an existing vertex
     of s; its other entries may be new vertices, each used, and n counts
-    the vertices with them.  A tuple that an automorphism of s, fixing the
-    new vertices, maps to a lexicographically smaller one is left out: that
-    one came earlier and gives an isomorphic extension."""
+    the vertices with them.  candidates keeps those tuples per vertex count
+    of s.  A tuple that an automorphism of s, fixing the new vertices, maps
+    to a lexicographically smaller one is left out: that one came earlier
+    and gives an isomorphic extension."""
+    if s.n not in candidates:
+        candidates[s.n] = [(rname, tup, n) for rname, ar in s.sig.relations
+                           for n in range(s.n, min(s.n + ar - 1, max_vertices) + 1)
+                           for tup in itertools.product(range(n), repeat=ar)
+                           if min(tup) < s.n and set(range(s.n, n)) <= set(tup)]
     fixed = tuple(range(s.n, max_vertices))
     automorphisms = [g + fixed for g in s._automorphisms or ()]
-    for rname, ar in s.sig.relations:
-        room = min(ar - 1, max_vertices - s.n)
-        for fresh in range(room + 1):
-            n = s.n + fresh
-            for tup in itertools.product(range(n), repeat=ar):
-                if min(tup) >= s.n or set(range(s.n, n)) - set(tup):
-                    continue  # touch the structure and use every new vertex
-                if tup in s.rel[rname] or any(tuple([g[v] for v in tup]) < tup
-                                              for g in automorphisms):
-                    continue
-                yield rname, tup, n
+    for rname, tup, n in candidates[s.n]:
+        if tup in s.rel[rname] or any(tuple([g[v] for v in tup]) < tup for g in automorphisms):
+            continue
+        yield rname, tup, n
 
 
-def _carried_maps(maps, complete: bool, fresh: int, template: FiniteStructure, rname, tup):
-    """The maps carried by the extension of a frontier class by tup, which
-    uses fresh new vertices, from the class's maps and their completeness:
-    each map extended by every assignment of the new vertices in ascending
-    order, kept when it sends tup into the template relation, at most
-    _MAX_CARRIED_MAPS of them.  Returns (maps, complete); the result is
-    incomplete when the parent's was or a map was cut off."""
-    allowed = template.rel[rname]
-    if len(tup) == 1:
-        allowed = {t[0] for t in allowed}
-    image = itemgetter(*tup)
-    tails = list(itertools.product(range(template.n), repeat=fresh))
+def _carried_maps(maps, complete: bool, tails, allowed, image, inside: bool = True):
+    """Each of maps extended by every tail in turn, kept when image sends
+    it into allowed (outside it when not inside), at most _MAX_CARRIED_MAPS
+    of them.  Returns (maps, complete); the result is incomplete when maps
+    were or a map was cut off."""
     out = []
     for h in maps:
         for tail in tails:
             g = h + tail
-            if image(g) in allowed:
+            if (image(g) in allowed) is inside:
                 if len(out) == _MAX_CARRIED_MAPS:
                     return out, False
                 out.append(g)
     return out, complete
 
 
-def _critical(ext, template, budget: int, rname, tup, up_maps) -> bool:
-    """Criticality of ext, an extension by tup with no map: False with no
-    search when no map in up_maps, all of the grandparent's, extends over tup."""
-    if up_maps is not None and _carried_maps(up_maps, True, ext.n - len(up_maps[0]), template,
-                                             rname, tup) == ([], True):
-        return False
-    return _weakenings_map(ext, template, budget, (rname, tup))
+def _extends(maps, tails, allowed, image) -> bool:
+    """Does one of maps, extended by some tail, send image into allowed?"""
+    return any(image(h + tail) in allowed for h in maps for tail in tails)
+
+
+def _unsettled(extras, tails, allowed, image):
+    """For a class's extension by a tuple, given as in _carried_maps, that
+    does not map: (u, []) for a tuple u whose extras are complete and none
+    extends, so deleting u leaves no map; else (None, the tuples whose
+    extras were cut off and none extends, for a search to settle)."""
+    unsettled = []
+    for u, (maps, complete) in extras.items():
+        if not _extends(maps, tails, allowed, image):
+            if complete:
+                return u, []
+            unsettled.append(u)
+    return None, unsettled
 
 
 def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int,
@@ -202,25 +213,67 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
     template = a.relational_reduct()
     if max_vertices < 1 or max_tuples < 1:
         raise ValueError("enumeration bounds must be positive")
+    allowed = {rname: {t[0] for t in template.rel[rname]} if ar == 1 else template.rel[rname]
+               for rname, ar in template.sig.relations}
+    tails = [list(itertools.product(range(template.n), repeat=fresh))
+             for fresh in range(max((ar for _, ar in template.sig.relations), default=1))]
+    candidates = {}  # per vertex count, for _extensions
+
+    def extras_of(parent, rname, tup, fresh):
+        """The extras of the extension of a parent class, given as (maps,
+        complete, extras), by tup; only {u: ([], True)} for a redundant u."""
+        maps, complete, extras = parent
+        image, out = itemgetter(*tup), {}
+        for u, (kept, kept_complete) in [*extras.items(), ((rname, tup), (maps, complete))]:
+            # the added tuple's extras are the class's maps that send it outside
+            out[u] = _carried_maps(kept, kept_complete, tails[fresh], allowed[rname], image,
+                                   u != (rname, tup))
+            if out[u] == ([], True):
+                return {u: out[u]}
+        return out
+
+    def critical_extension(s, extras, rname, tup, n, ext=None):
+        """The extension of s by tup, which does not map, when it is
+        critical, else None; ext is that extension when already built."""
+        refuted, unsettled = _unsettled(extras, tails[n - s.n], allowed[rname], itemgetter(*tup))
+        if refuted is not None:
+            return None
+        if ext is None:
+            ext = _add_tuple(s, rname, tup, n)
+        unsettled.sort()  # in _all_tuples order, as relations are sorted by name
+        return ext if all(find_homomorphism(_delete_tuple(ext, *u), template, budget=budget)
+                          is not None for u in unsettled) else None
 
     found = []
-    # (structure, carried maps, complete, parent's maps if complete); the root has no parent
+    # (structure, carried maps, complete, parent's (maps, complete, extras),
+    # added tuple, new vertices); the root has no parent and no extras
     frontier = [(FiniteStructure(template.sig, 1),
                  [(v,) for v in range(min(template.n, _MAX_CARRIED_MAPS))],
-                 template.n <= _MAX_CARRIED_MAPS, None)]
+                 template.n <= _MAX_CARRIED_MAPS, None, None, None, None)]
     for level in range(1, max_tuples + 1):
         next_frontier = []
         seen = set()  # keys canonized at this level; a key fixes its tuple count
-        for s, maps, complete, up_maps in frontier:
-            for rname, tup, n in _extensions(s, max_vertices):
-                ext_maps, ext_complete = _carried_maps(maps, complete, n - s.n,
-                                                       template, rname, tup)
-                if ext_maps and level == max_tuples:
+        frontier.reverse()  # popped in order, so what a class holds goes once it is used
+        while frontier:
+            s, maps, complete, parent, rname, tup, fresh = frontier.pop()
+            extras = {} if parent is None else extras_of(parent, rname, tup, fresh)
+            parent = (maps, complete, extras)
+            for rname, tup, n in _extensions(s, max_vertices, candidates):
+                fresh = n - s.n
+                image = itemgetter(*tup)
+                if level < max_tuples:
+                    ext_maps, ext_complete = _carried_maps(maps, complete, tails[fresh],
+                                                           allowed[rname], image)
+                elif _extends(maps, tails[fresh], allowed[rname], image):
                     continue  # it maps, and no frontier follows
-                ext = _add_tuple(s, rname, tup, n)
-                if not ext_maps and ext_complete and not _critical(ext, template, budget,
-                                                                   rname, tup, up_maps):
-                    continue  # it does not map, and it is not critical
+                else:
+                    ext_maps, ext_complete = [], complete
+                if ext_maps or not ext_complete:
+                    ext = _add_tuple(s, rname, tup, n)
+                else:
+                    ext = critical_extension(s, extras, rname, tup, n)
+                    if ext is None:
+                        continue  # it does not map, and it is not critical
                 key = canonical_form(ext)
                 if key in seen:
                     continue
@@ -230,8 +283,8 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
                     if h is not None:
                         ext_maps = [h.map]
                 if ext_maps:
-                    next_frontier.append((ext, ext_maps, ext_complete, maps if complete else None))
-                elif ext_complete or _critical(ext, template, budget, rname, tup, up_maps):
+                    next_frontier.append((ext, ext_maps, ext_complete, parent, rname, tup, fresh))
+                elif ext_complete or critical_extension(s, extras, rname, tup, n, ext):
                     found.append(Obstruction(ext, ext.total_tuples()))  # complete: checked above
         frontier = next_frontier
 

@@ -39,8 +39,9 @@ last of those elements, numbered first (_images).
 Every value a search assigns is one step against a budget (default
 5_000_000, one per search or image question); beyond it the search
 raises BudgetExceededError.  Values that the plan or a pin rules out are
-never tried, so never counted.  An enumeration also fails when it finds
-a map while the maps it keeps hold more than budget entries.
+never tried, so never counted, and an element left with no value at all
+ends the search before it assigns any.  An enumeration also fails when
+it finds a map while the maps it keeps hold more than budget entries.
 
 canonical_form gives a key that is equal for two structures exactly when
 they are isomorphic: the lex-least (relation bitmasks, constant elements)
@@ -470,6 +471,8 @@ def _hom_maps(a, b, pinned=None, budget: int = DEFAULT_BUDGET, prefix=None):
         values = list(values)
         for x, v in pin.items():
             values[x] = (v,) if v in values[x] else ()
+    if not all(values):
+        return
 
     n = a.n
     resume = n - 1 if prefix is None else prefix - 1

@@ -483,6 +483,24 @@ def test_ep_solve_is_bounded_by_the_budget(files, capsys, tmp_path):
     assert code == 1 and "unsatisfied" in out
 
 
+def test_search_ends_at_once_on_an_element_with_no_value(files, capsys, tmp_path):
+    # K3 has no loop, so z has no value: the search ends before it tries
+    # the 3**15 assignments of a0..a14, which come first in its order
+    k3 = tmp_path / "k3.json"
+    k3.write_text(helpers.k3().to_json())
+    names = [f"a{i}" for i in range(15)]
+    sentence = tmp_path / "no_value.txt"
+    sentence.write_text(f"exists {' '.join(names)} z . "
+                        + " & ".join([f"{x} = {x}" for x in names] + ["E(z, z)"]))
+    code, out, err = run(capsys, "solve", str(k3), str(sentence), "--budget", "100")
+    assert (code, out, err) == (1, "unsatisfied\n", "")
+    # on K2 both branches of the disjunction hold an element with no value,
+    # so the three values of the root's search are all the budget it needs
+    sentence.write_text("exists x y z . E(x, x) | E(y, z) & E(z, z)")
+    code, out, err = run(capsys, "solve", files["k2.json"], str(sentence), "--budget", "3")
+    assert (code, out, err) == (1, "unsatisfied\n", "")
+
+
 def test_ep_solve_decides_many_disjunctions(files, capsys, tmp_path):
     # U(x0) rules out the 2**39 assignments with x0 = 0 that a scan of the
     # block tries first; each disjunction is one expansion, and evaluate,

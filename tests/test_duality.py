@@ -1,5 +1,7 @@
 import itertools
 import random
+from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,75 +188,59 @@ def test_sweep_differential_on_more_templates():
 
 
 def _spy_on_sweep(monkeypatch):
-    """Record the searches the sweep runs outside criticality checks, as
-    (structure, result) pairs, the structures it checks for criticality
-    and the ones it canonizes."""
-    searched, checked, canonized = [], [], []
-    weakening = []
-    search = duality.find_homomorphism
-    criticality = duality._weakenings_map
-    canonize = duality.canonical_form
+    """Record what the sweep does: searched, the searches of extensions as
+    (structure, result) pairs; canonized, the structures it canonizes;
+    built, id(ext) -> (parent, rname, tup, ext) for each extension it
+    builds; decided, [parent, rname, tup, n, refuted, unsettled, searches]
+    for each criticality decision, refuted and unsettled as _unsettled
+    returns them and searches the (deleted tuple, found) of each deletion
+    search that follows; and checked, (ext, deleted tuple, found) for each
+    of those searches."""
+    spy = SimpleNamespace(searched=[], canonized=[], built={}, decided=[], checked=[])
+    deletions, current = {}, []
+    search, canonize, add_tuple, delete_tuple, extensions, unsettled = (
+        duality.find_homomorphism, duality.canonical_form, duality._add_tuple,
+        duality._delete_tuple, duality._extensions, duality._unsettled)
 
-    def counting_search(s, t, **kw):
+    def spying_search(s, t, **kw):
         h = search(s, t, **kw)
-        if not weakening:
-            searched.append((s, h))
+        if id(s) in deletions:
+            _, ext, u = deletions[id(s)]
+            spy.checked.append((ext, u, h is not None))
+            spy.decided[-1][-1].append((u, h is not None))
+        else:
+            spy.searched.append((s, h))
         return h
 
-    def counting_criticality(s, t, budget, newest=None):
-        checked.append(s)
-        weakening.append(s)
-        try:
-            return criticality(s, t, budget, newest)
-        finally:
-            weakening.pop()
-
-    def counting_canonize(s):
-        canonized.append(s)
+    def spying_canonize(s):
+        spy.canonized.append(s)
         return canonize(s)
-
-    monkeypatch.setattr(duality, "find_homomorphism", counting_search)
-    monkeypatch.setattr(duality, "_weakenings_map", counting_criticality)
-    monkeypatch.setattr(duality, "canonical_form", counting_canonize)
-    return searched, checked, canonized
-
-
-def _spy_on_decisions(monkeypatch):
-    """Record what the sweep builds and how it decides criticality: built
-    maps id(ext) to (parent, rname, tup, ext, (carried maps, complete)) for
-    each extension, decided lists (ext, the maps handed down from its
-    parent's parent or None, the verdict) for each criticality decision,
-    and refuted the extensions among them whose grandparent filter found no
-    map."""
-    built, decided, refuted, carried, deciding = {}, [], [], [], []
-    add_tuple, carry, critical = duality._add_tuple, duality._carried_maps, duality._critical
-
-    def spying_carry(*args):
-        result = carry(*args)
-        if not deciding:
-            carried.append(result)
-        elif result == ([], True):
-            refuted.append(deciding[-1])
-        return result
 
     def spying_add_tuple(s, rname, tup, n):
         ext = add_tuple(s, rname, tup, n)
-        built[id(ext)] = (s, rname, tup, ext, carried[-1])
+        spy.built[id(ext)] = (s, rname, tup, ext)
         return ext
 
-    def spying_critical(ext, template, budget, rname, tup, up_maps):
-        deciding.append(ext)
-        try:
-            verdict = critical(ext, template, budget, rname, tup, up_maps)
-        finally:
-            deciding.pop()
-        decided.append((ext, up_maps, verdict))
-        return verdict
+    def spying_delete_tuple(s, rname, tup):
+        weakening = delete_tuple(s, rname, tup)
+        deletions[id(weakening)] = (weakening, s, (rname, tup))
+        return weakening
 
-    monkeypatch.setattr(duality, "_carried_maps", spying_carry)
-    monkeypatch.setattr(duality, "_add_tuple", spying_add_tuple)
-    monkeypatch.setattr(duality, "_critical", spying_critical)
-    return built, decided, refuted
+    def spying_extensions(s, *args):
+        for rname, tup, n in extensions(s, *args):
+            current[:] = [s, rname, tup, n]
+            yield rname, tup, n
+
+    def spying_unsettled(*args):
+        refuted, pending = unsettled(*args)
+        spy.decided.append([*current, refuted, list(pending), []])
+        return refuted, pending
+
+    for name, spying in [("find_homomorphism", spying_search), ("canonical_form", spying_canonize),
+                         ("_add_tuple", spying_add_tuple), ("_delete_tuple", spying_delete_tuple),
+                         ("_extensions", spying_extensions), ("_unsettled", spying_unsettled)]:
+        monkeypatch.setattr(duality, name, spying)
+    return spy
 
 
 def _is_critical(s, template):
@@ -263,29 +249,34 @@ def _is_critical(s, template):
         for rname, tup in duality._all_tuples(s))
 
 
+def _verdict(decision) -> bool:
+    """The criticality verdict of a decision recorded by _spy_on_sweep."""
+    _, _, _, _, refuted, _, searches = decision
+    return refuted is None and all(found for _, found in searches)
+
+
+def _decided_extension(decision):
+    parent, rname, tup, n = decision[:4]
+    return oracles._add_tuple(parent, rname, tup, n)
+
+
 def test_sweep_canonizes_only_what_it_keeps(monkeypatch):
-    """On K2 every connected structure that maps has at most two maps, so
-    the carried maps decide every extension: the sweep runs no search
-    outside criticality checks.  It canonizes an extension only when it
-    maps, when its carried maps were cut off, or when it is critical; it
-    reports each class once; and it checks no extension for criticality
-    that the grandparent filter refuted."""
-    searched, checked, canonized = _spy_on_sweep(monkeypatch)
-    built, _, refuted = _spy_on_decisions(monkeypatch)
+    """On K2 a connected structure has at most two maps and the deletion of
+    one of its tuples at most four, so the carried maps and extras decide
+    every extension: the sweep runs no search.  It canonizes an extension
+    only when it maps or is critical, and it reports each class once."""
+    spy = _spy_on_sweep(monkeypatch)
     obs = critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
     monkeypatch.undo()
     assert len(obs) == 7
-    assert searched == []
+    assert spy.searched == [] and spy.checked == []
     k2 = helpers.k2()
-    swept = [s for s in canonized if id(s) in built]  # not the final sort
+    swept = [s for s in spy.canonized if id(s) in spy.built]  # not the final sort
     assert swept
     for s in swept:
-        _, _, _, _, (_, complete) = built[id(s)]
-        assert oracles.brute_homs(s, k2) or not complete or _is_critical(s, k2)
+        assert oracles.brute_homs(s, k2) or _is_critical(s, k2)
     keys = [canonical_form(o.structure) for o in obs]
     assert len(set(keys)) == len(keys)
-    assert refuted
-    assert not {id(s) for s in refuted} & {id(s) for s in checked}
 
 
 def _k2u_relabelled(seed=26):
@@ -300,64 +291,114 @@ def _k2u_relabelled(seed=26):
     (helpers.k2, 6, 6),
     (helpers.nae, 4, 4),
     (_k2u_relabelled, 4, 5),
-], ids=["K2", "NAE", "K2 and U relabelled"])
+    (helpers.k3, 5, 5),
+    (lambda: helpers.cycle(5), 5, 5),
+], ids=["K2", "NAE", "K2 and U relabelled", "K3", "C5"])
 def test_grandparent_refutations_are_sound(monkeypatch, make, max_vertices, max_tuples):
-    """Every extension that the grandparent filter refutes stops mapping
-    when its parent's newest tuple is deleted, so it is not critical, and
-    no criticality check runs on it."""
+    """Every criticality verdict reached without a search is sound, the
+    refutations that the grandparent's maps once made among them: a tuple
+    named as refuting has a deletion with no map, and an extension found
+    critical is critical, both by brute force."""
     a = make()
     template = a.relational_reduct()
-    _, checked, _ = _spy_on_sweep(monkeypatch)
-    built, decided, refuted = _spy_on_decisions(monkeypatch)
+    spy = _spy_on_sweep(monkeypatch)
     critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
     monkeypatch.undo()
-    checked = {id(s) for s in checked}
-    skipped = [ext for ext, _, verdict in decided if not verdict and id(ext) not in checked]
-    assert skipped
-    assert [id(s) for s in skipped] == [id(s) for s in refuted]
-    for ext in skipped:
-        parent = built[id(ext)][0]
-        _, rname, tup, _, _ = built[id(parent)]
-        assert find_homomorphism(duality._delete_tuple(ext, rname, tup), template) is None
+    refuted = [d for d in spy.decided if d[4] is not None]
+    critical = [d for d in spy.decided if d[4] is None and not d[5]]
+    assert refuted and critical
+    for decision in refuted:
+        assert decision[6] == []
+        ext = _decided_extension(decision)
+        assert not oracles.brute_homs(duality._delete_tuple(ext, *decision[4]), template)
+    for decision in critical:
+        assert decision[6] == [] and _is_critical(_decided_extension(decision), template)
 
 
 def test_sweep_checks_criticality_below_cut_off_lists(monkeypatch):
-    """On K3 and C5 at 5/5 some frontier lists are cut off at
-    _MAX_CARRIED_MAPS, and an extension whose grandparent's list was cut
-    off is not refuted by it: the criticality check still runs."""
+    """On K3 and C5 at 5/5 some extras are cut off at _MAX_CARRIED_MAPS
+    and none of those carried extends over the added tuple: a search
+    decides that deletion, in order, up to the first one with no map."""
     for a in (helpers.k3(), helpers.cycle(5)):
-        _, checked, _ = _spy_on_sweep(monkeypatch)
-        built, decided, refuted = _spy_on_decisions(monkeypatch)
+        spy = _spy_on_sweep(monkeypatch)
         critical_obstructions(a, max_vertices=5, max_tuples=5)
         monkeypatch.undo()
-        blind = [ext for ext, up_maps, _ in decided
-                 if up_maps is None and id(built[id(ext)][0]) in built]
-        assert blind
-        checked = {id(s) for s in checked}
-        assert all(id(ext) in checked for ext in blind)
-        assert not {id(s) for s in refuted} & checked
+        cut_off = [d for d in spy.decided if d[4] is None and d[5]]
+        assert cut_off
+        for _, _, _, _, _, unsettled, searches in cut_off:
+            assert searches and all(u in unsettled for u, _ in searches)
+            assert all(found for _, found in searches[:-1])
+            assert len(searches) == len(unsettled) or not searches[-1][1]
 
 
 def test_sweep_counts_on_k2(monkeypatch):
-    """K2 at 6/6: the sweep's canonical forms, criticality checks and
-    homomorphism searches (those inside criticality checks included), each
-    no more than before the grandparent filter: 3,099, 1,574 and 2,046."""
-    counts = dict.fromkeys(["canonical_form", "_weakenings_map", "find_homomorphism"], 0)
+    """K2 at 6/6: the sweep's canonical forms, criticality searches (one
+    per deletion searched) and homomorphism searches, those of criticality
+    checks included, each no more than with a search for every criticality
+    check (532 checks and 843 searches), and no more than before the
+    grandparent filter (3,099 canonical forms, 1,574 checks and 2,046
+    searches)."""
+    counts = dict.fromkeys(["canonical_form", "_delete_tuple", "find_homomorphism"], 0)
     for name in counts:
         def counting(*args, _call=getattr(duality, name), _name=name, **kw):
             counts[_name] += 1
             return _call(*args, **kw)
         monkeypatch.setattr(duality, name, counting)
     assert len(critical_obstructions(helpers.k2(), max_vertices=6, max_tuples=6)) == 7
-    assert counts == {"canonical_form": 633, "_weakenings_map": 532, "find_homomorphism": 843}
+    assert counts == {"canonical_form": 633, "_delete_tuple": 0, "find_homomorphism": 0}
 
 
 def test_sweep_searches_connected_structures_only(monkeypatch):
-    _, checked, canonized = _spy_on_sweep(monkeypatch)
+    """Every structure the sweep canonizes, searches or checks for
+    criticality by search is connected; K2 and NAE canonize, K3 and C5
+    search as well."""
+    spy = _spy_on_sweep(monkeypatch)
     critical_obstructions(helpers.k2(), max_vertices=5, max_tuples=5)
     critical_obstructions(helpers.nae(), max_vertices=3, max_tuples=3)
-    assert len(canonized) > 100 and checked
-    assert all(oracles._is_connected(s) for s in canonized + checked)
+    critical_obstructions(helpers.k3(), max_vertices=5, max_tuples=5)
+    critical_obstructions(helpers.cycle(5), max_vertices=5, max_tuples=5)
+    monkeypatch.undo()
+    assert len(spy.canonized) > 100 and spy.searched and spy.checked
+    checked = [ext for ext, _, _ in spy.checked]
+    assert all(oracles._is_connected(s)
+               for s in spy.canonized + [s for s, _ in spy.searched] + checked)
+
+
+def _loopless_template(rng):
+    """A random digraph on 2 or 3 elements with no loop, so that the loop
+    is an obstruction, and at even odds a unary relation as well."""
+    n = rng.randint(2, 3)
+    rels = {"E": [p for p in itertools.product(range(n), repeat=2)
+                  if p[0] != p[1] and rng.random() < 0.8]}
+    if rng.random() < 0.5:
+        rels["U"] = [(x,) for x in range(n) if rng.random() < 0.6]
+    return FiniteStructure(Signature.make({"E": 2, "U": 1} if "U" in rels else {"E": 2}), n, rels)
+
+
+def test_sweep_differential_where_extras_are_cut_off(monkeypatch):
+    """Seeded templates on 2 or 3 elements, kept when their 5/5 sweep cuts
+    off extras that a search must then settle: the sweep equals the
+    reference, and every criticality verdict, with a search or without,
+    equals brute-force criticality."""
+    rng = random.Random(29)
+    kept = 0
+    for _ in range(40):
+        a = _loopless_template(rng)
+        spy = _spy_on_sweep(monkeypatch)
+        got = critical_obstructions(a, max_vertices=5, max_tuples=5)
+        monkeypatch.undo()
+        if not any(d[4] is None and d[5] for d in spy.decided):
+            continue
+        want = oracles.reference_critical_obstructions(a, 5, 5)
+        assert [oracles.exhaustive_canonical_key(o.structure) for o in got] == \
+            [oracles.exhaustive_canonical_key(o.structure) for o in want]
+        assert all(is_isomorphic(g.structure, w.structure) for g, w in zip(got, want))
+        for decision in spy.decided:
+            assert _verdict(decision) == _is_critical(_decided_extension(decision), a)
+        kept += 1
+        if kept == 4:
+            break
+    assert kept == 4
 
 
 def test_sweep_capped_maps_match_reference(monkeypatch):
@@ -369,15 +410,15 @@ def test_sweep_capped_maps_match_reference(monkeypatch):
     cases = [(helpers.k3(), 5, 5, False), (helpers.cycle(5), 5, 5, False),
              (_full_edge_with_u(), 4, 4, True)]
     wants = [oracles.reference_critical_obstructions(a, v, t) for a, v, t, _ in cases]
-    searched, _, _ = _spy_on_sweep(monkeypatch)
+    spy = _spy_on_sweep(monkeypatch)
     for (a, max_vertices, max_tuples, finds), want in zip(cases, wants):
-        del searched[:]
+        del spy.searched[:]
         got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
         assert [oracles.exhaustive_canonical_key(o.structure) for o in got] == \
             [oracles.exhaustive_canonical_key(o.structure) for o in want]
         assert all(is_isomorphic(g.structure, w.structure) for g, w in zip(got, want))
-        assert searched
-        assert all((h is not None) == finds for _, h in searched)
+        assert spy.searched
+        assert all((h is not None) == finds for _, h in spy.searched)
 
 
 def _full_edge_with_u():
@@ -396,34 +437,34 @@ def test_sweep_canonizes_one_extension_per_orbit(monkeypatch, make, max_vertices
     that it maps, and no two extensions of one parent that an automorphism
     of the parent, fixing the new vertices, carries onto each other.  A
     canonized last-level extension maps only where a cut-off list of
-    carried maps came out empty (finds, on the full edge relation with U).  calls
-    counts every canonical_form call of the sweep, the final sort's
-    included; before is the count when every extension not pruned was
-    canonized before its criticality check, and parent_calls the count
-    before either pruning."""
+    carried maps came out empty and a search found a map for its class
+    (finds, on the full edge relation with U).  calls counts every
+    canonical_form call of the sweep, the final sort's included; before is
+    the count when every extension not pruned was canonized before its
+    criticality check, and parent_calls the count before either pruning."""
     a = make()
     template = a.relational_reduct()
-    built, _, _ = _spy_on_decisions(monkeypatch)
-    _, _, canonized = _spy_on_sweep(monkeypatch)
+    spy = _spy_on_sweep(monkeypatch)
     obs = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
     monkeypatch.undo()
-    assert len(canonized) == calls <= before < parent_calls
-    by_parent, fallbacks = {}, 0
-    for s in canonized:
-        if id(s) not in built:
+    assert len(spy.canonized) == calls <= before < parent_calls
+    fallbacks = {canonical_form(x) for x, h in spy.searched
+                 if h is not None and x.total_tuples() == max_tuples}
+    by_parent = {}
+    for s in spy.canonized:
+        if id(s) not in spy.built:
             assert any(s is o.structure for o in obs)  # the final sort
             continue
-        parent, rname, tup, ext, (maps, _) = built[id(s)]
-        if ext.total_tuples() == max_tuples:
-            assert maps == []
-            fallbacks += find_homomorphism(ext, template) is not None
+        parent, rname, tup, ext = spy.built[id(s)]
+        if ext.total_tuples() == max_tuples and find_homomorphism(ext, template) is not None:
+            assert canonical_form(ext) in fallbacks
         by_parent.setdefault(id(parent), (parent, []))[1].append((rname, tup, ext.n))
     for parent, added in by_parent.values():
         for g in oracles.brute_automorphisms(parent):
             for rname, tup, n in added:
                 moved = tuple(g[v] if v < parent.n else v for v in tup)
                 assert moved == tup or (rname, moved, n) not in added
-    assert (fallbacks > 0) == finds
+    assert bool(fallbacks) == finds
 
 
 def test_carried_maps_are_capped_and_lexicographic():
@@ -432,16 +473,18 @@ def test_carried_maps_are_capped_and_lexicographic():
     parent = oracles.brute_homs(path, k3)  # 12 maps, all of them
     # a new edge to a fresh vertex doubles them past the cap
     ext = helpers.graph(4, [(0, 1), (1, 2), (2, 3)])
-    maps, complete = duality._carried_maps(parent, True, 1, k3, "E", (2, 3))
+    tails = [(v,) for v in range(3)]
+    maps, complete = duality._carried_maps(parent, True, tails, k3.rel["E"], itemgetter(2, 3))
     assert not complete
     assert len(maps) == duality._MAX_CARRIED_MAPS
     assert maps == oracles.brute_homs(ext, k3)[:duality._MAX_CARRIED_MAPS]
     # closing the path into a triangle keeps 6 of the 12, all of them
     triangle = helpers.graph(3, [(0, 1), (1, 2), (2, 0)])
-    maps, complete = duality._carried_maps(parent, True, 0, k3, "E", (2, 0))
+    maps, complete = duality._carried_maps(parent, True, [()], k3.rel["E"], itemgetter(2, 0))
     assert complete and maps == oracles.brute_homs(triangle, k3)
     # from an incomplete parent nothing is complete
-    assert duality._carried_maps(parent, False, 0, k3, "E", (2, 0)) == (maps, False)
+    assert duality._carried_maps(parent, False, [()], k3.rel["E"], itemgetter(2, 0)) == \
+        (maps, False)
 
 
 def test_critical_obstructions_rejects_bounds_below_one():
