@@ -1,16 +1,19 @@
 """The finite Inv-Pol Galois connection.
 
 pp_closure computes the least pp-definable relation containing a given
-relation r via the indicator construction: with t = |r| tuples, the i-th
-column of r's tuple list is an element of power(a, t), and the closure is
-the set of images of those columns under all homomorphisms
-power(a, t) -> a, read off one projected search (structures._images) that
-finds each image once, so closures never materialize the (possibly
-enormous) polymorphism set.  The same image search gives pp-types: the
-pp-type of s is contained in that of t iff an endomorphism sends s to t.
+relation r via the indicator construction: the closure <G> of m tuples is
+the set of images of their columns, elements of power(a, m), under all
+homomorphisms power(a, m) -> a, read off one projected search
+(structures._images) that finds each image once, so closures never
+materialize the (possibly enormous) polymorphism set.  <r> = <G> for
+every G with G <= r <= <G>, so only the powers of a generating subset G,
+grown greedily from r's sorted tuples (_grow), are built and searched.
+The same image search gives pp-types: the pp-type of s is contained in
+that of t iff an endomorphism sends s to t.
 
 Certificates are two-sided: a pp formula that re-evaluates to exactly r,
-or a t-ary polymorphism mapping r's tuple rows to a tuple outside r.
+or a t-ary polymorphism, a minor of a map from G's power, mapping r's t
+tuple rows to a tuple outside r.
 """
 
 from __future__ import annotations
@@ -24,17 +27,17 @@ from .structures import (
     DEFAULT_BUDGET,
     FiniteStructure,
     _images,
-    encode_tuple,
     find_homomorphism,
     is_int,
     power,
+    product,
 )
 from .formulas import (Eq, FALSE, FormulaError, _check_symbols, _fact_formula, _numbered_names,
                        _walk, canonical_structure)
 from .clones import OperationTable, operation_preserves
 
-# Indicator powers: t tuples mean a power with |A|**t elements.  These caps
-# keep the construction at desk scale (2**8 = 256, 3**5 = 243).
+# t tuples mean a power and a t-ary operation table of |A|**t elements each.
+# This cap keeps both at desk scale (2**8 = 256, 3**5 = 243).
 MAX_POWER_DOMAIN = 260
 
 
@@ -134,23 +137,40 @@ def _over_cap(n: int, power: str, at_most: str, nothing: str) -> BudgetExceededE
     return BudgetExceededError(f"{power}, over the configured cap of {MAX_POWER_DOMAIN}: {advice}")
 
 
-def _indicator_power(a: FiniteStructure, t: int, budget: int) -> FiniteStructure:
-    if a.n ** t > MAX_POWER_DOMAIN:
-        raise _over_cap(a.n, f"the relation has {t} tuples, so its indicator power has "
-                        f"{a.n}**{t} elements",
-                        f"a relation over {a.n} elements may have at most {{}} tuples",
+def _check_cap(n: int, t: int, what: str):
+    """Refuse the indicator power of the t tuples of a what over n elements."""
+    if n ** t > MAX_POWER_DOMAIN:
+        raise _over_cap(n, f"the {what} has {t} tuples, so its indicator power has {n}**{t} elements",
+                        f"a {what} over {n} elements may have at most {{}} tuples",
                         "relation with a tuple")
-    return power(a, t, budget=budget)
 
 
-def _columns(a: FiniteStructure, rows, arity: int) -> list:
-    """The i-th column of the tuple list rows, for each i < arity, as an
-    element of power(a, len(rows))."""
-    return [encode_tuple(tuple(row[i] for row in rows), a.n) for i in range(arity)]
+def _grow(a: FiniteStructure, rows: tuple, arity: int, budget: int, inside=None):
+    """Greedy generating subset gen of the sorted tuples rows: a row joins
+    gen when <gen> misses it, and <gen> is then one image search on
+    power(a, len(gen)), built from the previous power by one more factor;
+    the growth stops at the first image outside inside, when given.
+    Returns (gen, columns, power, closure, outside), outside None or the
+    (image, least) pair of _images for that image."""
+    gen, columns, closure = [], [0] * arity, set()
+    for row in rows:
+        if row in closure:
+            continue
+        gen.append(row)
+        _check_cap(a.n, len(gen), "generating subset")
+        pw = product(pw, a, budget) if len(gen) > 1 else power(a, 1, budget)
+        columns, closure = [c * a.n + x for c, x in zip(columns, row)], set()
+        for image, least in _images(pw, a, columns, budget):
+            if inside is not None and image not in inside:
+                return gen, columns, pw, closure, (image, least)
+            closure.add(image)
+    return gen, columns, pw, closure, None
 
 
 def pp_closure(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET) -> Relation:
-    """Smallest pp-definable relation of a containing r, one image search.
+    """Smallest pp-definable relation of a containing r: the closure of a
+    generating subset grown greedily from r's tuples (_grow), one image
+    search per tuple of the subset.
 
     The closure of the empty relation is empty (pp-definable by false);
     callers who care can catch the EmptyRelationClosure warning.
@@ -160,56 +180,61 @@ def pp_closure(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET) ->
         warnings.warn("closure of the empty relation is empty by convention",
                       EmptyRelationClosure, stacklevel=2)
         return Relation(r.arity, frozenset())
-    pw = _indicator_power(a, len(r.tuples), budget)
-    columns = _columns(a, sorted(r.tuples), r.arity)
-    return Relation(r.arity, frozenset(image for image, _ in _images(pw, a, columns, budget)))
+    return Relation(r.arity, frozenset(_grow(a, tuple(sorted(r.tuples)), r.arity, budget)[3]))
 
 
 def is_pp_definable(a: FiniteStructure, r: Relation, budget: int = DEFAULT_BUDGET):
-    """Decide pp-definability of r in a; returns (verdict, certificate)."""
+    """Decide pp-definability of r in a; returns (verdict, certificate).
+
+    r is pp-definable iff <G> stays inside r, G the generating subset of
+    _grow.  A negative lifts the least map g from G's power with an image
+    outside r to the minor F(x_1..x_t) = g(x_{i_1}..x_{i_m}), i_j the index
+    of G's j-th tuple among r's t sorted tuples."""
     r.check_domain(a)
     if not r.tuples:
         return True, PpDefinabilityCertificate(True, formula=FALSE)
     rows = tuple(sorted(r.tuples))
-    pw = _indicator_power(a, len(rows), budget)
-    for image, least in _images(pw, a, _columns(a, rows, r.arity), budget):
-        if image not in r.tuples:
-            f = OperationTable(a.n, len(rows), least())
-            return False, PpDefinabilityCertificate(
-                False, violating_operation=f, input_rows=rows, violating_tuple=image)
-    return True, PpDefinabilityCertificate(
-        True, formula=synthesize_pp_definition(a, r, budget, indicator_power=pw))
+    gen, _, _, _, outside = growth = _grow(a, rows, r.arity, budget, inside=r.tuples)
+    if outside is None:
+        return True, PpDefinabilityCertificate(
+            True, formula=synthesize_pp_definition(a, r, budget, growth=growth))
+    image, least = outside
+    _check_cap(a.n, len(rows), "relation")
+    at = [0]  # per element of power(a, t), the element of power(a, |G|) F reads g at
+    for row in rows:
+        at = ([e * a.n + x for e in at for x in range(a.n)] if row in gen
+              else [e for e in at for _ in range(a.n)])
+    g = least()
+    f = OperationTable._from_checked(a.n, len(rows), tuple([g[e] for e in at]))
+    return False, PpDefinabilityCertificate(
+        False, violating_operation=f, input_rows=rows, violating_tuple=image)
 
 
 def synthesize_pp_definition(a: FiniteStructure, r: Relation,
-                             budget: int = DEFAULT_BUDGET,
-                             indicator_power: FiniteStructure | None = None):
+                             budget: int = DEFAULT_BUDGET, growth=None):
     """A pp formula whose extension over a is exactly r.
 
-    The formula is the canonical query of power(a, t) with the column
-    positions of r left free: element variables are all existentially
-    quantified, and fresh free variables y_i are pinned to the column
-    elements by equalities.  The postcondition (extension == r) is verified
-    by re-evaluation before returning.  Raises ValueError when r is not
-    pp-definable.  A caller that has built power(a, t) already passes it as
-    indicator_power.
+    The formula is the canonical query of power(a, |G|), G the generating
+    subset of _grow, with G's column positions left free: element
+    variables are all existentially quantified, and fresh free variables
+    y_i are pinned to the column elements by equalities.  The
+    postcondition (extension == r) is verified by re-evaluation before
+    returning.  Raises ValueError when r is not pp-definable.  A caller
+    that has run _grow on r already passes its result as growth.
     """
     r.check_domain(a)
     if not r.tuples:
         return FALSE
-    rows = sorted(r.tuples)
-    pw = indicator_power or _indicator_power(a, len(rows), budget)
-
-    outer = _numbered_names(r.arity, a.sig.constants)
-    inner = _numbered_names(pw.n, set(a.sig.constants) | set(outer), prefixes=("_e",))
-
-    columns = _columns(a, rows, r.arity)
-    phi = _fact_formula(pw, inner, [Eq(y, inner[col]) for y, col in zip(outer, columns)])
-    extension = relation_of_formula(a, phi, r.arity, budget)
-    if extension != r.tuples:
-        raise ValueError("relation is not pp-definable; synthesize_pp_definition "
-                         "requires is_pp_definable(a, r) to hold")
-    return phi
+    _, columns, pw, _, outside = growth or _grow(a, tuple(sorted(r.tuples)), r.arity,
+                                                 budget, inside=r.tuples)
+    if outside is None:
+        outer = _numbered_names(r.arity, a.sig.constants)
+        inner = _numbered_names(pw.n, set(a.sig.constants) | set(outer), prefixes=("_e",))
+        phi = _fact_formula(pw, inner, [Eq(y, inner[col]) for y, col in zip(outer, columns)])
+        if relation_of_formula(a, phi, r.arity, budget) == r.tuples:
+            return phi
+    raise ValueError("relation is not pp-definable; synthesize_pp_definition "
+                     "requires is_pp_definable(a, r) to hold")
 
 
 def pp_type_leq(a: FiniteStructure, s: tuple, t: tuple, budget: int = DEFAULT_BUDGET) -> bool:

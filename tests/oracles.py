@@ -6,13 +6,15 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  Five sections are different:
+indicator construction the library uses.  Six sections are different:
 they keep earlier library code verbatim as a reference: the Fraction
 linear-algebra kernel of linear_horn, the Q(sqrt2) field and mixing map
 with which linear_horn once decided mix preservation, the formula-layer
 code (renaming, tokenizing, local refutability, the P4 check and the
 separate walkers over a formula), the tuple-by-tuple powers and plan
-compiler of structures, and the pairwise pp-type classes of galois.
+compiler of structures, the pairwise pp-type classes of galois, and
+galois's one-search pp-definability decision on the indicator power of
+all of a relation's tuples.
 """
 
 import itertools
@@ -23,9 +25,11 @@ from operator import itemgetter
 from cspbench.duality import _all_tuples
 from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or,
                                TriviallyFalseError, _FreshNames, _numbered_names, conj)
+from cspbench.clones import OperationTable
+from cspbench.galois import PpDefinabilityCertificate
 from cspbench.linear_horn import LinearLiteral
 from cspbench.structures import (DEFAULT_BUDGET, BudgetExceededError, FiniteStructure,
-                                 Signature, encode_tuple)
+                                 Signature, _images, encode_tuple)
 
 
 def all_maps(n_source, n_target):
@@ -182,6 +186,28 @@ def pp_type_classes(a, n):
         if not dominated:
             maximal.append(idx)
     return classes, maximal
+
+
+def reference_is_pp_definable(a, r, budget=DEFAULT_BUDGET):
+    """(verdict, certificate) for the relation r of a, decided by one image
+    search on the indicator power(a, t) of all t tuples of r: r is
+    pp-definable iff every image of r's columns under the homomorphisms
+    power(a, t) -> a lies in r.  On a negative the certificate holds the
+    least t-ary polymorphism with the first image outside r; a positive
+    has none.  This is galois.is_pp_definable as it was before it grew a
+    generating subset, kept verbatim without the definition it
+    synthesized; the power comes from the reference power below."""
+    if not r.tuples:
+        return True, None
+    rows = tuple(sorted(r.tuples))
+    pw = power(a, len(rows), budget)
+    columns = [encode_tuple(tuple(row[i] for row in rows), a.n) for i in range(r.arity)]
+    for image, least in _images(pw, a, columns, budget):
+        if image not in r.tuples:
+            f = OperationTable(a.n, len(rows), least())
+            return False, PpDefinabilityCertificate(
+                False, violating_operation=f, input_rows=rows, violating_tuple=image)
+    return True, None
 
 
 # -- pp-definable relation generation on the 2-element domain --

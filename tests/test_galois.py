@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -17,9 +18,10 @@ from cspbench import (
     pp_type_leq,
     synthesize_pp_definition,
 )
-from cspbench.clones import preserves_relation
+from cspbench.clones import OperationTable, preserves_relation
 from cspbench.formulas import FALSE, And, Exists, FormulaError, free_variables, parse_sentence
 from cspbench.galois import EmptyRelationClosure, relation_of_formula
+from cspbench.structures import BudgetExceededError, encode_tuple
 
 
 def edge01():
@@ -271,6 +273,8 @@ def test_completeness_against_coclone_oracle_sample():
 
 
 def test_is_pp_definable_builds_one_indicator_power(monkeypatch):
+    # K2's edge relation is the orbit of (0, 1) under the swap, so its
+    # generating subset is one tuple and power(a, 2) is never built
     import cspbench.galois as galois
 
     sizes = []
@@ -284,7 +288,38 @@ def test_is_pp_definable_builds_one_indicator_power(monkeypatch):
     a = helpers.k2()
     verdict, cert = is_pp_definable(a, Relation(2, [(0, 1), (1, 0)]))
     assert verdict and cert.verify(a, Relation(2, [(0, 1), (1, 0)]))
-    assert sizes == [2]
+    assert sizes == [1]
+
+
+def test_is_pp_definable_matches_the_one_search_reference():
+    # 300 relations over random 2- and 3-element templates, with indicator
+    # powers of up to 256 and 27 elements; both deciders search under the
+    # same budget, and the growth decides every case while the reference
+    # overruns on some
+    rng = random.Random(5)
+    overruns = 0
+    for _ in range(300):
+        a = helpers.random_structure(rng, min_n=2, max_n=3)
+        arity = rng.randint(1, 3)
+        r = Relation(arity, helpers.random_nonempty_relation(
+            rng, a.n, arity, max_size=8 if a.n == 2 else 3))
+        verdict, cert = is_pp_definable(a, r, budget=100_000)
+        assert cert.verify(a, r)
+        try:
+            assert oracles.reference_is_pp_definable(a, r, budget=100_000)[0] == verdict
+        except BudgetExceededError:
+            overruns += 1
+        if verdict:
+            continue
+        f, rows = cert.violating_operation, cert.input_rows
+        assert f.k == len(r.tuples) and rows == tuple(sorted(r.tuples))
+        # one table entry that the rows use, changed: the image changes too
+        used = encode_tuple(tuple(row[0] for row in rows), a.n)
+        values = list(f.values)
+        values[used] = (values[used] + 1) % a.n
+        corrupt = replace(cert, violating_operation=OperationTable(a.n, f.k, tuple(values)))
+        assert not corrupt.verify(a, r)
+    assert overruns == 2
 
 
 def test_relation_rejects_booleans():

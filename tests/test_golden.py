@@ -86,6 +86,10 @@ CASES = [
     "duality nae.json --n-max 2 --max-vertices 3 --max-tuples 3",
     "ppdef k2.json rel_edge.json",
     "ppdef k2.json rel_arc.json",
+    # relations whose indicator powers (3**6, 5**20 elements) are far over
+    # the cap, decided from generating subsets of one and two tuples
+    "ppdef k3.json rel_ne3.json",
+    "ppdef c5.json rel_ne5.json",
     "solve k2.json edge.txt",
     "solve k2.json loop.txt",
     "solve k3.json triangle.txt",
