@@ -14,14 +14,13 @@ disjunction or false occurs, and its first symbol fault.  Every caller
 reads each formula once and asks the walk, never a walker of its own, so
 a certificate with thousands of atoms is traversed once per use.
 
-Evaluation of a pp formula reduces to homomorphism search from its
-canonical database (equalities merged by union-find); an ep formula holds
-when one disjunct of its disjunctive normal form does, and _ep_search
-decides each branch of its disjunctions by one such search, each branch
-one step of the budget.  One renaming walk, _rename, serves disjunction
-elimination both for replacing free names and for giving every
-quantifier fresh variables, and separates the variables of a formula
-that quantifies a name twice before its databases are built.
+A pp formula holds iff its canonical database (equalities merged by
+union-find) maps to the structure, an ep formula iff one disjunct of its
+disjunctive normal form does: _ep_search decides both, one search per
+branch of the disjunctions, a pp formula being one branch.  One renaming
+walk, _rename, gives disjunction elimination new free names and fresh
+quantified variables, and separates the variables of a formula that
+quantifies a name twice.
 
 Sentence text grammar (used by the CLI; '#' starts a comment)::
 
@@ -329,12 +328,10 @@ def canonical_structure(phi, sig: Signature, walk: _Walk | None = None):
 
 
 def _database(sig: Signature, names: set, atoms, equalities):
-    """The database of names (constants aside) and the constants of sig,
-    equalities merged by union-find, with one tuple per atom: (structure,
-    name -> element map)."""
-    nodes = sorted(names.difference(sig.constants)) + list(sig.constants)
-    if not nodes:
-        raise FormulaError("a formula without names or constants has no canonical database")
+    """The database of names (constants aside) and the constants of sig, or
+    else of one name '_', equalities merged by union-find, with one tuple
+    per atom: (structure, name -> element map)."""
+    nodes = sorted(names.difference(sig.constants)) + list(sig.constants) or ["_"]
     parent = {x: x for x in nodes}
 
     def find(x):
@@ -374,125 +371,115 @@ def _checked_env(a: FiniteStructure, free: set, assignment) -> dict:
     return {v: env[v] for v in free}
 
 
-def _pinned_search(a: FiniteStructure, db, elem, env: dict, budget: int):
-    """The lexicographically least homomorphism db -> a sending each name of
-    env to its value, or None (also when two merged names differ)."""
-    pinned = {}
-    for v, value in env.items():
-        if pinned.setdefault(elem[v], value) != value:
-            return None
-    return find_homomorphism(db, a, pinned=pinned, budget=budget)
+def _least_map(a: FiniteStructure, env: dict, block, budget: int):
+    """The _ep_search key: block's values under the least homomorphism that
+    sends a node's database to a and each name of env to its value, or None."""
+    def key(db, elem):
+        pinned = {}
+        for v, value in env.items():
+            if pinned.setdefault(elem[v], value) != value:
+                return None
+        h = find_homomorphism(db, a, pinned=pinned, budget=budget)
+        return None if h is None else tuple([h.map[elem[v]] for v in block])
 
-
-def _pp_search(a: FiniteStructure, phi, budget: int, walk: _Walk, assignment=None):
-    """(elem, h) for a pp formula without false: its canonical database's
-    element map, and _pinned_search's h under assignment (checked then)."""
-    db, elem = canonical_structure(phi, a.sig, walk)
-    env = _checked_env(a, walk.free.difference(a.sig.constants), assignment)
-    return elem, _pinned_search(a, db, elem, env, budget)
+    return key
 
 
 def _split(phi):
-    """(atoms, equalities and false; disjunctions) of phi outside its disjunctions."""
-    literals, disjunctions, stack = [], [], [phi]
+    """(names, atoms, equalities, disjunctions) of phi outside its
+    disjunctions, or None when false is among them."""
+    atoms, equalities, disjunctions, stack = [], [], [], [phi]
+    lists = {Atom: atoms, Eq: equalities, Or: disjunctions}
     while stack:
         node = stack.pop()
         if isinstance(node, (And, Exists)):
             stack.extend(reversed(node.parts) if isinstance(node, And) else [node.body])
+        elif isinstance(node, Falsum):
+            return None
         else:
-            (disjunctions if isinstance(node, Or) else literals).append(node)
-    return literals, tuple(disjunctions)
+            lists[type(node)].append(node)
+    names = set().union(*[x.args for x in atoms], *[(x.left, x.right) for x in equalities])
+    return names, atoms, equalities, tuple(disjunctions)
 
 
 def _ep_search(a: FiniteStructure, phi, walk: _Walk, budget: int, keep, key):
     """Decide an ep formula by one search per branch of its disjunctions.
 
     Renamed apart (walk is phi's), each name is one variable, so every
-    quantifier moves to the front.  A node holds the literals outside the
-    disjunctions it has not expanded, and those disjunctions; expanding it
-    replaces the first by each alternative in turn.  key(db, elem) reads a
-    node's database, over the names of its literals and of keep: None
-    drops the node and all below it, and more literals never lower a key.
-    Popped least key first, ties to the newest, the first node without
-    disjunctions carries the least key of any disjunct, which is returned
-    (else None).  Each node is one step against budget.
+    quantifier moves to the front.  A node is (names, atoms, equalities,
+    disjunctions) of what lies outside the disjunctions it has not
+    expanded, or None when false does; expanding it replaces the first
+    disjunction by each distinct alternative in turn.  A pp formula is the
+    root alone.  key(db, elem) reads a node's database, over its names and
+    keep: None drops the node and all below it, and more literals never
+    lower a key.  Popped least key first, ties to the newest, the first
+    node without disjunctions carries the least key of any disjunct, which
+    is returned (else None).  Each node is one step against budget.
     """
     if not walk.clean:
         phi = _rename(phi, {}, _apart_names(walk, a.sig.constants))
-    heap, steps = [], itertools.count(1)
-
-    def push(literals, disjunctions):
-        step = next(steps)
-        if step > budget:
-            raise BudgetExceededError(f"ep evaluation exceeded budget of {budget} disjunct branches")
-        atoms = [x for x in literals if isinstance(x, Atom)]
-        equalities = [x for x in literals if isinstance(x, Eq)]
-        names = set(keep).union(*[x.args for x in atoms], *[(x.left, x.right) for x in equalities])
-        # one isolated element stands for a node without names or constants
-        found = None if FALSE in literals else key(*_database(a.sig, names or {"_"}, atoms, equalities))
-        if found is not None:
-            heapq.heappush(heap, (found, -step, literals, disjunctions))
-
-    push(*_split(phi))
-    while heap:
-        found, _, literals, disjunctions = heapq.heappop(heap)
+    if walk.disjunctive:
+        root = _split(phi)
+    else:  # the canonical database
+        walk = walk if walk.clean else _walk(phi)
+        root = None if walk.false else (walk.names, walk.atoms, walk.equalities, ())
+    heap, step, children = [], 0, [root and (root[0].union(keep), *root[1:])]
+    while True:
+        for node in children:
+            step += 1
+            if step > budget:
+                raise BudgetExceededError(f"ep evaluation exceeded budget of {budget} disjunct branches")
+            found = None if node is None else key(*_database(a.sig, *node[:3]))
+            if found is not None:
+                heapq.heappush(heap, (found, -step, node))
+        if not heap:
+            return None
+        found, _, (names, atoms, equalities, disjunctions) = heapq.heappop(heap)
         if not disjunctions:
             return found
-        for alternative in disjunctions[0].parts:
-            more, inner = _split(alternative)
-            push(literals + more, inner + disjunctions[1:])
-    return None
+        children = [more and (names | more[0], atoms + more[1], equalities + more[2],
+                              more[3] + disjunctions[1:])
+                    for more in map(_split, dict.fromkeys(disjunctions[0].parts))]
 
 
 def evaluate(a: FiniteStructure, phi, assignment=None, budget: int = DEFAULT_BUDGET) -> bool:
     """Tarskian truth of phi in a under an assignment of its free variables.
 
-    For sentences this is the CSP decision.  The pp fragment is decided by
-    one search from the canonical database, free variables pinned through
-    the assignment (false makes it false), and ep formulas by one such
-    search per branch of _ep_search.  Faults are reported in the order:
-    symbol fault, canonical-database fault, assignment fault.
+    For sentences this is the CSP decision.  _ep_search decides phi by one
+    search per branch, free variables pinned through the assignment; a pp
+    formula is one branch, its canonical database's search (false makes it
+    false).  Faults come in the order: symbol fault, assignment fault.
     """
     walk = _walk(phi, a.sig)
     _check_symbols(walk)
-    if not walk.disjunctive and not walk.false:
-        return _pp_search(a, phi, budget, walk, assignment)[1] is not None
     env = _checked_env(a, walk.free.difference(a.sig.constants), assignment)
-
-    def holds(db, elem):
-        return None if _pinned_search(a, db, elem, env, budget) is None else ()
-
-    return walk.disjunctive and _ep_search(a, phi, walk, budget, env, holds) is not None
+    return _ep_search(a, phi, walk, budget, env, _least_map(a, env, (), budget)) is not None
 
 
 def witness_assignment(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
     """A satisfying assignment for a true sentence, or None.
 
-    pp sentences report values for all their variables, read off the
-    homomorphism from the canonical database that decided truth (a name
-    quantified more than once reports its first binding in preorder); ep
-    sentences report the lexicographically least assignment of the
-    outermost existential block under which the body holds (a name the
-    block lists twice counts at its last place): the least first image of
-    that block over the branches of _ep_search.
+    pp sentences report every variable, read off the least homomorphism
+    from the canonical database (a name quantified more than once reports
+    its first binding in preorder); ep sentences report the least
+    assignment of the outermost existential block under which the body
+    holds (a name the block lists twice counts at its last place), its
+    least first image over the branches of _ep_search.
     """
     walk = _walk(phi, a.sig)
     _check_symbols(walk)
     _checked_env(a, walk.free.difference(a.sig.constants), None)
-    if not walk.disjunctive:
-        if walk.false:
-            return None
-        elem, h = _pp_search(a, phi, budget, walk)
-        if h is None:
-            return None
-        return {v: h.map[e] for v, e in elem.items() if v in walk.names and v not in a.sig.constants}
-    block = tuple(reversed(dict.fromkeys(reversed(phi.vars)))) if isinstance(phi, Exists) else ()
+    if walk.disjunctive:
+        block = tuple(reversed(dict.fromkeys(reversed(phi.vars)))) if isinstance(phi, Exists) else ()
+        # a block listing a name twice has the same names, free names and cleanness
+        phi = Exists(block, phi.body) if block else phi
 
-    def least_image(db, elem):
-        return next(_images(db, a, [elem[v] for v in block], budget), (None,))[0]
-
-    # a block listing a name twice has the same names, free names and cleanness
-    values = _ep_search(a, Exists(block, phi.body) if block else phi, walk, budget, block, least_image)
+        def key(db, elem):
+            return next(_images(db, a, [elem[v] for v in block], budget), (None,))[0]
+    else:
+        block = tuple(sorted(walk.names.difference(a.sig.constants)))
+        key = _least_map(a, {}, block, budget)
+    values = _ep_search(a, phi, walk, budget, block, key)
     return None if values is None else dict(zip(block, values))
 
 

@@ -55,14 +55,17 @@ class Relation:
     def __post_init__(self):
         if not is_int(self.arity) or self.arity < 0:
             raise ValueError(f"relation arity must be a non-negative integer, got {self.arity!r}")
-        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
-        for t in self.tuples:
+        tuples = [tuple(t) for t in self.tuples]
+        for t in tuples:  # checked before a set hashes them
             if len(t) != self.arity:
                 raise ValueError(f"tuple {t} does not have arity {self.arity}")
+            if not all(is_int(v) for v in t):
+                raise ValueError(f"tuple {t} holds a value that is not an integer")
+        object.__setattr__(self, "tuples", frozenset(tuples))
 
     def check_domain(self, a: FiniteStructure):
         for t in self.tuples:
-            if not all(is_int(v) and 0 <= v < a.n for v in t):
+            if not all(0 <= v < a.n for v in t):
                 raise ValueError(f"tuple {t} outside domain of size {a.n}")
 
 

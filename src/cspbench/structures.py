@@ -160,13 +160,13 @@ class FiniteStructure:
         constants = dict(constants or {})
         rel = {}
         for rname, ar in sig.relations:
-            tuples = frozenset(tuple(t) for t in relations.pop(rname, ()))
-            for t in tuples:
+            tuples = [tuple(t) for t in relations.pop(rname, ())]
+            for t in tuples:  # checked before a set hashes them
                 if len(t) != ar:
                     raise ValueError(f"tuple {t} has wrong length for {rname} (arity {ar})")
-                if not all(type(v) is int and 0 <= v < n for v in t):
+                if not all(is_int(v) and 0 <= v < n for v in t):
                     raise ValueError(f"tuple {t} of {rname} out of domain 0..{n - 1}")
-            rel[rname] = tuples
+            rel[rname] = frozenset(tuples)
         if relations:
             raise ValueError(f"relations not in signature: {sorted(relations)}")
         const = {}

@@ -6,15 +6,16 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  Six sections are different:
+indicator construction the library uses.  Seven sections are different:
 they keep earlier library code verbatim as a reference: the Fraction
 linear-algebra kernel of linear_horn, the Q(sqrt2) field and mixing map
 with which linear_horn once decided mix preservation, the formula-layer
 code (renaming, tokenizing, local refutability, the P4 check and the
 separate walkers over a formula), the tuple-by-tuple powers and plan
-compiler of structures, the pairwise pp-type classes of galois, and
+compiler of structures, the pairwise pp-type classes of galois,
 galois's one-search pp-definability decision on the indicator power of
-all of a relation's tuples.
+all of a relation's tuples, and the formula layer's separate pp path,
+one pinned search from the canonical database.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
+from cspbench import formulas
 from cspbench.duality import _all_tuples
 from cspbench.formulas import (And, Atom, Eq, Exists, Falsum, FormulaError, Or,
                                TriviallyFalseError, _FreshNames, _numbered_names, conj)
@@ -29,7 +31,7 @@ from cspbench.clones import OperationTable
 from cspbench.galois import PpDefinabilityCertificate
 from cspbench.linear_horn import LinearLiteral
 from cspbench.structures import (DEFAULT_BUDGET, BudgetExceededError, FiniteStructure,
-                                 Signature, _images, encode_tuple)
+                                 Signature, _images, encode_tuple, find_homomorphism)
 
 
 def all_maps(n_source, n_target):
@@ -1094,3 +1096,53 @@ def _compile_plan(a, b):
     values = [tuple(range(b.n)) if ok is None else tuple(sorted(ok)) for ok in allowed]
     counts = [tuple(v + 1 for v in vs) for vs in values]
     return values, counts, [tuple(c for c in known.values() if c is not None) for known in checks]
+
+
+# -- the formulas pp path, kept verbatim: one pinned search from the
+# canonical database that formulas.canonical_structure builds, the formula
+# renamed apart first when it is not clean.  A differential test holds
+# evaluate and witness_assignment, which decide a pp formula as the one
+# branch of the ep search, to it. --
+
+
+def _pinned_search(a: FiniteStructure, db, elem, env: dict, budget: int):
+    """The lexicographically least homomorphism db -> a sending each name of
+    env to its value, or None (also when two merged names differ)."""
+    pinned = {}
+    for v, value in env.items():
+        if pinned.setdefault(elem[v], value) != value:
+            return None
+    return find_homomorphism(db, a, pinned=pinned, budget=budget)
+
+
+def _pp_search(a: FiniteStructure, phi, budget: int, walk, assignment=None):
+    """(elem, h) for a pp formula without false: its canonical database's
+    element map, and _pinned_search's h under assignment (checked then)."""
+    db, elem = formulas.canonical_structure(phi, a.sig, walk)
+    env = formulas._checked_env(a, walk.free.difference(a.sig.constants), assignment)
+    return elem, _pinned_search(a, db, elem, env, budget)
+
+
+def pp_evaluate(a: FiniteStructure, phi, assignment=None, budget: int = DEFAULT_BUDGET) -> bool:
+    """Truth of a pp formula under an assignment of its free variables."""
+    walk = formulas._walk(phi, a.sig)
+    formulas._check_symbols(walk)
+    if not walk.false:
+        return _pp_search(a, phi, budget, walk, assignment)[1] is not None
+    formulas._checked_env(a, walk.free.difference(a.sig.constants), assignment)
+    return False
+
+
+def pp_witness(a: FiniteStructure, phi, budget: int = DEFAULT_BUDGET):
+    """Values for all variables of a true pp sentence, read off the least
+    homomorphism from its canonical database (a name quantified more than
+    once reports its first binding in preorder), or None."""
+    walk = formulas._walk(phi, a.sig)
+    formulas._check_symbols(walk)
+    formulas._checked_env(a, walk.free.difference(a.sig.constants), None)
+    if walk.false:
+        return None
+    elem, h = _pp_search(a, phi, budget, walk)
+    if h is None:
+        return None
+    return {v: h.map[e] for v, e in elem.items() if v in walk.names and v not in a.sig.constants}

@@ -461,15 +461,29 @@ def test_analyze_large_sparse_template_reports_budget_errors(capsys, tmp_path):
 
 
 def test_ep_solve_is_bounded_by_the_budget(files, capsys, tmp_path):
-    # 15 disjunctions U(x) | U(x) and a last V(x) | V(x): every branch holds
-    # until the last disjunction, so each of the 2**16 leaves is searched
+    # 15 disjunctions U(x) | U(x) & x = x and a last V(x) | V(x) & x = x:
+    # the alternatives differ but tie, every branch holds until the last
+    # disjunction, so each of the 2**16 leaves is searched
     uv = tmp_path / "uv.json"
     uv.write_text(helpers.uv().to_json())
     tied = tmp_path / "tied.txt"
-    tied.write_text("exists x . " + " & ".join(["(U(x) | U(x))"] * 15 + ["(V(x) | V(x))"]))
+    tied.write_text("exists x . " + " & ".join(["(U(x) | U(x) & x = x)"] * 15
+                                               + ["(V(x) | V(x) & x = x)"]))
     code, out, err = run(capsys, "solve", str(uv), str(tied), "--budget", "1000")
     assert code == 2 and out == ""
     assert "ep evaluation exceeded budget of 1000 disjunct branches" in err
+    # with identical alternatives each disjunction is one branch: 17 refute it
+    tied.write_text("exists x . " + " & ".join(["(U(x) | U(x))"] * 15 + ["(V(x) | V(x))"]))
+    code, out, err = run(capsys, "solve", str(uv), str(tied), "--budget", "17")
+    assert (code, out, err) == (1, "unsatisfied\n", "")
+    code, out, err = run(capsys, "solve", str(uv), str(tied), "--budget", "16")
+    assert code == 2 and "ep evaluation exceeded budget of 16 disjunct branches" in err
+    # a pp sentence is one branch, so a budget of 0 overruns before its search
+    code, out, err = run(capsys, "solve", files["k2.json"], files["loop.txt"], "--budget", "0")
+    assert code == 2 and out == ""
+    assert "ep evaluation exceeded budget of 0 disjunct branches" in err
+    code, out, err = run(capsys, "solve", files["k2.json"], files["loop.txt"], "--budget", "1")
+    assert (code, out, err) == (1, "unsatisfied\n", "")
     # one search of a branch tries the 3,000 values of y
     template = tmp_path / "t3000.json"
     template.write_text(FiniteStructure(Signature.make({"E": 2}), 3000, {"E": [(0, 2999)]}).to_json())

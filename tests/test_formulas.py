@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 import oracles
-from cspbench import FiniteStructure, Signature, find_homomorphism, is_isomorphic
+from cspbench import BudgetExceededError, FiniteStructure, Signature, find_homomorphism, is_isomorphic
 from cspbench.formulas import (
     FALSE,
     And,
@@ -268,6 +268,93 @@ def test_ep_decisions_match_brute_force():
             (("error", fault) if fault else ("ok", oracles.brute_evaluate(a, body, env)))
         kinds.add((is_pp(phi), len(set(block)) < len(block), truth))
     assert {(p, r, t) for p in (True, False) for r in (True, False) for t in (True, False)} <= kinds
+
+
+def _pp_formula(rng, sig):
+    """A random pp formula with constants in term positions, false
+    conjoined now and then, nested (shadowing) quantifiers, and some
+    variables left free."""
+    phi = helpers.random_pp_sentence(rng, sig, max_vars=5)
+    constants = list(sig.constants)
+
+    def term(x):
+        return rng.choice(constants) if constants and rng.random() < 0.2 else x
+
+    def walk(node):
+        if isinstance(node, Atom):
+            node = Atom(node.rel, tuple(term(x) for x in node.args))
+        elif isinstance(node, Eq):
+            node = Eq(term(node.left), term(node.right))
+        else:
+            node = And(tuple(walk(p) for p in node.parts))
+        roll = rng.random()
+        if roll < 0.04:
+            return And((node, FALSE))
+        if roll < 0.25:
+            return Exists(tuple(rng.sample(phi.vars, rng.randint(1, 2))), node)
+        return node
+
+    bound = tuple(v for v in phi.vars if rng.random() < 0.8)
+    body = walk(phi.body)
+    return Exists(bound, body) if bound else body
+
+
+def _by_budget(fn, *args):
+    """fn(*args, budget) as a function of budget: ("ok", its result) or
+    ("overrun", the message)."""
+    def run(budget):
+        try:
+            return "ok", fn(*args, budget)
+        except BudgetExceededError as exc:
+            return "overrun", str(exc)
+
+    return run
+
+
+def _least_budget(run):
+    """The least budget of at least 1 under which run does not overrun.
+    A search overruns exactly the budgets below the steps it takes, so the
+    overruns are the budgets below this one, found by bisection."""
+    high = 1
+    while run(high)[0] == "overrun":
+        high *= 2
+    low = high // 2  # overruns, unless 0
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if run(mid)[0] == "overrun" else (low, mid)
+    return high
+
+
+def test_pp_decisions_match_the_separate_pp_path():
+    """A pp formula is the one branch of the ep search: evaluate and
+    witness_assignment give the value, the witness and the budget overruns
+    of the separate pp path they replaced (oracles.pp_evaluate and
+    oracles.pp_witness), on clean and unclean formulas with constants,
+    false and free variables under random assignments."""
+    rng = random.Random(67)
+    kinds, decorations = set(), set()
+    for _ in range(300):
+        a = _structure_with_constants(rng)
+        phi = _pp_formula(rng, a.sig)
+        free = sorted(free_variables(phi, a.sig))
+        env = {v: rng.randrange(a.n) for v in free}
+        sentence = Exists(tuple(free), phi) if free else phi
+        thresholds = []
+        for new, old, args in [(evaluate, oracles.pp_evaluate, (a, phi, env)),
+                               (witness_assignment, oracles.pp_witness, (a, sentence))]:
+            new, old = _by_budget(new, *args), _by_budget(old, *args)
+            budget = _least_budget(old)
+            assert new(budget) == old(budget)
+            if budget > 1:
+                assert new(budget - 1) == old(budget - 1)
+            thresholds.append(budget)
+        walk = _walk(phi)
+        kinds.add((walk.clean, evaluate(a, phi, env)))
+        decorations.update(name for name, seen in [("false", walk.false), ("free", free),
+                                                   ("constant", walk.names & set(a.sig.constants)),
+                                                   ("overrun", max(thresholds) > 1)] if seen)
+    assert kinds == set(itertools.product((True, False), repeat=2))
+    assert decorations == {"false", "free", "constant", "overrun"}
 
 
 def test_ep_witness_takes_the_last_place_of_a_repeated_block_name():
@@ -707,16 +794,16 @@ def test_free_variables_ignores_constants():
 
 
 def test_witness_runs_one_search(monkeypatch):
-    import cspbench.formulas as formulas
+    import cspbench.structures as structures
 
     calls = []
-    real = formulas.find_homomorphism
+    real = structures._hom_maps
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(formulas, "find_homomorphism", counting)
+    monkeypatch.setattr(structures, "_hom_maps", counting)
     phi = parse_sentence("exists x y z . E(x,y) & E(y,z)")
     assert witness_assignment(helpers.k2(), phi) == {"x": 0, "y": 1, "z": 0}
     assert len(calls) == 1
@@ -729,14 +816,13 @@ def test_evaluator_builds_one_canonical_database(monkeypatch):
     import cspbench.galois as galois
 
     calls = []
-    real = formulas.canonical_structure
+    real = formulas._database
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(formulas, "canonical_structure", counting)
-    monkeypatch.setattr(galois, "canonical_structure", counting)
+    monkeypatch.setattr(formulas, "_database", counting)
     k3 = helpers.k3()
     phi = parse_sentence("exists z . E(x,z) & E(z,y)")
     ext = galois.relation_of_formula(k3, phi, 2)
