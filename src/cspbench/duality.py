@@ -48,10 +48,16 @@ tuple extends.  A search settles a tuple only when its list was cut off
 and no carried extra extends, in tuple order up to the first deletion
 with no map.  Extras are filtered down the tree as carried maps are; the
 added tuple's are the class's maps, extended over the new vertices, that
-send it outside.  A class keeps only the entry of a tuple whose extras
-come out complete and empty: no extension below it that does not map is
-critical.  A class builds its extras when taken from the frontier, so
-only classes with children waiting hold them.
+send it outside.  A class builds its extras when taken from the
+frontier, so only classes with children waiting hold them.
+
+A tuple u whose extras come out complete and empty is redundant: every
+map of the class without u sends u inside.  Such a class is not
+extended.  This is sound: a structure D grown from it keeps u, and a map
+of D - u restricts to one of the class without u, so D - u maps iff D
+maps and D is not critical.  Nothing is lost: a critical obstruction
+grows only through classes it contains, and a redundant tuple of one of
+them would be redundant in it as well.
 
 The budget bounds each search, fallbacks and deletions alike; filtering
 maps runs none.  The plain sweep, with no carried maps, extras, prunings
@@ -201,6 +207,25 @@ def _unsettled(extras, tails, allowed, image):
     return None, unsettled
 
 
+def _extras(entry, tails, allowed) -> dict:
+    """The extras of the class of a frontier entry, built from its parent's
+    (maps, complete, extras) and the tuple added to it, as in
+    _carried_maps with tails[fresh] and allowed[rname]: only
+    {u: ([], True)} for a redundant tuple u, and none for the root."""
+    _, _, _, parent, rname, tup, fresh = entry
+    if parent is None:
+        return {}
+    maps, complete, extras = parent
+    image, out = itemgetter(*tup), {}
+    for u, (kept, kept_complete) in [*extras.items(), ((rname, tup), (maps, complete))]:
+        # the added tuple's extras are the class's maps that send it outside
+        out[u] = _carried_maps(kept, kept_complete, tails[fresh], allowed[rname], image,
+                               u != (rname, tup))
+        if out[u] == ([], True):
+            return {u: out[u]}
+    return out
+
+
 def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int,
                           budget: int = DEFAULT_BUDGET):
     """All critical obstructions with at most max_vertices vertices and
@@ -218,19 +243,6 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
     tails = [list(itertools.product(range(template.n), repeat=fresh))
              for fresh in range(max((ar for _, ar in template.sig.relations), default=1))]
     candidates = {}  # per vertex count, for _extensions
-
-    def extras_of(parent, rname, tup, fresh):
-        """The extras of the extension of a parent class, given as (maps,
-        complete, extras), by tup; only {u: ([], True)} for a redundant u."""
-        maps, complete, extras = parent
-        image, out = itemgetter(*tup), {}
-        for u, (kept, kept_complete) in [*extras.items(), ((rname, tup), (maps, complete))]:
-            # the added tuple's extras are the class's maps that send it outside
-            out[u] = _carried_maps(kept, kept_complete, tails[fresh], allowed[rname], image,
-                                   u != (rname, tup))
-            if out[u] == ([], True):
-                return {u: out[u]}
-        return out
 
     def critical_extension(s, extras, rname, tup, n, ext=None):
         """The extension of s by tup, which does not map, when it is
@@ -255,8 +267,11 @@ def critical_obstructions(a: FiniteStructure, max_vertices: int, max_tuples: int
         seen = set()  # keys canonized at this level; a key fixes its tuple count
         frontier.reverse()  # popped in order, so what a class holds goes once it is used
         while frontier:
-            s, maps, complete, parent, rname, tup, fresh = frontier.pop()
-            extras = {} if parent is None else extras_of(parent, rname, tup, fresh)
+            entry = frontier.pop()
+            s, maps, complete = entry[:3]
+            extras = _extras(entry, tails, allowed)
+            if ([], True) in extras.values():
+                continue  # a redundant tuple: no critical obstruction below
             parent = (maps, complete, extras)
             for rname, tup, n in _extensions(s, max_vertices, candidates):
                 fresh = n - s.n

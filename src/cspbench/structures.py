@@ -51,9 +51,13 @@ splits the domain by the relations, positions and colours each element
 occurs with, iterated to stability; each member of the first cell left
 with two or more elements is individualized in turn and the colours
 refined again, and the discrete colourings at the leaves of that tree are
-the relabellings.  More than 8! leaves raise BudgetExceededError.  As the
-tree is not pruned, the relabellings that tie with the least key differ
-by exactly the automorphisms, and canonical_form keeps up to 24 of them.
+the relabellings.  Two leaves with equal keys give an automorphism, and
+the walk skips the subtrees that the automorphisms found map onto
+subtrees walked, as nauty does (McKay and Piperno 2014): they hold only
+relabellings already seen, so the key is that of the whole tree.  More
+than 8! leaves walked raise BudgetExceededError; an empty structure
+walks n of its n! leaves.  canonical_form keeps up to 24 elements of the
+group the automorphisms found generate, which is the automorphism group.
 
 Structure file format (JSON, strict -- unknown fields are rejected)::
 
@@ -81,7 +85,7 @@ DEFAULT_BUDGET = 5_000_000
 # canonical_form tries every relabelling of structures with at most this
 # many elements (at most 3! = 6 of them), which is faster there than
 # refinement; larger structures are canonized by individualization and
-# refinement, which visits at most 8! leaves, as many as exhaustive
+# refinement, which walks at most 8! leaves, as many as exhaustive
 # relabelling tries at 8 elements.
 _EXHAUSTIVE_DOMAIN = 3
 _MAX_LEAVES = 40_320
@@ -551,18 +555,30 @@ def _images(source, target, elements, budget: int = DEFAULT_BUDGET):
         yield tuple([m[x] for x in at]), lambda m=m: tuple([m[x] for x in label])
 
 
-def _refine(occurrences, colour, k):
+def _refine(relations, occurrences, colour, k):
     """Colour refinement to stability.  colour is a dense ranking 0..k-1 of
     the elements; an element's next colour ranks (its colour, the sorted
     list of (position, relation, equality pattern, colours of the tuple)
-    over the tuples it occurs in).  Returns the stable (colour, k)."""
+    over the tuples it occurs in).  Each item is one integer that sorts as
+    the item does: a base that ranks (position, relation, pattern), held
+    in occurrences per element with the tuple's number, plus the tuple's
+    colours read in base n, computed once per tuple and round from
+    relations, the (arity, tuples) of each nonempty relation in order of
+    tuple number.  Returns the stable (colour, k)."""
     n = len(colour)
     while k < n:
-        signatures = [
-            (colour[v], tuple(sorted([(p, r, pattern, tuple([colour[u] for u in t]))
-                                      for p, r, pattern, t in occ])))
-            for v, occ in enumerate(occurrences)
-        ]
+        values = []
+        for ar, tuples in relations:
+            if ar == 1:
+                values += [colour[x] for x, in tuples]
+            elif ar == 2:
+                values += [colour[x] * n + colour[y] for x, y in tuples]
+            elif ar == 3:
+                values += [(colour[x] * n + colour[y]) * n + colour[z] for x, y, z in tuples]
+            else:
+                values += [encode_tuple([colour[u] for u in t], n) for t in tuples]
+        signatures = [(colour[v], tuple(sorted([base + values[i] for base, i in occ])))
+                      for v, occ in enumerate(occurrences)]
         ranks = {s: i for i, s in enumerate(sorted(set(signatures)))}
         if len(ranks) == k:
             break
@@ -571,40 +587,134 @@ def _refine(occurrences, colour, k):
     return colour, k
 
 
-def _refinement_leaves(a: FiniteStructure):
-    """The labellings at the leaves of the individualization-refinement
-    tree of a: refine the colouring by constants to stability, then
-    individualize each member of the first cell of two or more elements
-    in turn (it takes the cell's least colour, the rest of the cell the
-    next) and refine again, until every cell is a singleton.  Every step
-    depends on a only up to isomorphism, so isomorphic structures have
-    the same set of relabelled structures at their leaves."""
+def _refinement_search(a: FiniteStructure, key_of):
+    """(the least key_of(labelling), automorphisms that generate Aut(a))
+    over the leaves of the individualization-refinement tree of a, walked
+    depth first with an explicit stack.  The colouring by constants is
+    refined to stability; then each member of the first cell of two or
+    more elements is individualized in turn (it takes the cell's least
+    colour, the rest of the cell the next) and the colours refined again,
+    until every cell is a singleton: a leaf, whose colouring is a
+    labelling.  Every step depends on a only up to isomorphism, so
+    isomorphic structures have the same set of relabelled structures at
+    their leaves.
+
+    A leaf whose key equals the first leaf's or the least one's gives the
+    automorphism that carries one labelling onto the other, and the walk
+    returns to the deepest node on both their paths: what is left below it
+    is that automorphism's image of a subtree walked.  A node skips a
+    member that the automorphisms found so far that fix the node's
+    individualized elements connect to a member it explored.  What either
+    skips holds only images of leaves walked, so the least key stays.
+    More than _MAX_LEAVES leaves walked raise BudgetExceededError."""
     n = a.n
-    occurrences = [[] for _ in range(n)]
-    for r, (rname, _) in enumerate(a.sig.relations):
-        for t in a.rel[rname]:
-            pattern = tuple([t.index(u) for u in t])
-            for p, v in enumerate(t):
-                occurrences[v].append((p, r, pattern, t))
+    top = max([ar for rname, ar in a.sig.relations if a.rel[rname]], default=1)
+    # the base of (position p, relation r, pattern) is ((p * relations + r)
+    # * top**top + pattern read in base ar) * n**top: ordered as the triples
+    # are, and apart by more than the colours of a tuple can add
+    scale, patterns = n ** top, top ** top
+    step = len(a.sig.relations) * patterns * scale  # per position
+    relations, occurrences = [], [[] for _ in range(n)]
+    number = 0  # of the tuple, in the order of relations
+    for r, (rname, ar) in enumerate(a.sig.relations):
+        tuples = tuple(a.rel[rname])
+        if tuples:
+            relations.append((ar, tuples))
+        if ar == 2:  # the pattern of (x, y) reads 0 or 1
+            for x, y in tuples:
+                base = (r * patterns + (x != y)) * scale
+                occurrences[x].append((base, number))
+                occurrences[y].append((step + base, number))
+                number += 1
+        else:
+            for t in tuples:
+                base = (r * patterns + encode_tuple(map(t.index, t), ar)) * scale
+                for p, v in enumerate(t):
+                    occurrences[v].append((p * step + base, number))
+                number += 1
     names = [tuple([i for i, c in enumerate(a.sig.constants) if a.const[c] == v])
              for v in range(n)] if a.const else [()] * n
     ranks = {s: i for i, s in enumerate(sorted(set(names)))}
-    stack = [([ranks[s] for s in names], len(ranks))]
+    colour, k = _refine(relations, occurrences, [ranks[s] for s in names], len(ranks))
+    # per node on the current path: [colour, k, its first cell of two or
+    # more elements, the cell's members left to individualize, last first,
+    # the members explored]; the node at depth d individualized path[:d]
+    nodes, path, automorphisms = [], [], []
+    first = least = None  # (key, labelling, path) of a leaf
     leaves = 0
-    while stack:
-        colour, k = _refine(occurrences, *stack.pop())
-        if k == n:
+    while True:
+        if k < n:
+            cell = next(c for c in range(k) if colour.count(c) > 1)
+            nodes.append([colour, k, cell, [v for v in reversed(range(n)) if colour[v] == cell],
+                          []])
+        else:
             leaves += 1
             if leaves > _MAX_LEAVES:
                 raise BudgetExceededError(
                     f"canonical form exceeds {_MAX_LEAVES} leaves of individualization-refinement")
-            yield colour
-            continue
-        cell = min(c for c in range(k) if colour.count(c) > 1)
-        for v in reversed([v for v in range(n) if colour[v] == cell]):
+            key = key_of(colour)
+            if first is None:
+                first = least = (key, colour, path[:])
+            elif key == first[0] or key == least[0]:
+                _, twin, twin_path = first if key == first[0] else least
+                inverse = sorted(range(n), key=twin.__getitem__)
+                automorphisms.append(tuple([inverse[c] for c in colour]))
+                depth = 0
+                while path[depth] == twin_path[depth]:
+                    depth += 1
+                del nodes[depth + 1:]
+            elif key < least[0]:
+                least = (key, colour, path[:])
+        while nodes:  # the next member to individualize, or back up
+            colour, k, cell, members, explored = nodes[-1]
+            if automorphisms:
+                covered = _orbit(explored, automorphisms, path[:len(nodes) - 1])
+                while members and members[-1] in covered:
+                    members.pop()
+            if not members:
+                nodes.pop()
+                continue
+            v = members.pop()
+            explored.append(v)
+            path[len(nodes) - 1:] = [v]
             child = [c + (c >= cell) for c in colour]
             child[v] = cell
-            stack.append((child, k + 1))
+            colour, k = _refine(relations, occurrences, child, k + 1)
+            break
+        else:
+            return least[0], automorphisms
+
+
+def _orbit(elements, automorphisms, fixed) -> set:
+    """The elements that products of the automorphisms that fix every
+    element of fixed send elements to."""
+    generators = [g for g in automorphisms if all(g[x] == x for x in fixed)]
+    out, todo = set(elements), list(elements)
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            if g[x] not in out:
+                out.add(g[x])
+                todo.append(g[x])
+    return out
+
+
+def _group(generators, n: int) -> tuple:
+    """Up to _MAX_AUTOMORPHISMS elements other than the identity of the
+    group of permutations of range(n) that generators generate, shortest
+    products first."""
+    identity = tuple(range(n))
+    out, found, todo = [], {identity}, [identity]
+    for h in todo:
+        for g in generators:
+            p = tuple([g[x] for x in h])
+            if p not in found:
+                if len(out) == _MAX_AUTOMORPHISMS:
+                    return tuple(out)
+                found.add(p)
+                out.append(p)
+                todo.append(p)
+    return tuple(out)
 
 
 def canonical_form(a: FiniteStructure):
@@ -614,23 +724,21 @@ def canonical_form(a: FiniteStructure):
     tuple indices and constant elements over the relabellings): every
     permutation up to _EXHAUSTIVE_DOMAIN elements, beyond that the leaves
     of individualization-refinement (McKay and Piperno, "Practical graph
-    isomorphism, II", J. Symb. Comp. 2014) without automorphism pruning;
-    more than _MAX_LEAVES leaves raise BudgetExceededError.  Every
-    relabelling that ties with the first least one, p0, gives the
-    automorphism p0^-1 . p; up to _MAX_AUTOMORPHISMS of them other than the
-    identity are kept in a._automorphisms.
+    isomorphism, II", J. Symb. Comp. 2014), pruned by the automorphisms
+    found on the way (_refinement_search); more than _MAX_LEAVES leaves
+    walked raise BudgetExceededError.  Up to _MAX_AUTOMORPHISMS
+    automorphisms other than the identity are kept in a._automorphisms:
+    up to _EXHAUSTIVE_DOMAIN elements p0^-1 . p for each relabelling p
+    that ties with the first least one, p0, beyond it elements of the
+    group that the automorphisms found generate, which is Aut(a).
     """
     if a._canon is not None:
         return a._canon
     n = a.n
     rel_tuples = [tuple(a.rel[r]) for r, _ in a.sig.relations]
     const_elems = tuple(a.const[c] for c in a.sig.constants)
-    if n <= _EXHAUSTIVE_DOMAIN:
-        labellings = itertools.permutations(range(n))
-    else:
-        labellings = _refinement_leaves(a)
-    best = ties = None
-    for perm in labellings:
+
+    def key_of(perm):
         key = []
         for tuples in rel_tuples:
             mask = 0
@@ -641,13 +749,21 @@ def canonical_form(a: FiniteStructure):
                 mask |= 1 << idx
             key.append(mask)
         key.append(tuple(perm[v] for v in const_elems))
-        key = tuple(key)
-        if best is None or key < best:
-            best, ties = key, [perm]
-        elif key == best and len(ties) <= _MAX_AUTOMORPHISMS:
-            ties.append(perm)
-    inverse = sorted(range(n), key=ties[0].__getitem__)
-    a._automorphisms = tuple([tuple([inverse[p[v]] for v in range(n)]) for p in ties[1:]])
+        return tuple(key)
+
+    if n <= _EXHAUSTIVE_DOMAIN:
+        best = ties = None
+        for perm in itertools.permutations(range(n)):
+            key = key_of(perm)
+            if best is None or key < best:
+                best, ties = key, [perm]
+            elif key == best and len(ties) <= _MAX_AUTOMORPHISMS:
+                ties.append(perm)
+        inverse = sorted(range(n), key=ties[0].__getitem__)
+        a._automorphisms = tuple([tuple([inverse[p[v]] for v in range(n)]) for p in ties[1:]])
+    else:
+        best, automorphisms = _refinement_search(a, key_of)
+        a._automorphisms = _group(automorphisms, n) if automorphisms else ()
     a._canon = (a.sig, a.n, best)
     return a._canon
 

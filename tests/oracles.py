@@ -6,7 +6,7 @@ with itertools.product and checked by direct preservation tests, truth is
 decided by assignment enumeration, and pp-definable relation families are
 generated by closing under the relational constructions (permutation,
 identification, projection, product, intersection) rather than by the
-indicator construction the library uses.  Seven sections are different:
+indicator construction the library uses.  Eight sections are different:
 they keep earlier library code verbatim as a reference: the Fraction
 linear-algebra kernel of linear_horn, the Q(sqrt2) field and mixing map
 with which linear_horn once decided mix preservation, the formula-layer
@@ -14,8 +14,9 @@ code (renaming, tokenizing, local refutability, the P4 check and the
 separate walkers over a formula), the tuple-by-tuple powers and plan
 compiler of structures, the pairwise pp-type classes of galois,
 galois's one-search pp-definability decision on the indicator power of
-all of a relation's tuples, and the formula layer's separate pp path,
-one pinned search from the canonical database.
+all of a relation's tuples, the formula layer's separate pp path,
+one pinned search from the canonical database, and canonical_form's walk
+over every leaf of individualization-refinement.
 """
 
 import itertools
@@ -606,6 +607,125 @@ def brute_automorphisms(a):
     return {g for g in itertools.permutations(range(a.n))
             if all(g[x] == x for x in a.const.values())
             and all({tuple(g[v] for v in t) for t in ts} == ts for ts in a.rel.values())}
+
+
+# -- reference canonical form, kept verbatim but for the names: it walks
+# every leaf of the individualization-refinement tree, refines with tuples
+# of (position, relation, pattern, colours) and keeps the automorphisms
+# that tie with the first least leaf.  A differential test holds
+# structures.canonical_form to it. --
+_REFERENCE_EXHAUSTIVE_DOMAIN = 3
+_REFERENCE_MAX_LEAVES = 40_320
+_REFERENCE_MAX_AUTOMORPHISMS = 24
+
+
+def reference_canonical_form(a):
+    """(canonical key, automorphisms kept) as the unpruned walk gives them,
+    computed on a copy of a, so that a's own caches stay untouched."""
+    copy = FiniteStructure(a.sig, a.n, a.rel, a.const)
+    key = _reference_canonical_form(copy)
+    return key, copy._automorphisms
+
+
+def _reference_refine(occurrences, colour, k):
+    """Colour refinement to stability.  colour is a dense ranking 0..k-1 of
+    the elements; an element's next colour ranks (its colour, the sorted
+    list of (position, relation, equality pattern, colours of the tuple)
+    over the tuples it occurs in).  Returns the stable (colour, k)."""
+    n = len(colour)
+    while k < n:
+        signatures = [
+            (colour[v], tuple(sorted([(p, r, pattern, tuple([colour[u] for u in t]))
+                                      for p, r, pattern, t in occ])))
+            for v, occ in enumerate(occurrences)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        if len(ranks) == k:
+            break
+        colour = [ranks[s] for s in signatures]
+        k = len(ranks)
+    return colour, k
+
+
+def _reference_refinement_leaves(a: FiniteStructure):
+    """The labellings at the leaves of the individualization-refinement
+    tree of a: refine the colouring by constants to stability, then
+    individualize each member of the first cell of two or more elements
+    in turn (it takes the cell's least colour, the rest of the cell the
+    next) and refine again, until every cell is a singleton.  Every step
+    depends on a only up to isomorphism, so isomorphic structures have
+    the same set of relabelled structures at their leaves."""
+    n = a.n
+    occurrences = [[] for _ in range(n)]
+    for r, (rname, _) in enumerate(a.sig.relations):
+        for t in a.rel[rname]:
+            pattern = tuple([t.index(u) for u in t])
+            for p, v in enumerate(t):
+                occurrences[v].append((p, r, pattern, t))
+    names = [tuple([i for i, c in enumerate(a.sig.constants) if a.const[c] == v])
+             for v in range(n)] if a.const else [()] * n
+    ranks = {s: i for i, s in enumerate(sorted(set(names)))}
+    stack = [([ranks[s] for s in names], len(ranks))]
+    leaves = 0
+    while stack:
+        colour, k = _reference_refine(occurrences, *stack.pop())
+        if k == n:
+            leaves += 1
+            if leaves > _REFERENCE_MAX_LEAVES:
+                raise BudgetExceededError(
+                    f"canonical form exceeds {_REFERENCE_MAX_LEAVES} leaves of individualization-refinement")
+            yield colour
+            continue
+        cell = min(c for c in range(k) if colour.count(c) > 1)
+        for v in reversed([v for v in range(n) if colour[v] == cell]):
+            child = [c + (c >= cell) for c in colour]
+            child[v] = cell
+            stack.append((child, k + 1))
+
+
+def _reference_canonical_form(a: FiniteStructure):
+    """Canonical key; equal iff isomorphic.
+
+    (signature, n, the lex-least tuple of relation bitmasks over row-major
+    tuple indices and constant elements over the relabellings): every
+    permutation up to _REFERENCE_EXHAUSTIVE_DOMAIN elements, beyond that the leaves
+    of individualization-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comp. 2014) without automorphism pruning;
+    more than _REFERENCE_MAX_LEAVES leaves raise BudgetExceededError.  Every
+    relabelling that ties with the first least one, p0, gives the
+    automorphism p0^-1 . p; up to _REFERENCE_MAX_AUTOMORPHISMS of them other than the
+    identity are kept in a._automorphisms.
+    """
+    if a._canon is not None:
+        return a._canon
+    n = a.n
+    rel_tuples = [tuple(a.rel[r]) for r, _ in a.sig.relations]
+    const_elems = tuple(a.const[c] for c in a.sig.constants)
+    if n <= _REFERENCE_EXHAUSTIVE_DOMAIN:
+        labellings = itertools.permutations(range(n))
+    else:
+        labellings = _reference_refinement_leaves(a)
+    best = ties = None
+    for perm in labellings:
+        key = []
+        for tuples in rel_tuples:
+            mask = 0
+            for t in tuples:
+                idx = 0
+                for v in t:
+                    idx = idx * n + perm[v]
+                mask |= 1 << idx
+            key.append(mask)
+        key.append(tuple(perm[v] for v in const_elems))
+        key = tuple(key)
+        if best is None or key < best:
+            best, ties = key, [perm]
+        elif key == best and len(ties) <= _REFERENCE_MAX_AUTOMORPHISMS:
+            ties.append(perm)
+    inverse = sorted(range(n), key=ties[0].__getitem__)
+    a._automorphisms = tuple([tuple([inverse[p[v]] for v in range(n)]) for p in ties[1:]])
+    a._canon = (a.sig, a.n, best)
+    return a._canon
 
 
 def _seed_structures(sig):

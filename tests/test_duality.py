@@ -194,13 +194,15 @@ def _spy_on_sweep(monkeypatch):
     builds; decided, [parent, rname, tup, n, refuted, unsettled, searches]
     for each criticality decision, refuted and unsettled as _unsettled
     returns them and searches the (deleted tuple, found) of each deletion
-    search that follows; and checked, (ext, deleted tuple, found) for each
-    of those searches."""
-    spy = SimpleNamespace(searched=[], canonized=[], built={}, decided=[], checked=[])
+    search that follows; checked, (ext, deleted tuple, found) for each of
+    those searches; and dropped, (class, tuple) for each frontier class
+    left unextended for the redundant tuple its extras name."""
+    spy = SimpleNamespace(searched=[], canonized=[], built={}, decided=[], checked=[],
+                          dropped=[])
     deletions, current = {}, []
-    search, canonize, add_tuple, delete_tuple, extensions, unsettled = (
+    search, canonize, add_tuple, delete_tuple, extensions, unsettled, extras = (
         duality.find_homomorphism, duality.canonical_form, duality._add_tuple,
-        duality._delete_tuple, duality._extensions, duality._unsettled)
+        duality._delete_tuple, duality._extensions, duality._unsettled, duality._extras)
 
     def spying_search(s, t, **kw):
         h = search(s, t, **kw)
@@ -236,9 +238,16 @@ def _spy_on_sweep(monkeypatch):
         spy.decided.append([*current, refuted, list(pending), []])
         return refuted, pending
 
+    def spying_extras(entry, *args):
+        out = extras(entry, *args)
+        if ([], True) in out.values():
+            spy.dropped.append((entry[0], *out))
+        return out
+
     for name, spying in [("find_homomorphism", spying_search), ("canonical_form", spying_canonize),
                          ("_add_tuple", spying_add_tuple), ("_delete_tuple", spying_delete_tuple),
-                         ("_extensions", spying_extensions), ("_unsettled", spying_unsettled)]:
+                         ("_extensions", spying_extensions), ("_unsettled", spying_unsettled),
+                         ("_extras", spying_extras)]:
         monkeypatch.setattr(duality, name, spying)
     return spy
 
@@ -337,7 +346,8 @@ def test_sweep_counts_on_k2(monkeypatch):
     checks included, each no more than with a search for every criticality
     check (532 checks and 843 searches), and no more than before the
     grandparent filter (3,099 canonical forms, 1,574 checks and 2,046
-    searches)."""
+    searches) or while classes with a redundant tuple were extended (633
+    canonical forms)."""
     counts = dict.fromkeys(["canonical_form", "_delete_tuple", "find_homomorphism"], 0)
     for name in counts:
         def counting(*args, _call=getattr(duality, name), _name=name, **kw):
@@ -345,7 +355,7 @@ def test_sweep_counts_on_k2(monkeypatch):
             return _call(*args, **kw)
         monkeypatch.setattr(duality, name, counting)
     assert len(critical_obstructions(helpers.k2(), max_vertices=6, max_tuples=6)) == 7
-    assert counts == {"canonical_form": 633, "_delete_tuple": 0, "find_homomorphism": 0}
+    assert counts == {"canonical_form": 489, "_delete_tuple": 0, "find_homomorphism": 0}
 
 
 def test_sweep_searches_connected_structures_only(monkeypatch):
@@ -401,14 +411,45 @@ def test_sweep_differential_where_extras_are_cut_off(monkeypatch):
     assert kept == 4
 
 
+@pytest.mark.parametrize("make, max_vertices, max_tuples", [
+    (helpers.k2, 6, 6),
+    (helpers.nae, 4, 4),
+    (_k2u_relabelled, 4, 5),
+    *[(lambda seed=seed: _loopless_template(random.Random(seed)), 5, 5) for seed in range(6)],
+], ids=["K2", "NAE", "K2 and U relabelled", *[f"loopless {seed}" for seed in range(6)]])
+def test_sweep_drops_only_classes_with_a_redundant_tuple(monkeypatch, make, max_vertices,
+                                                         max_tuples):
+    """The sweep extends no frontier class whose extras name a redundant
+    tuple, and each one it drops has that tuple redundant by brute force:
+    every map of the class without it is a map of the class, so no
+    structure grown from the class is critical.  The sweep lists the
+    reference's classes."""
+    a = make()
+    template = a.relational_reduct()
+    spy = _spy_on_sweep(monkeypatch)
+    got = critical_obstructions(a, max_vertices=max_vertices, max_tuples=max_tuples)
+    monkeypatch.undo()
+    assert spy.dropped
+    extended = {id(parent) for parent, _, _, _ in spy.built.values()}
+    for s, u in spy.dropped:
+        assert id(s) not in extended
+        assert oracles.brute_homs(duality._delete_tuple(s, *u), template) == \
+            oracles.brute_homs(s, template)
+    want = oracles.reference_critical_obstructions(a, max_vertices, max_tuples)
+    assert len(got) == len(want) and _by_oracle_key(got).keys() == _by_oracle_key(want).keys()
+    assert [(o.hyperedges, o.structure.n) for o in got] == \
+        [(o.hyperedges, o.structure.n) for o in want]
+
+
 def test_sweep_capped_maps_match_reference(monkeypatch):
     """Templates whose frontier classes have more maps than the sweep
     carries.  On K3 and C5 a cut-off list filters to empty and the search
-    that follows finds nothing; on the full edge relation with U = {(2,)},
-    the carried maps send the new tuple outside U and the search finds a
-    map.  The obstructions match the reference either way."""
+    that follows finds nothing; on the edge relation of all pairs but
+    (2, 0) with U = {(2,)}, the carried maps send the new tuple outside
+    the template and the search finds a map.  The obstructions match the
+    reference either way."""
     cases = [(helpers.k3(), 5, 5, False), (helpers.cycle(5), 5, 5, False),
-             (_full_edge_with_u(), 4, 4, True)]
+             (_nearly_full_edge_with_u(), 4, 4, True)]
     wants = [oracles.reference_critical_obstructions(a, v, t) for a, v, t, _ in cases]
     spy = _spy_on_sweep(monkeypatch)
     for (a, max_vertices, max_tuples, finds), want in zip(cases, wants):
@@ -421,16 +462,19 @@ def test_sweep_capped_maps_match_reference(monkeypatch):
         assert all((h is not None) == finds for _, h in spy.searched)
 
 
-def _full_edge_with_u():
+def _nearly_full_edge_with_u():
+    """Every pair but (2, 0) on 3 elements, and U = {2}; with every pair, each
+    edge tuple is redundant, and the sweep extends no class that has one."""
     return FiniteStructure(Signature.make({"E": 2, "U": 1}), 3,
-                           {"E": itertools.product(range(3), repeat=2), "U": [(2,)]})
+                           {"E": [p for p in itertools.product(range(3), repeat=2) if p != (2, 0)],
+                            "U": [(2,)]})
 
 
 @pytest.mark.parametrize("make, max_vertices, max_tuples, finds, calls, before, parent_calls", [
-    (helpers.k2, 5, 5, False, 147, 549, 1112),
-    (helpers.k3, 5, 5, False, 346, 403, 1323),
-    (_full_edge_with_u, 4, 4, True, 129, 129, 571),
-], ids=["K2", "K3", "full edge and U"])
+    (helpers.k2, 5, 5, False, 131, 549, 1112),
+    (helpers.k3, 5, 5, False, 292, 403, 1323),
+    (_nearly_full_edge_with_u, 4, 4, True, 90, 122, 571),
+], ids=["K2", "K3", "nearly full edge and U"])
 def test_sweep_canonizes_one_extension_per_orbit(monkeypatch, make, max_vertices, max_tuples,
                                                  finds, calls, before, parent_calls):
     """The sweep canonizes no last-level extension whose carried maps show
@@ -438,10 +482,12 @@ def test_sweep_canonizes_one_extension_per_orbit(monkeypatch, make, max_vertices
     of the parent, fixing the new vertices, carries onto each other.  A
     canonized last-level extension maps only where a cut-off list of
     carried maps came out empty and a search found a map for its class
-    (finds, on the full edge relation with U).  calls counts every
+    (finds, on the nearly full edge relation with U).  calls counts every
     canonical_form call of the sweep, the final sort's included; before is
     the count when every extension not pruned was canonized before its
-    criticality check, and parent_calls the count before either pruning."""
+    criticality check, and parent_calls the count before either pruning.
+    While classes with a redundant tuple were extended, calls read 147,
+    346 and 122."""
     a = make()
     template = a.relational_reduct()
     spy = _spy_on_sweep(monkeypatch)

@@ -567,6 +567,10 @@ def _relabelled(a, rng):
                            {c: perm[v] for c, v in a.const.items()})
 
 
+def _two_triangles(symmetric=True):
+    return helpers.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], symmetric=symmetric)
+
+
 def test_canonical_form_matches_exhaustive_oracle():
     rng = random.Random(2014)
     pool = []
@@ -577,8 +581,7 @@ def test_canonical_form_matches_exhaustive_oracle():
     # tell apart: C6 against two triangles, undirected and directed
     for symmetric in (True, False):
         c6 = helpers.cycle(6, symmetric=symmetric)
-        triangles = helpers.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
-                                  symmetric=symmetric)
+        triangles = _two_triangles(symmetric)
         pool += [c6, _relabelled(c6, rng), triangles, _relabelled(triangles, rng)]
     keys = [canonical_form(a) for a in pool]
     reference = [oracles.exhaustive_canonical_key(a) for a in pool]
@@ -599,9 +602,7 @@ def _automorphism_pool(rng):
     whose automorphism groups have 6 to 72 elements."""
     pool = [_random_structure_with_constants(rng) for _ in range(150)]
     for symmetric in (True, False):
-        pool += [helpers.cycle(6, symmetric=symmetric),
-                 helpers.graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
-                               symmetric=symmetric)]
+        pool += [helpers.cycle(6, symmetric=symmetric), _two_triangles(symmetric)]
     return pool
 
 
@@ -636,7 +637,7 @@ def test_canonical_form_keeps_a_bounded_subset_of_automorphisms():
         assert set(recorded) <= aut - {tuple(range(a.n))}
         bounded += len(aut) - 1 > structures._MAX_AUTOMORPHISMS
     assert bounded
-    # an empty 8-element structure has 8! automorphisms, all of them leaves
+    # an empty 8-element structure has 8! automorphisms
     assert len(_recorded_automorphisms(FiniteStructure(helpers.GRAPH, 8, {"E": []}))) == \
         structures._MAX_AUTOMORPHISMS
 
@@ -649,7 +650,57 @@ def test_canonical_form_beyond_eight_elements():
     assert is_isomorphic(directed_path, _relabelled(directed_path, rng))
 
 
-def test_canonical_form_leaf_cap():
-    # every relabelling of an empty structure is a leaf: 12! > 8!
+def _star(leaves):
+    return helpers.graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)], symmetric=True)
+
+
+def test_canonical_form_matches_the_unpruned_walk():
+    """Seeded differential against the walk that visits every leaf and
+    keeps the automorphisms that tie with its first least leaf
+    (oracles.reference_canonical_form), over _automorphism_pool, stars
+    and empty structures of up to 8 elements and relabellings of them:
+    the keys are equal, and so are the numbers of automorphisms kept, at
+    most _MAX_AUTOMORPHISMS."""
+    rng = random.Random(1981)
+    pool = _automorphism_pool(rng)
+    for n in range(1, 9):
+        pool += [FiniteStructure(helpers.GRAPH, n, {"E": []}), _star(n - 1)]
+    pool += [_relabelled(a, rng) for a in pool]
+    sizes = set()
+    for a in pool:
+        key, automorphisms = oracles.reference_canonical_form(a)
+        assert canonical_form(a) == key
+        assert len(set(a._automorphisms)) == len(a._automorphisms) == len(set(automorphisms))
+        sizes.add(len(automorphisms))
+    assert {0, 1, structures._MAX_AUTOMORPHISMS} <= sizes
+
+
+def test_walk_prunes_only_by_automorphisms_that_fix_the_prefix():
+    """A node of the walk skips the members that the automorphisms found
+    connect to a member it explored, using only those that fix the
+    elements it individualized."""
+    swap, rotation = (1, 0, 2, 3), (1, 2, 3, 0)
+    assert structures._orbit([0], [swap, rotation], ()) == {0, 1, 2, 3}
+    assert structures._orbit([0], [swap, rotation], (2,)) == {0, 1}
+    assert structures._orbit([0], [swap, rotation], (2, 1)) == {0}
+    assert structures._orbit([0, 2], [swap], (3,)) == {0, 1, 2}
+
+
+def test_canonical_form_leaf_cap(monkeypatch):
+    """The walk skips leaves by the automorphisms it finds: an empty
+    12-element structure (12! leaves unpruned, over the cap of 8!) and a
+    star with 10 leaves (10!) canonize, and their relabellings get equal
+    keys.  The cap still counts the leaves walked: 3 on C6 and 6 on two
+    triangles."""
+    rng = random.Random(12)
+    for a in (FiniteStructure(helpers.GRAPH, 12, {"E": []}), _star(10)):
+        assert canonical_form(_relabelled(a, rng)) == canonical_form(a)
+    assert canonical_form(_star(10)) != canonical_form(_relabelled(_star(9), rng))
+    monkeypatch.setattr(structures, "_MAX_LEAVES", 3)
+    c6 = helpers.cycle(6, symmetric=True)
+    assert canonical_form(c6) == canonical_form(_relabelled(c6, rng))
     with pytest.raises(BudgetExceededError):
-        canonical_form(FiniteStructure(helpers.GRAPH, 12, {"E": []}))
+        canonical_form(_two_triangles())
+    monkeypatch.setattr(structures, "_MAX_LEAVES", 2)
+    with pytest.raises(BudgetExceededError):
+        canonical_form(helpers.cycle(6, symmetric=True))
